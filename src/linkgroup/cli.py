@@ -2,13 +2,11 @@
 comparing the groups' finite-quotient invariants.
 
 Exit codes: 0 success (or Distinguished), 10 Inconclusive, 1 input error,
-2 node budget exceeded.  The only environment variable read is
-LINKGROUP_THREADS (worker count); it never changes any output bytes.
+2 node budget exceeded.  No environment variable is read.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .corpus import load_corpus
@@ -30,16 +28,6 @@ EXIT_INCONCLUSIVE = 10
 _INPUT_ERRORS = (DiagramSyntaxError, DiagramStructureError,
                  PresentationSyntaxError, FourGraphError, CatalogError,
                  OSError, ValueError)
-
-
-def _workers():
-    raw = os.environ.get("LINKGROUP_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _read(path):
@@ -101,7 +89,7 @@ def cmd_homology(args):
 
 def cmd_profile(args):
     p = _load_presentation(args.file)
-    prof = profile(p, _config(args), _catalog(args), workers=_workers())
+    prof = profile(p, _config(args), _catalog(args))
     _emit(prof.to_json(), args.out)
     return EXIT_BUDGET if prof.any_budget_exceeded else EXIT_OK
 
@@ -109,8 +97,7 @@ def cmd_profile(args):
 def cmd_distinguish(args):
     left = _load_presentation(args.file_a)
     right = _load_presentation(args.file_b)
-    verdict = distinguish(left, right, _config(args), _catalog(args),
-                          workers=_workers())
+    verdict = distinguish(left, right, _config(args), _catalog(args))
     _emit(verdict.to_json(), args.out)
     if verdict.outcome == "Distinguished":
         return EXIT_OK
@@ -131,8 +118,7 @@ def cmd_verify_witness(args):
     doc = json.loads(_read(args.verdict))
     left = _load_presentation(args.file_a)
     right = _load_presentation(args.file_b)
-    ok, message = verify_witness(doc, left, right, _catalog(args),
-                                 workers=_workers())
+    ok, message = verify_witness(doc, left, right, _catalog(args))
     _emit(_json_text({"schema_version": 1, "ok": ok, "message": message}),
           args.out)
     return EXIT_OK if ok else EXIT_INPUT
@@ -154,12 +140,11 @@ def cmd_corpus(args):
 
     config = _config(args)
     catalog = _catalog(args)
-    workers = _workers()
     profiles = {}
     report_entries = {}
     for key, entry in entries.items():
         p = entry.presentation()
-        prof = profile(p, config, catalog, workers=workers)
+        prof = profile(p, config, catalog)
         profiles[key] = prof
         report_entries[key] = {
             "label": entry.label,
@@ -180,12 +165,7 @@ def cmd_corpus(args):
             "left": pair[0],
             "right": pair[1],
             "outcome": "Distinguished" if witness else "Inconclusive",
-            "witness": None if witness is None else {
-                "invariant": witness.invariant,
-                "left": witness.left,
-                "right": witness.right,
-                "recheck": witness.recheck,
-            },
+            "witness": None if witness is None else witness.to_dict(),
         }
     doc = {
         "schema_version": 1,

@@ -66,6 +66,7 @@ class FiniteGroup:
         self._elements = None
         self._tables = None
         self._conj = None
+        self._classes = None
 
     def elements(self):
         if self._elements is None:
@@ -114,6 +115,27 @@ class FiniteGroup:
                         sols[key] = [x]
             self._conj = {key: tuple(v) for key, v in sols.items()}
         return self._conj
+
+    def conjugacy_classes(self):
+        """((representative, class size), ...), one pair per conjugacy class.
+
+        Each representative is the smallest element index of its class, and the
+        pairs come in ascending order of representative.
+        """
+        if self._classes is None:
+            mul, inv, _ = self.tables()
+            n = self.order
+            seen = [False] * n
+            classes = []
+            for x in range(n):
+                if seen[x]:
+                    continue
+                cls = {mul[mul[g * n + x] * n + inv[g]] for g in range(n)}
+                for y in cls:
+                    seen[y] = True
+                classes.append((x, len(cls)))
+            self._classes = tuple(classes)
+        return self._classes
 
     def __repr__(self):
         return "FiniteGroup(%r, degree=%d)" % (self.name, self.degree)

@@ -1,15 +1,13 @@
 """Counting homomorphisms to finite groups and low-index subgroups, and the
 invariant profiles built from them.
 
-Both searches are exact and deterministic: identical inputs give identical
-counts and byte-identical profile JSON regardless of the worker count.  A
-search that would exceed its node budget reports an explicit flag instead of a
-count.
+Both searches are exact, serial and deterministic: identical inputs give
+identical counts and byte-identical profile JSON.  A search that would exceed
+its node budget reports an explicit flag instead of a count.
 """
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import itertools
 import json
@@ -236,33 +234,47 @@ def _run_ops(ops, images, mul, inv, e, order):
     return True
 
 
-def _hom_chunk(payload):
-    """Count homomorphisms over a range of first-assignment values.
+def count_homs(presentation, group, node_budget=10 ** 8):
+    """Count all and surjective homomorphisms from the presented group.
 
-    The node budget is shared evenly over first-assignment values, so the flag
-    does not depend on how the range is split across workers.  When the first
-    segment is a branch there is nothing to split and the range is ignored.
+    Both counts depend only on the presented group, so the presentation is
+    first compiled down by eliminating generators with a single occurrence in
+    some relator.  The remaining search assigns images only to a seed set of
+    generators and deduces the rest by unit propagation.
+
+    Both counts are also invariant under conjugation in the target group, so
+    when the search opens with an assign, the first generator takes one
+    representative per conjugacy class and its counts are weighted by the
+    class size.  Every candidate tried at any depth, roots included, is one
+    node charged to the single node budget of the whole search.
     """
-    head, segments, n_gens, mul, inv, e, order, lo, hi, branch_budget, conj = payload
+    presentation = _reduce_generators(presentation)
+    head, segments, n_gens = compile_hom_search(presentation)
+    mul, inv, e = group.tables()
+    order = group.order
+    if n_gens == 0:
+        return HomCount(1, 1 if order == 1 else 0)
     images = [e] * n_gens
     memo = {}
-    counts = [0, 0]
-    depth = len(segments)
-
     if not _run_ops(head, images, mul, inv, e, order):
-        return 0, 0, False
-    if depth == 0:
-        # nothing to enumerate: every image was forced by the head ops
+        return HomCount(0, 0)
+    if not segments:
+        # every generator deduced from relators: a single candidate to try
         sub = _subgroup_order(images, mul, e, order, memo)
-        return 1, 1 if sub == order else 0, False
+        return HomCount(1, 1 if sub == order else 0)
+    conj = None
+    if any(kind == "branch" for kind, _, _, _ in segments):
+        conj = group.conjugacy_solutions()
+    depth = len(segments)
+    nodes = total = surjective = 0
 
-    nodes = [0]
-    roots = ()
-
-    def walk(d):
+    def walk(d, weight, roots=None):
+        nonlocal nodes, total, surjective
         kind, gen, data, post = segments[d]
-        if kind == "assign":
-            candidates = roots if d == 0 else range(order)
+        if roots is not None:
+            candidates = roots
+        elif kind == "assign":
+            candidates = range(order)
         else:
             pre, mid, suf, eps = data
             q = _eval_seq(mid, images, mul, inv, e, order)
@@ -271,107 +283,26 @@ def _hom_chunk(payload):
             t = inv[mul[c * order + a]]
             candidates = conj.get((q, t) if eps == 1 else (t, q), ())
         for v in candidates:
-            nodes[0] += 1
-            if nodes[0] > branch_budget:
+            nodes += 1
+            if nodes > node_budget:
                 raise BudgetExceeded
             images[gen] = v
             if not _run_ops(post, images, mul, inv, e, order):
                 continue
             if d + 1 == depth:
-                counts[0] += 1
+                total += weight
                 if _subgroup_order(images, mul, e, order, memo) == order:
-                    counts[1] += 1
+                    surjective += weight
             else:
-                walk(d + 1)
+                walk(d + 1, weight)
 
-    exceeded = False
-    if segments[0][0] == "assign":
-        for root in range(lo, hi):
-            roots = (root,)
-            nodes[0] = 0
-            try:
-                walk(0)
-            except BudgetExceeded:
-                exceeded = True
-                break
-    else:
-        try:
-            walk(0)
-        except BudgetExceeded:
-            exceeded = True
-    return counts[0], counts[1], exceeded
-
-
-_pool = None
-_pool_workers = 0
-
-
-def _shutdown_pool():
-    global _pool
-    if _pool is not None:
-        _pool.shutdown()
-        _pool = None
-
-
-def _shared_pool(workers):
-    global _pool, _pool_workers
-    if _pool is None or _pool_workers != workers:
-        from concurrent.futures import ProcessPoolExecutor
-        if _pool is not None:
-            _pool.shutdown()
+    try:
+        if segments[0][0] == "assign":
+            for rep, size in group.conjugacy_classes():
+                walk(0, size, (rep,))
         else:
-            atexit.register(_shutdown_pool)
-        _pool = ProcessPoolExecutor(max_workers=workers)
-        _pool_workers = workers
-    return _pool
-
-
-def count_homs(presentation, group, node_budget=10 ** 8, workers=1):
-    """Count all and surjective homomorphisms from the presented group.
-
-    Both counts depend only on the presented group, so the presentation is
-    first compiled down by eliminating generators with a single occurrence in
-    some relator.  The remaining search assigns images only to a seed set of
-    generators and deduces the rest by unit propagation.
-    """
-    presentation = _reduce_generators(presentation)
-    head, segments, n_gens = compile_hom_search(presentation)
-    mul, inv, e = group.tables()
-    order = group.order
-    if n_gens == 0:
-        return HomCount(1, 1 if order == 1 else 0)
-    conj = None
-    if any(kind == "branch" for kind, _, _, _ in segments):
-        conj = group.conjugacy_solutions()
-    if not segments:
-        # every generator deduced from relators: a single candidate to try
-        payload = (head, segments, n_gens, mul, inv, e, order, 0, 0, node_budget, conj)
-        total, surjective, exceeded = _hom_chunk(payload)
-        return HomCount(total, surjective, exceeded)
-
-    splittable = segments[0][0] == "assign"
-    branch_budget = max(1, node_budget // order) if splittable else node_budget
-    spans = []
-    if splittable and workers > 1 and order >= 16:
-        step = max(1, order // (workers * 4))
-        start = 0
-        while start < order:
-            spans.append((start, min(order, start + step)))
-            start += step
-    else:
-        spans.append((0, order))
-
-    payloads = [(head, segments, n_gens, mul, inv, e, order, lo, hi, branch_budget, conj)
-                for lo, hi in spans]
-    if len(payloads) == 1 or workers <= 1:
-        results = [_hom_chunk(p) for p in payloads]
-    else:
-        pool = _shared_pool(workers)
-        results = list(pool.map(_hom_chunk, payloads))
-    total = sum(r[0] for r in results)
-    surjective = sum(r[1] for r in results)
-    exceeded = any(r[2] for r in results)
-    if exceeded:
+            walk(0, 1)
+    except BudgetExceeded:
         return HomCount(0, 0, True)
     return HomCount(total, surjective)
 
@@ -661,13 +592,17 @@ def presentation_hash(presentation):
 
 
 def profile(presentation, config=None, catalog=None, workers=1):
-    """Simplify, then compute homology, hom counts, and low-index counts."""
+    """Simplify, then compute homology, hom counts, and low-index counts.
+
+    ``workers`` is accepted for existing callers and ignored: the searches run
+    serially.
+    """
     config = config or ProfileConfig()
     catalog = catalog or load_catalog()
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
     homology = tuple(first_homology(simplified))
     hom_counts = tuple(
-        (g.name, count_homs(simplified, g, config.node_budget, workers))
+        (g.name, count_homs(simplified, g, config.node_budget))
         for g in catalog.groups)
     low = low_index_subgroups(simplified, config.max_index, config.node_budget)
     return InvariantProfile(
@@ -692,6 +627,14 @@ class Witness:
     right: object
     recheck: dict
 
+    def to_dict(self):
+        return {
+            "invariant": self.invariant,
+            "left": self.left,
+            "right": self.right,
+            "recheck": self.recheck,
+        }
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -701,22 +644,14 @@ class Verdict:
     right_profile: InvariantProfile
 
     def to_dict(self):
-        doc = {
+        return {
             "schema_version": 1,
             "outcome": self.outcome,
             "config": self.left_profile.config_dict(),
             "left": self.left_profile.to_dict(),
             "right": self.right_profile.to_dict(),
-            "witness": None,
+            "witness": None if self.witness is None else self.witness.to_dict(),
         }
-        if self.witness is not None:
-            doc["witness"] = {
-                "invariant": self.witness.invariant,
-                "left": self.witness.left,
-                "right": self.witness.right,
-                "recheck": self.witness.recheck,
-            }
-        return doc
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -755,30 +690,61 @@ def compare_profiles(left, right):
 
 
 def distinguish(left, right, config=None, catalog=None, workers=1):
-    """Compare invariant profiles; Distinguished verdicts carry a replayable witness."""
+    """Compare invariant profiles; Distinguished verdicts carry a replayable witness.
+
+    ``workers`` is accepted for existing callers and ignored.
+    """
     config = config or ProfileConfig()
     catalog = catalog or load_catalog()
-    lp = profile(left, config, catalog, workers)
-    rp = profile(right, config, catalog, workers)
+    lp = profile(left, config, catalog)
+    rp = profile(right, config, catalog)
     witness = compare_profiles(lp, rp)
     if witness is not None:
         return Verdict("Distinguished", witness, lp, rp)
     return Verdict("Inconclusive", None, lp, rp)
 
 
-def recompute_entry(presentation, recheck, config, catalog, workers=1):
-    """Recompute the single profile entry a witness points at."""
-    simplified = tietze_simplify(presentation, budget=config.simplify_budget)
+def _int_field(doc, key, default, where):
+    value = doc.get(key, default)
+    if type(value) is not int:
+        raise ValueError("%s %s must be an integer, not %r" % (where, key, value))
+    return value
+
+
+def recompute_entry(presentation, recheck, config, catalog):
+    """Recompute the single profile entry a witness points at.
+
+    A recheck that is not an object, names an unknown kind or a group outside
+    the catalog, or an index outside 2..config.max_index raises ValueError
+    before any work is done.  A search that exceeds the node budget raises
+    BudgetExceeded, since a flagged entry has no value to compare.
+    """
+    if not isinstance(recheck, dict):
+        raise ValueError("witness recheck must be an object")
     kind = recheck.get("kind")
+    if kind == "hom_count":
+        name = recheck.get("group")
+        if name not in catalog.names:
+            raise ValueError("recheck group %r is not in the catalog" % (name,))
+    elif kind == "low_index":
+        index = _int_field(recheck, "index", None, "recheck")
+        if not 2 <= index <= config.max_index:
+            raise ValueError("recheck index %d is outside 2..%d"
+                             % (index, config.max_index))
+    elif kind != "homology":
+        raise ValueError("unknown recheck kind %r" % (kind,))
+    simplified = tietze_simplify(presentation, budget=config.simplify_budget)
     if kind == "homology":
         return first_homology(simplified)
     if kind == "hom_count":
-        group = catalog.by_name(recheck["group"])
-        return _hom_value(count_homs(simplified, group, config.node_budget, workers))
-    if kind == "low_index":
-        return _sub_value(low_index_single(simplified, int(recheck["index"]),
-                                           config.node_budget))
-    raise ValueError("unknown recheck kind %r" % kind)
+        count = count_homs(simplified, catalog.by_name(name), config.node_budget)
+        value = _hom_value(count)
+    else:
+        count = low_index_single(simplified, index, config.node_budget)
+        value = _sub_value(count)
+    if count.budget_exceeded:
+        raise BudgetExceeded
+    return value
 
 
 def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
@@ -786,23 +752,34 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
 
     Returns (ok, message).  The recorded config is honored; the witness entry is
     recomputed on both sides and must reproduce the recorded values and still
-    differ.
+    differ.  A document of the wrong shape raises ValueError.  ``workers`` is
+    accepted for existing callers and ignored.
     """
     catalog = catalog or load_catalog()
-    if verdict_doc.get("outcome") != "Distinguished" or not verdict_doc.get("witness"):
-        return False, "verdict has no witness to verify"
+    if not isinstance(verdict_doc, dict):
+        raise ValueError("verdict must be a JSON object")
     cfg = verdict_doc.get("config", {})
+    if not isinstance(cfg, dict):
+        raise ValueError("verdict config must be an object")
     config = ProfileConfig(
-        max_index=int(cfg.get("max_index", 6)),
-        node_budget=int(cfg.get("node_budget", 10 ** 8)),
-        simplify_budget=int(cfg.get("simplify_budget", 10 ** 4)),
+        max_index=_int_field(cfg, "max_index", 6, "config"),
+        node_budget=_int_field(cfg, "node_budget", 10 ** 8, "config"),
+        simplify_budget=_int_field(cfg, "simplify_budget", 10 ** 4, "config"),
     )
-    if list(cfg.get("catalog", catalog.names)) != list(catalog.names):
+    witness = verdict_doc.get("witness")
+    if verdict_doc.get("outcome") != "Distinguished" or not witness:
+        return False, "verdict has no witness to verify"
+    if not isinstance(witness, dict):
+        raise ValueError("verdict witness must be an object")
+    if cfg.get("catalog", catalog.names) != catalog.names:
         return False, "catalog does not match the one recorded in the verdict"
-    witness = verdict_doc["witness"]
     recheck = witness.get("recheck", {})
-    got_left = recompute_entry(left, recheck, config, catalog, workers)
-    got_right = recompute_entry(right, recheck, config, catalog, workers)
+    try:
+        got_left = recompute_entry(left, recheck, config, catalog)
+        got_right = recompute_entry(right, recheck, config, catalog)
+    except BudgetExceeded:
+        return False, ("node budget exceeded recomputing %s"
+                       % (witness.get("invariant"),))
     if got_left != witness.get("left"):
         return False, ("left value mismatch for %s: recomputed %r, recorded %r"
                        % (witness.get("invariant"), got_left, witness.get("left")))
@@ -811,4 +788,4 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
                        % (witness.get("invariant"), got_right, witness.get("right")))
     if got_left == got_right:
         return False, "witness values do not differ"
-    return True, "witness %s verified" % witness.get("invariant")
+    return True, "witness %s verified" % (witness.get("invariant"),)

@@ -94,26 +94,29 @@ def naive_hom_counts(presentation, group):
             x = MUL[x, y]
         ok &= x == e
     total = int(ok.sum())
+    images = np.stack([v[ok] for v in vals], axis=1)
     surjective = 0
-    memo = {}
-    for flat in np.nonzero(ok)[0]:
-        images = tuple(int(v[flat]) for v in vals)
-        key = tuple(sorted(set(images)))
-        order = memo.get(key)
-        if order is None:
-            seen = {e}
-            frontier = [e]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in key:
-                        y = int(MUL[x, g])
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            order = len(seen)
-            memo[key] = order
-        if order == n:
-            surjective += 1
+    for lo in range(0, total, 4096):
+        surjective += int(generates_group(images[lo:lo + 4096], MUL, INV, e, n).sum())
     return total, surjective
+
+
+def generates_group(images, MUL, INV, e, n):
+    """Per row of generator images: do they generate the whole group?
+
+    Grows a boolean reachability row from the identity by right multiplication
+    with every image until no row changes.  In a finite group the elements so
+    reached form the generated subgroup.
+    """
+    reach = np.zeros((len(images), n), dtype=bool)
+    reach[:, e] = True
+    # y lies in reach * g exactly when y * g^-1 lies in reach; the indexes
+    # are flat, so each row reads only its own reach row
+    offsets = (np.arange(len(images)) * n)[:, None]
+    steps = [MUL[:, INV[images[:, s]]].T + offsets for s in range(images.shape[1])]
+    while True:
+        before = reach
+        for step in steps:
+            reach = reach | reach.ravel().take(step)
+        if (reach == before).all():
+            return reach.all(axis=1)

@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from linkgroup import cli
-from conftest import data_path, data_text
+from linkgroup.quotients import distinguish
+from conftest import data_path, data_text, pres
 
 Z2 = "gens: a\nrels: a^2\n"
 Z3 = "gens: a\nrels: a^3\n"
@@ -162,12 +169,78 @@ def test_missing_file_is_an_input_error(capsys):
     assert "error:" in err
 
 
-def test_workers_env_parsing(monkeypatch):
-    monkeypatch.delenv("LINKGROUP_THREADS", raising=False)
-    assert cli._workers() == 1
-    monkeypatch.setenv("LINKGROUP_THREADS", "3")
-    assert cli._workers() == 3
-    monkeypatch.setenv("LINKGROUP_THREADS", "zero")
-    assert cli._workers() == 1
-    monkeypatch.setenv("LINKGROUP_THREADS", "-2")
-    assert cli._workers() == 1
+# a Distinguished verdict with a homology witness, as distinguish writes it
+VERDICT = distinguish(pres(Z2), pres(Z3)).to_dict()
+
+
+def malformed(edit):
+    doc = copy.deepcopy(VERDICT)
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    malformed(lambda d: d["config"].update(max_index=None)),
+    malformed(lambda d: d["witness"]["recheck"].update(kind="hom_count", group="Q8")),
+    malformed(lambda d: d["witness"]["recheck"].update(kind="low_index", index=7)),
+    malformed(lambda d: d.update(witness="homology")),
+    [VERDICT],
+], ids=["null-max-index", "unknown-group", "index-above-max", "string-witness",
+        "list-document"])
+def test_verify_witness_rejects_malformed_verdicts(tmp_path, capsys, doc):
+    z2 = write(tmp_path, "z2.pres", Z2)
+    z3 = write(tmp_path, "z3.pres", Z3)
+    verdict = write(tmp_path, "verdict.json", json.dumps(doc))
+    code, out, err = run(capsys, ["verify-witness", verdict, z2, z3])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_KEYS = ("kind", "group", "index", "left", "right", "invariant")
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.text(max_size=3)
+    | st.sampled_from(["Distinguished", "homology", "hom_count", "low_index",
+                       "A5", "Q8"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3)),
+    max_leaves=5)
+_PATHS = [(), ("outcome",), ("config",), ("config", "max_index"),
+          ("config", "node_budget"), ("config", "simplify_budget"),
+          ("config", "catalog"), ("witness",), ("witness", "invariant"),
+          ("witness", "left"), ("witness", "right"), ("witness", "recheck"),
+          ("witness", "recheck", "kind"), ("witness", "recheck", "group"),
+          ("witness", "recheck", "index")]
+
+
+def mutate(doc, path, value, delete):
+    """Set or delete the value at path; the empty path replaces the document."""
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node.get(key) if isinstance(node, dict) else None
+    if isinstance(node, dict):
+        if delete:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(_PATHS), _VALUES, st.booleans()),
+                min_size=1, max_size=3))
+def test_verify_witness_survives_mutated_verdicts(tmp_path, mutations):
+    z2 = write(tmp_path, "z2.pres", Z2)
+    z3 = write(tmp_path, "z3.pres", Z3)
+    doc = copy.deepcopy(VERDICT)
+    for path, value, delete in mutations:
+        doc = mutate(doc, path, value, delete)
+    verdict = write(tmp_path, "verdict.json", json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["verify-witness", verdict, z2, z3,
+                         "--out", str(tmp_path / "out.json")])
+    assert code in (0, 1, 2, 10)
+    assert "Traceback" not in err.getvalue()

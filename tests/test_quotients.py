@@ -10,7 +10,7 @@ from linkgroup.quotients import (HomCount, InvariantProfile, ProfileConfig,
                                  low_index_single, low_index_subgroups,
                                  presentation_hash, profile, recompute_entry,
                                  verify_witness)
-from conftest import data_text, pres
+from conftest import pres
 from oracles import naive_hom_counts
 
 Z = "gens: a\nrels:\n"
@@ -47,12 +47,15 @@ def test_count_homs_hand_checked(catalog):
 def test_count_homs_against_naive_on_randoms(catalog):
     rng = random.Random(99)
     small = [g for g in catalog.groups if g.order <= 12]
+    # non-solvable targets, with conjugacy classes of up to 90 elements
+    large = [catalog.by_name(name) for name in ("A5", "PSL(2,7)", "A6")]
     for _ in range(40):
         p = random_presentation(rng)
-        for g in small:
+        targets = small + large if len(p.generators) <= 2 else small
+        for g in targets:
             got = count_homs(p, g)
             assert not got.budget_exceeded
-            assert (got.total, got.surjective) == naive_hom_counts(p, g)
+            assert (got.total, got.surjective) == naive_hom_counts(p, g), g.name
 
 
 def test_count_homs_invariant_under_simplification(catalog):
@@ -74,13 +77,13 @@ def test_count_homs_budget_flag(catalog):
     assert ok.total == 3600
 
 
-def test_count_homs_worker_split_matches_serial(catalog):
-    trefoil = parse_presentation(data_text("trefoil.pres"))
-    for name in ("A5", "S4"):
-        g = catalog.by_name(name)
-        serial = count_homs(trefoil, g, workers=1)
-        split = count_homs(trefoil, g, workers=4)
-        assert serial == split
+def test_count_homs_budget_counts_nodes_over_the_whole_search(catalog):
+    # F2 onto A5: 5 class-representative roots, then 60 images each, 305 nodes
+    a5 = catalog.by_name("A5")
+    exact = count_homs(pres(F2), a5, node_budget=10 ** 8)
+    assert count_homs(pres(F2), a5, node_budget=400) == exact
+    assert count_homs(pres(F2), a5, node_budget=305) == exact
+    assert count_homs(pres(F2), a5, node_budget=304).budget_exceeded
 
 
 def test_low_index_hand_checked():
@@ -196,6 +199,21 @@ def test_verify_witness_rejects_witnessless_and_bad_catalog():
     assert not ok and "catalog" in message
 
 
+def test_verify_witness_rejects_a_budget_flagged_recomputation():
+    # at node_budget 2 the hom search on Z into S3 is flagged (3 class roots),
+    # while a = e leaves no search at all; a flagged side has no value to match
+    doc = {
+        "outcome": "Distinguished",
+        "config": {"node_budget": 2},
+        "witness": {"invariant": "hom_count:S3",
+                    "left": {"total": 0, "surjective": 0},
+                    "right": {"total": 1, "surjective": 0},
+                    "recheck": {"kind": "hom_count", "group": "S3"}},
+    }
+    ok, message = verify_witness(doc, pres(Z), pres("gens: a\nrels: a\n"))
+    assert not ok and "budget" in message
+
+
 def test_recompute_entry_kinds(catalog):
     config = ProfileConfig()
     p = pres(Z2)
@@ -204,8 +222,12 @@ def test_recompute_entry_kinds(catalog):
     assert got == {"total": 4, "surjective": 0}
     got = recompute_entry(p, {"kind": "low_index", "index": 2}, config, catalog)
     assert got == {"classes": 1, "total": 1}
-    with pytest.raises(ValueError):
-        recompute_entry(p, {"kind": "volume"}, config, catalog)
+    for bad in ({"kind": "volume"}, ["homology"],
+                {"kind": "hom_count", "group": "Q8"},
+                {"kind": "low_index", "index": 7},
+                {"kind": "low_index", "index": "2"}):
+        with pytest.raises(ValueError):
+            recompute_entry(p, bad, config, catalog)
 
 
 def test_count_validation():
