@@ -6,6 +6,7 @@ mult(p, q)[i] = q[p[i]], so words act on points from the left to the right.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -31,24 +32,38 @@ def inverse_perm(p):
 
 def closure(generators, limit=None):
     """All products of the generators, in deterministic breadth-first order."""
+    return _closure_tree(generators, limit)[0]
+
+
+def _closure_tree(generators, limit=None):
+    """(elements, parent, via): closure with its breadth-first spanning tree.
+
+    Every element j > 0 is elements[parent[j]] followed by generator via[j],
+    and parent[j] < j.
+    """
     degree = len(generators[0])
     e = identity_perm(degree)
     elements = [e]
+    parent = [0]
+    via = [0]
     seen = {e}
-    frontier = [e]
+    frontier = [0]
     while frontier:
         nxt = []
-        for x in frontier:
-            for g in generators:
+        for i in frontier:
+            x = elements[i]
+            for s, g in enumerate(generators):
                 y = mult(x, g)
                 if y not in seen:
                     seen.add(y)
+                    nxt.append(len(elements))
                     elements.append(y)
-                    nxt.append(y)
+                    parent.append(i)
+                    via.append(s)
                     if limit is not None and len(elements) > limit:
                         raise CatalogError("group closure exceeded %d elements" % limit)
         frontier = nxt
-    return elements
+    return elements, parent, via
 
 
 class FiniteGroup:
@@ -64,17 +79,18 @@ class FiniteGroup:
                 raise CatalogError("generator of %s is not a permutation of 0..%d"
                                    % (name, degree - 1))
         self._elements = None
+        self._tree = None
         self._tables = None
         self._conj = None
-        self._classes = None
 
     def elements(self):
         if self._elements is None:
-            elems = closure(self.generators, limit=self.declared_order)
+            elems, parent, via = _closure_tree(self.generators, limit=self.declared_order)
             if self.declared_order is not None and len(elems) != self.declared_order:
                 raise CatalogError("group %s has %d elements, catalog declares %d"
                                    % (self.name, len(elems), self.declared_order))
             self._elements = elems
+            self._tree = (parent, via)
         return self._elements
 
     @property
@@ -82,39 +98,80 @@ class FiniteGroup:
         return len(self.elements())
 
     def tables(self):
-        """(flat multiplication table, inverse table, identity index)."""
+        """(flat multiplication table, inverse table, identity index).
+
+        The identity is element 0.  Row i is filled along the closure's
+        spanning tree: element j is its parent times one generator, so
+        i * j is (i * parent) times that generator, one lookup per cell.
+        """
         if self._tables is None:
             elems = self.elements()
+            parent, via = self._tree
             index = {p: i for i, p in enumerate(elems)}
+            right = [[index[mult(p, g)] for p in elems] for g in self.generators]
             n = len(elems)
-            mul = [0] * (n * n)
+            mul = []
             inv = [0] * n
-            for i, p in enumerate(elems):
-                base = i * n
-                for j, q in enumerate(elems):
-                    mul[base + j] = index[mult(p, q)]
-                inv[i] = index[inverse_perm(p)]
-            self._tables = (mul, inv, index[identity_perm(self.degree)])
+            for i in range(n):
+                row = [i] * n
+                for j in range(1, n):
+                    row[j] = right[via[j]][row[parent[j]]]
+                inv[i] = row.index(0)
+                mul.extend(row)
+            self._tables = (mul, inv, 0)
         return self._tables
 
-    def conjugacy_solutions(self):
-        """Map (q, t) -> ascending tuple of all x with x * q * x^-1 = t."""
+    def _conjugacy(self):
+        """(representatives, centralisers, class of, conjugator), in one pass.
+
+        Per class: its smallest element index r and the centraliser C(r) as
+        ascending element indexes.  Per element y: its class number and one g
+        with g * r * g^-1 = y, where r represents the class of y.
+        """
         if self._conj is None:
             mul, inv, _ = self.tables()
             n = self.order
-            sols = {}
-            for x in range(n):
-                xinv = inv[x]
-                base = x * n
-                for q in range(n):
-                    t = mul[mul[base + q] * n + xinv]
-                    key = (q, t)
-                    if key in sols:
-                        sols[key].append(x)
-                    else:
-                        sols[key] = [x]
-            self._conj = {key: tuple(v) for key, v in sols.items()}
+            reps = []
+            cents = []
+            class_of = [-1] * n
+            conjugator = [0] * n
+            for r in range(n):
+                if class_of[r] >= 0:
+                    continue
+                number = len(reps)
+                cent = []
+                for g in range(n):
+                    y = mul[mul[g * n + r] * n + inv[g]]
+                    if class_of[y] < 0:
+                        class_of[y] = number
+                        conjugator[y] = g
+                    if y == r:
+                        cent.append(g)
+                reps.append(r)
+                cents.append(tuple(cent))
+            self._conj = (tuple(reps), tuple(cents), class_of, conjugator)
         return self._conj
+
+    def conjugacy_solutions(self):
+        """A function (q, t) -> list of all x with x * q * x^-1 = t.
+
+        With q = g_q r g_q^-1 and t = g_t r g_t^-1 for the representative r of
+        their common class, the solutions are the coset g_t C(r) g_q^-1; when q
+        and t lie in different classes there are none.  Only the centraliser
+        of each representative and one conjugator per element are stored.
+        """
+        mul, inv, _ = self.tables()
+        n = self.order
+        _, cents, class_of, conjugator = self._conjugacy()
+
+        def solve(q, t):
+            c = class_of[q]
+            if class_of[t] != c:
+                return []
+            left = conjugator[t] * n
+            right = inv[conjugator[q]]
+            return [mul[mul[left + z] * n + right] for z in cents[c]]
+        return solve
 
     def conjugacy_classes(self):
         """((representative, class size), ...), one pair per conjugacy class.
@@ -122,23 +179,24 @@ class FiniteGroup:
         Each representative is the smallest element index of its class, and the
         pairs come in ascending order of representative.
         """
-        if self._classes is None:
-            mul, inv, _ = self.tables()
-            n = self.order
-            seen = [False] * n
-            classes = []
-            for x in range(n):
-                if seen[x]:
-                    continue
-                cls = {mul[mul[g * n + x] * n + inv[g]] for g in range(n)}
-                for y in cls:
-                    seen[y] = True
-                classes.append((x, len(cls)))
-            self._classes = tuple(classes)
-        return self._classes
+        reps, cents, _, _ = self._conjugacy()
+        n = self.order
+        return tuple((r, n // len(c)) for r, c in zip(reps, cents))
 
     def __repr__(self):
         return "FiniteGroup(%r, degree=%d)" % (self.name, self.degree)
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_group(k):
+    """S_k on points 0..k-1, generated by (0 1) and (0 1 ... k-1).
+
+    Built on first use and kept; the low-index search maps into it.  It is
+    not a catalog group.
+    """
+    transposition = (1, 0) + tuple(range(2, k))
+    cycle = tuple(range(1, k)) + (0,)
+    return FiniteGroup("S%d" % k, k, [transposition, cycle])
 
 
 class Catalog:

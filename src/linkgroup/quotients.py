@@ -1,20 +1,26 @@
 """Counting homomorphisms to finite groups and low-index subgroups, and the
 invariant profiles built from them.
 
-Both searches are exact, serial and deterministic: identical inputs give
-identical counts and byte-identical profile JSON.  A search that would exceed
-its node budget reports an explicit flag instead of a count.
+One search engine serves both: a presentation is compiled once into a search
+program, which runs into each catalog group for the hom counts and into the
+symmetric groups S_2..S_k for the low-index counts, an index-k subgroup being
+the point stabiliser of a transitive action on k points.  Every search is
+exact, serial and deterministic: identical inputs give identical counts and
+byte-identical profile JSON.  A search that would exceed its node budget
+reports an explicit flag instead of a count.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .homology import first_homology
-from .permgroups import load_catalog
+from .permgroups import load_catalog, symmetric_group
 from .presentations import _reduce_generators, serialize_presentation, tietze_simplify
 
 
@@ -234,42 +240,44 @@ def _run_ops(ops, images, mul, inv, e, order):
     return True
 
 
-def count_homs(presentation, group, node_budget=10 ** 8):
-    """Count all and surjective homomorphisms from the presented group.
+@functools.lru_cache(maxsize=1)
+def _search_program(presentation):
+    """The compiled search program of the reduced presentation.
 
-    Both counts depend only on the presented group, so the presentation is
-    first compiled down by eliminating generators with a single occurrence in
-    some relator.  The remaining search assigns images only to a seed set of
-    generators and deduces the rest by unit propagation.
-
-    Both counts are also invariant under conjugation in the target group, so
-    when the search opens with an assign, the first generator takes one
-    representative per conjugacy class and its counts are weighted by the
-    class size.  Every candidate tried at any depth, roots included, is one
-    node charged to the single node budget of the whole search.
+    A profile runs every one of its searches on one presentation, so the
+    program of the last presentation seen is kept and compiled only once.
     """
-    presentation = _reduce_generators(presentation)
-    head, segments, n_gens = compile_hom_search(presentation)
+    return compile_hom_search(_reduce_generators(presentation))
+
+
+def _search(program, group, leaf, node_budget):
+    """Run a compiled search into group, calling leaf(images, weight) once
+    per homomorphism found.
+
+    When the search opens with an assign, that generator takes only one
+    representative per conjugacy class of group and weight is the class
+    size, so leaf may count only what conjugation in group leaves unchanged.
+    Every candidate tried at any depth, roots included, is one node charged
+    to node_budget; the search raises BudgetExceeded past it.
+    """
+    head, segments, n_gens = program
     mul, inv, e = group.tables()
     order = group.order
-    if n_gens == 0:
-        return HomCount(1, 1 if order == 1 else 0)
     images = [e] * n_gens
-    memo = {}
     if not _run_ops(head, images, mul, inv, e, order):
-        return HomCount(0, 0)
+        return
     if not segments:
         # every generator deduced from relators: a single candidate to try
-        sub = _subgroup_order(images, mul, e, order, memo)
-        return HomCount(1, 1 if sub == order else 0)
-    conj = None
+        leaf(images, 1)
+        return
+    solve = None
     if any(kind == "branch" for kind, _, _, _ in segments):
-        conj = group.conjugacy_solutions()
+        solve = group.conjugacy_solutions()
     depth = len(segments)
-    nodes = total = surjective = 0
+    nodes = 0
 
     def walk(d, weight, roots=None):
-        nonlocal nodes, total, surjective
+        nonlocal nodes
         kind, gen, data, post = segments[d]
         if roots is not None:
             candidates = roots
@@ -281,7 +289,7 @@ def count_homs(presentation, group, node_budget=10 ** 8):
             a = _eval_seq(pre, images, mul, inv, e, order)
             c = _eval_seq(suf, images, mul, inv, e, order)
             t = inv[mul[c * order + a]]
-            candidates = conj.get((q, t) if eps == 1 else (t, q), ())
+            candidates = solve(q, t) if eps == 1 else solve(t, q)
         for v in candidates:
             nodes += 1
             if nodes > node_budget:
@@ -290,18 +298,45 @@ def count_homs(presentation, group, node_budget=10 ** 8):
             if not _run_ops(post, images, mul, inv, e, order):
                 continue
             if d + 1 == depth:
-                total += weight
-                if _subgroup_order(images, mul, e, order, memo) == order:
-                    surjective += weight
+                leaf(images, weight)
             else:
                 walk(d + 1, weight)
 
+    if segments[0][0] == "assign":
+        for rep, size in group.conjugacy_classes():
+            walk(0, size, (rep,))
+    else:
+        walk(0, 1)
+
+
+def count_homs(presentation, group, node_budget=10 ** 8):
+    """Count all and surjective homomorphisms from the presented group.
+
+    Both counts depend only on the presented group, so the presentation is
+    first compiled down by eliminating generators with a single occurrence in
+    some relator, once for all the searches on it.  The remaining search
+    assigns images only to a seed set of generators and deduces the rest by
+    unit propagation.
+
+    Both counts are also invariant under conjugation in the target group, so
+    when the search opens with an assign, the first generator takes one
+    representative per conjugacy class and its counts are weighted by the
+    class size.  Every candidate tried at any depth, roots included, is one
+    node charged to the single node budget of the whole search.
+    """
+    mul, _, e = group.tables()
+    order = group.order
+    memo = {}
+    total = surjective = 0
+
+    def leaf(images, weight):
+        nonlocal total, surjective
+        total += weight
+        if _subgroup_order(images, mul, e, order, memo) == order:
+            surjective += weight
+
     try:
-        if segments[0][0] == "assign":
-            for rep, size in group.conjugacy_classes():
-                walk(0, size, (rep,))
-        else:
-            walk(0, 1)
+        _search(_search_program(presentation), group, leaf, node_budget)
     except BudgetExceeded:
         return HomCount(0, 0, True)
     return HomCount(total, surjective)
@@ -309,206 +344,96 @@ def count_homs(presentation, group, node_budget=10 ** 8):
 
 # --- low-index subgroups ------------------------------------------------------
 
-def _relator_columns(presentation):
-    """Relators as column sequences: generator i acts via columns 2i and 2i+1."""
-    index = {g: i for i, g in enumerate(presentation.generators)}
-    cols = []
-    for r in presentation.relators:
-        w = r.word.cyclic_reduce()
-        if w.letters:
-            cols.append(tuple(2 * index[n] + (0 if e == 1 else 1) for n, e in w.letters))
-    return cols
+# S_k enters the search as its full multiplication table of (k!)^2 cells:
+# 25.4M for S_7, 1.6G for S_8
+MAX_INDEX = 7
 
 
-def _search_up_to(relators, ncols, kmax, node_budget):
-    """Count classes and subgroups for every exact index 2..kmax in one search.
+def _transitive_centraliser(key, perms):
+    """|C_{S_k}(<key>)| when the elements key act transitively, else 0.
 
-    The search builds standardized coset tables rooted at coset 0, growing up
-    to kmax cosets; every completed table along the way is a candidate, bucketed
-    by its coset count.  A completed table counts only when it is
-    lexicographically minimal among the tables rebased at each of its cosets
-    (first in class), and then contributes the number of distinct rebasings,
-    i.e. the size of its conjugacy class.  Returns ({index: [classes, total]},
-    budget_flag).
+    A permutation c commuting with a transitive group is fixed by c(0): it
+    sends 0.w to c(0).w for every word w.  So the centraliser order is the
+    number of points b for which that rule, applied along a spanning tree of
+    the orbit of 0, gives a map commuting with every generator.
     """
-    counts = {k: [0, 0] for k in range(2, kmax + 1)}
-    if ncols == 0 or kmax < 2:
-        return counts, False
-
-    table = [-1] * (kmax * ncols)
-    anchors = [[] for _ in range(ncols)]
-    for w in relators:
-        for m in range(len(w)):
-            anchors[w[m]].append(w[m:] + w[:m])
-    undo = []
-    nodes = 0
-    nact = 1
-
-    def scan(w, alpha, queue):
-        # bidirectional trace of relator w from coset alpha; deduce on gap one
-        f = alpha
-        i = 0
-        n = len(w)
-        while i < n:
-            nxt = table[f * ncols + w[i]]
-            if nxt < 0:
-                break
-            f = nxt
-            i += 1
-        if i == n:
-            return f == alpha
-        b = alpha
-        j = n
-        while j > i + 1:
-            prv = table[b * ncols + (w[j - 1] ^ 1)]
-            if prv < 0:
-                break
-            b = prv
-            j -= 1
-        if j == i + 1:
-            c = w[i]
-            fc = f * ncols + c
-            bc = b * ncols + (c ^ 1)
-            if table[fc] < 0 and table[bc] < 0:
-                table[fc] = b
-                table[bc] = f
-                undo.append(fc)
-                undo.append(bc)
-                queue.append((f, c))
-                queue.append((b, c ^ 1))
-            elif table[fc] != b:
-                return False
-        return True
-
-    def propagate(queue):
-        while queue:
-            alpha, c = queue.pop()
-            if table[alpha * ncols + c] < 0:
-                continue
-            for rotation in anchors[c]:
-                if not scan(rotation, alpha, queue):
-                    return False
-        return True
-
-    def compare_from(beta):
-        """-1 when the table rebased at beta is lexicographically smaller."""
-        nu = [-1] * nact
-        mu = [beta]
-        nu[beta] = 0
-        r = 0
-        while r < len(mu):
-            orig = mu[r] * ncols
-            base = r * ncols
-            for c in range(ncols):
-                tval = table[orig + c]
-                bval = table[base + c]
-                if tval < 0 or bval < 0:
-                    return 0
-                nv = nu[tval]
-                if nv < 0:
-                    nv = len(mu)
-                    nu[tval] = nv
-                    mu.append(tval)
-                if nv != bval:
-                    return -1 if nv < bval else 1
-            r += 1
+    gens = [perms[g] for g in key]
+    k = len(perms[0])
+    points = [0]
+    tree = []
+    for x in points:
+        for g in gens:
+            y = g[x]
+            if y not in points:
+                points.append(y)
+                tree.append((x, g, y))
+    if len(points) < k:
         return 0
+    size = 0
+    c = [0] * k
+    for b in range(k):
+        c[0] = b
+        for x, g, y in tree:
+            c[y] = g[c[x]]
+        size += all(c[g[x]] == g[c[x]] for g in gens for x in range(k))
+    return size
 
-    def rebased(beta):
-        nu = [-1] * nact
-        mu = [beta]
-        nu[beta] = 0
-        flat = []
-        r = 0
-        while r < len(mu):
-            orig = mu[r] * ncols
-            for c in range(ncols):
-                tval = table[orig + c]
-                nv = nu[tval]
-                if nv < 0:
-                    nv = len(mu)
-                    nu[tval] = nv
-                    mu.append(tval)
-                flat.append(nv)
-            r += 1
-        return tuple(flat)
 
-    def dfs(start):
-        nonlocal nodes, nact
-        gap = -1
-        for cell in range(start, nact * ncols):
-            if table[cell] < 0:
-                gap = cell
-                break
-        if gap < 0:
-            if nact >= 2:
-                reps = {rebased(beta) for beta in range(nact)}
-                if min(reps) == rebased(0):
-                    bucket = counts[nact]
-                    bucket[0] += 1
-                    bucket[1] += len(reps)
-            return
-        alpha, c = divmod(gap, ncols)
-        ic = c ^ 1
-        candidates = [tau for tau in range(nact) if table[tau * ncols + ic] < 0]
-        if nact < kmax:
-            candidates.append(nact)
-        for tau in candidates:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded
-            mark = len(undo)
-            grew = tau == nact
-            if grew:
-                nact += 1
-            table[gap] = tau
-            table[tau * ncols + ic] = alpha
-            undo.append(gap)
-            undo.append(tau * ncols + ic)
-            queue = [(alpha, c), (tau, ic)]
-            ok = propagate(queue)
-            if ok:
-                ok = all(compare_from(beta) >= 0 for beta in range(1, nact))
-            if ok:
-                dfs(gap + 1)
-            while len(undo) > mark:
-                table[undo.pop()] = -1
-            if grew:
-                nact -= 1
+def _low_index(program, k, node_budget):
+    """Subgroups of index k, counted as transitive actions on k points.
+
+    Each subgroup of index k is the stabiliser of point 0 in exactly (k-1)!
+    transitive homomorphisms to S_k, and each conjugacy class of subgroups is
+    one S_k-orbit of them, of size k! / |C(image)|.  Both sums are invariant
+    under conjugation in S_k, as the search requires.
+    """
+    if not 2 <= k <= MAX_INDEX:
+        raise ValueError("subgroup index %d is outside 2..%d" % (k, MAX_INDEX))
+    group = symmetric_group(k)
+    perms = group.elements()
+    memo = {}
+    transitive = centralised = 0
+
+    def leaf(images, weight):
+        nonlocal transitive, centralised
+        key = tuple(sorted(set(images)))
+        size = memo.get(key)
+        if size is None:
+            size = memo[key] = _transitive_centraliser(key, perms)
+        if size:
+            transitive += weight
+            centralised += weight * size
 
     try:
-        dfs(0)
+        _search(program, group, leaf, node_budget)
     except BudgetExceeded:
-        return counts, True
-    return counts, False
+        return SubgroupCount(0, 0, True)
+    total, rest = divmod(transitive, math.factorial(k - 1))
+    classes, rest_classes = divmod(centralised, math.factorial(k))
+    if rest or rest_classes:
+        raise RuntimeError("index %d: %d transitive actions and centraliser sum "
+                           "%d do not divide into subgroup counts"
+                           % (k, transitive, centralised))
+    return SubgroupCount(classes, total)
 
 
 def low_index_subgroups(presentation, max_index, node_budget=10 ** 8):
     """Subgroup counts by exact index, from 2 up to max_index inclusive.
 
-    Counts depend only on the presented group, so the presentation is first
-    compiled down by eliminating single-occurrence generators.  A search that
-    trips the node budget flags every index, since later indexes share the one
-    coset-table tree.
+    Each index k is counted by its own search of Hom(G, S_k) on the shared
+    compiled program, with its own node budget and its own budget flag.
+    max_index may be at most MAX_INDEX.
     """
-    reduced = _reduce_generators(presentation)
-    relators = _relator_columns(reduced)
-    ncols = 2 * len(reduced.generators)
-    counts, exceeded = _search_up_to(relators, ncols, max_index, node_budget)
-    if exceeded:
-        return {k: SubgroupCount(0, 0, True) for k in range(2, max_index + 1)}
-    return {k: SubgroupCount(c, t) for k, (c, t) in counts.items()}
+    if max_index > MAX_INDEX:
+        raise ValueError("max_index %d is above %d" % (max_index, MAX_INDEX))
+    program = _search_program(presentation)
+    return {k: _low_index(program, k, node_budget)
+            for k in range(2, max_index + 1)}
 
 
 def low_index_single(presentation, k, node_budget=10 ** 8):
-    reduced = _reduce_generators(presentation)
-    relators = _relator_columns(reduced)
-    counts, exceeded = _search_up_to(relators, 2 * len(reduced.generators), k,
-                                     node_budget)
-    if exceeded:
-        return SubgroupCount(0, 0, True)
-    c, t = counts.get(k, (0, 0))
-    return SubgroupCount(c, t)
+    """The counts at one index k, equal to low_index_subgroups(...)[k]."""
+    return _low_index(_search_program(presentation), k, node_budget)
 
 
 # --- profiles and verdicts ----------------------------------------------------
@@ -728,9 +653,9 @@ def recompute_entry(presentation, recheck, config, catalog):
             raise ValueError("recheck group %r is not in the catalog" % (name,))
     elif kind == "low_index":
         index = _int_field(recheck, "index", None, "recheck")
-        if not 2 <= index <= config.max_index:
-            raise ValueError("recheck index %d is outside 2..%d"
-                             % (index, config.max_index))
+        top = min(config.max_index, MAX_INDEX)
+        if not 2 <= index <= top:
+            raise ValueError("recheck index %d is outside 2..%d" % (index, top))
     elif kind != "homology":
         raise ValueError("unknown recheck kind %r" % (kind,))
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)

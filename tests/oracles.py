@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own algorithms: the determinant is a
 bitmask Laplace expansion rather than Bareiss, invariant factors come from
-minor gcds rather than elimination, and homomorphisms are counted by brute
-vectorized enumeration with no propagation at all.
+minor gcds rather than elimination, homomorphisms are counted by brute
+vectorized enumeration with no propagation at all, and low-index subgroups
+are counted by a coset-table search rather than as actions on points.
 """
 
 import math
@@ -120,3 +121,118 @@ def generates_group(images, MUL, INV, e, n):
             reach = reach | reach.ravel().take(step)
         if (reach == before).all():
             return reach.all(axis=1)
+
+
+def coset_table_low_index(presentation, kmax):
+    """{index: (classes, total)} for 2..kmax by canonical coset-table search.
+
+    Coset tables rooted at coset 0 grow up to kmax cosets; generator i acts
+    through columns 2i and 2i+1 (its inverse).  Every complete table is a
+    subgroup of index equal to its coset count, counted once per conjugacy
+    class: when it is lexicographically least among its rebasings at each
+    coset, and then with the number of distinct rebasings as the class size.
+    """
+    index = {g: i for i, g in enumerate(presentation.generators)}
+    relators = []
+    for r in presentation.relators:
+        w = r.word.cyclic_reduce()
+        if w.letters:
+            relators.append(tuple(2 * index[n] + (e < 0) for n, e in w.letters))
+    ncols = 2 * len(index)
+    counts = {k: [0, 0] for k in range(2, kmax + 1)}
+    if ncols == 0 or kmax < 2:
+        return {k: tuple(v) for k, v in counts.items()}
+    table = [-1] * (kmax * ncols)
+    anchors = [[] for _ in range(ncols)]
+    for w in relators:
+        for m in range(len(w)):
+            anchors[w[m]].append(w[m:] + w[:m])
+    undo = []
+    nact = 1
+
+    def scan(w, alpha, queue):
+        # trace relator w from coset alpha both ways; deduce across a gap of one
+        f, i, n = alpha, 0, len(w)
+        while i < n and table[f * ncols + w[i]] >= 0:
+            f = table[f * ncols + w[i]]
+            i += 1
+        if i == n:
+            return f == alpha
+        b, j = alpha, n
+        while j > i + 1 and table[b * ncols + (w[j - 1] ^ 1)] >= 0:
+            b = table[b * ncols + (w[j - 1] ^ 1)]
+            j -= 1
+        if j == i + 1:
+            fc, bc = f * ncols + w[i], b * ncols + (w[i] ^ 1)
+            if table[fc] < 0 and table[bc] < 0:
+                table[fc], table[bc] = b, f
+                undo.extend((fc, bc))
+                queue.extend(((f, w[i]), (b, w[i] ^ 1)))
+            elif table[fc] != b:
+                return False
+        return True
+
+    def propagate(queue):
+        while queue:
+            alpha, c = queue.pop()
+            for rotation in anchors[c]:
+                if not scan(rotation, alpha, queue):
+                    return False
+        return True
+
+    def rebased(beta):
+        """The table renumbered from coset beta, in breadth-first order.
+
+        A partial table stops at its first undefined cell, so a prefix of it
+        can still be compared with another table's.
+        """
+        nu = {beta: 0}
+        mu = [beta]
+        flat = []
+        for x in mu:
+            for c in range(ncols):
+                y = table[x * ncols + c]
+                if y < 0:
+                    return flat
+                if y not in nu:
+                    nu[y] = len(mu)
+                    mu.append(y)
+                flat.append(nu[y])
+        return flat
+
+    def dfs(start):
+        nonlocal nact
+        gap = next((cell for cell in range(start, nact * ncols) if table[cell] < 0), -1)
+        if gap < 0:
+            if nact >= 2:
+                reps = {tuple(rebased(beta)) for beta in range(nact)}
+                if min(reps) == tuple(rebased(0)):
+                    counts[nact][0] += 1
+                    counts[nact][1] += len(reps)
+            return
+        alpha, c = divmod(gap, ncols)
+        candidates = [tau for tau in range(nact) if table[tau * ncols + (c ^ 1)] < 0]
+        if nact < kmax:
+            candidates.append(nact)
+        for tau in candidates:
+            mark = len(undo)
+            grew = int(tau == nact)
+            nact += grew
+            table[gap] = tau
+            table[tau * ncols + (c ^ 1)] = alpha
+            undo.extend((gap, tau * ncols + (c ^ 1)))
+            if propagate([(alpha, c), (tau, c ^ 1)]) and all(
+                    not _prefix_less(rebased(beta), rebased(0)) for beta in range(1, nact)):
+                dfs(gap + 1)
+            while len(undo) > mark:
+                table[undo.pop()] = -1
+            nact -= grew
+
+    dfs(0)
+    return {k: tuple(v) for k, v in counts.items()}
+
+
+def _prefix_less(a, b):
+    """Whether a is less than b on their common prefix."""
+    n = min(len(a), len(b))
+    return a[:n] < b[:n]

@@ -92,6 +92,10 @@ def test_profile_command(tmp_path, capsys):
     assert sorted(doc["low_index"]) == ["2", "3"]
     assert doc["hom_counts"]["S3"] == {"total": 4, "surjective": 0}
     assert doc["config"]["max_index"] == 3
+    # S_8 would not fit in memory: an index above 7 is an input error
+    code, out, err = run(capsys, ["profile", path, "--K", "8"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_profile_budget_exit_code(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import json
+import math
 
 import pytest
 
 from linkgroup.permgroups import (Catalog, CatalogError, FiniteGroup, closure,
                                   identity_perm, inverse_perm, load_catalog,
-                                  mult, parse_catalog)
+                                  mult, parse_catalog, symmetric_group)
 from conftest import data_path
 
 EXPECTED_NAMES = ["C2", "C3", "C4", "C5", "C6", "S3", "D4", "A4", "A5", "S4",
@@ -61,16 +62,39 @@ def test_tables_are_consistent(catalog):
             assert mul[e * n + i] == i
 
 
+def test_tables_match_permutation_products(catalog):
+    for g in catalog.groups:
+        elems = g.elements()
+        index = {p: i for i, p in enumerate(elems)}
+        mul, inv, e = g.tables()
+        n = g.order
+        assert mul == [index[mult(p, q)] for p in elems for q in elems], g.name
+        assert inv == [index[inverse_perm(p)] for p in elems], g.name
+        assert e == index[identity_perm(g.degree)]
+
+
+def test_symmetric_groups():
+    for k in range(2, 6):
+        s = symmetric_group(k)
+        assert s.order == math.factorial(k)
+        assert symmetric_group(k) is s
+        assert len(s.conjugacy_classes()) == (2, 3, 5, 7)[k - 2]
+
+
 def test_conjugacy_solutions_against_brute_force(catalog):
-    g = catalog.by_name("S3")
-    mul, inv, _ = g.tables()
-    n = g.order
-    table = g.conjugacy_solutions()
-    for q in range(n):
-        for t in range(n):
-            brute = tuple(x for x in range(n)
-                          if mul[mul[x * n + q] * n + inv[x]] == t)
-            assert table.get((q, t), ()) == brute
+    # the centraliser-coset solver against {x : x q x^-1 = t} for every (q, t)
+    for g in catalog.groups + [symmetric_group(k) for k in range(2, 6)]:
+        mul, inv, _ = g.tables()
+        n = g.order
+        solve = g.conjugacy_solutions()
+        sizes = dict(g.conjugacy_classes())
+        assert sum(sizes.values()) == n
+        for q in range(n):
+            brute = {}
+            for x in range(n):
+                brute.setdefault(mul[mul[x * n + q] * n + inv[x]], []).append(x)
+            for t in range(n):
+                assert sorted(solve(q, t)) == brute.get(t, []), (g.name, q, t)
 
 
 def test_finite_group_rejects_non_permutation():

@@ -3,21 +3,25 @@ import random
 
 import pytest
 
-from linkgroup.presentations import parse_presentation, tietze_simplify
-from linkgroup.quotients import (HomCount, InvariantProfile, ProfileConfig,
-                                 SubgroupCount, Verdict, Witness,
+from linkgroup import quotients
+from linkgroup.corpus import load_corpus
+from linkgroup.presentations import (parse_presentation, serialize_presentation,
+                                     tietze_simplify)
+from linkgroup.quotients import (MAX_INDEX, HomCount, InvariantProfile,
+                                 ProfileConfig, SubgroupCount, Verdict, Witness,
                                  compare_profiles, count_homs, distinguish,
                                  low_index_single, low_index_subgroups,
                                  presentation_hash, profile, recompute_entry,
                                  verify_witness)
 from conftest import pres
-from oracles import naive_hom_counts
+from oracles import coset_table_low_index, naive_hom_counts
 
 Z = "gens: a\nrels:\n"
 Z2 = "gens: a\nrels: a^2\n"
 Z3 = "gens: a\nrels: a^3\n"
 F2 = "gens: a, b\nrels:\n"
 S3_PRES = "gens: a, b\nrels: a^2; b^3; a*b*a*b\n"
+TREFOIL = "gens: a, b\nrels: a*b*a = b*a*b\n"
 
 
 def random_presentation(rng, max_gens=3, max_rels=4, max_len=6):
@@ -109,10 +113,63 @@ def test_low_index_f2_known_table():
 
 
 def test_low_index_budget_flags_every_index():
+    # every index of F2 needs more than 3 nodes
     got = low_index_subgroups(pres(F2), 5, node_budget=3)
     assert all(sc == SubgroupCount(0, 0, True) for sc in got.values())
     single = low_index_single(pres(F2), 4, node_budget=3)
     assert single.budget_exceeded
+    # each index has its own budget: Z into S_k tries one root per class of
+    # S_k, 2 and 3 for S_2 and S_3, 5, 7 and 11 for S_4..S_6
+    got = low_index_subgroups(pres(Z), 6, node_budget=3)
+    assert got == {2: SubgroupCount(1, 1), 3: SubgroupCount(1, 1),
+                   4: SubgroupCount(0, 0, True), 5: SubgroupCount(0, 0, True),
+                   6: SubgroupCount(0, 0, True)}
+
+
+def test_low_index_single_matches_the_shared_result():
+    # a low-index witness recheck reproduces the profile entry, flag included
+    for text in (Z, Z2, F2, S3_PRES, TREFOIL):
+        p = pres(text)
+        for budget in (1, 3, 10, 100, 1000, 10 ** 8):
+            got = low_index_subgroups(p, 5, budget)
+            for k in range(2, 6):
+                assert low_index_single(p, k, budget) == got[k], (text, budget, k)
+
+
+def test_low_index_against_coset_tables():
+    nonabelian = (S3_PRES, TREFOIL,
+                  "gens: a, b\nrels: a^2; b^3; " + "*".join(["a*b"] * 3) + "\n",  # A4
+                  "gens: a, b\nrels: a^2; b^3; " + "*".join(["a*b"] * 5) + "\n",  # A5
+                  "gens: a, b\nrels: a^2; b^5; a*b*a*b\n")                       # D5
+    cases = [(pres(Z), 6), (pres(F2), 5)] + [(pres(t), 6) for t in nonabelian]
+    rng = random.Random(2024)
+    cases += [(random_presentation(rng, max_gens=2), 5) for _ in range(30)]
+    for p, kmax in cases:
+        got = low_index_subgroups(p, kmax)
+        assert {k: (sc.classes, sc.total) for k, sc in got.items()} \
+            == coset_table_low_index(p, kmax), serialize_presentation(p)
+
+
+def test_low_index_rejects_indexes_outside_range():
+    with pytest.raises(ValueError):
+        low_index_subgroups(pres(Z), MAX_INDEX + 1)
+    for k in (1, MAX_INDEX + 1):
+        with pytest.raises(ValueError):
+            low_index_single(pres(Z), k)
+
+
+def test_profile_compiles_the_search_once(monkeypatch):
+    calls = []
+    compile_once = quotients.compile_hom_search
+
+    def counting(presentation):
+        calls.append(presentation)
+        return compile_once(presentation)
+
+    monkeypatch.setattr(quotients, "compile_hom_search", counting)
+    quotients._search_program.cache_clear()
+    profile(load_corpus()["u1466"].presentation())
+    assert len(calls) == 1
 
 
 def test_low_index_invariant_under_simplification():
