@@ -17,8 +17,8 @@ from .permgroups import CatalogError, load_catalog
 from .presentations import (PresentationSyntaxError, fundamental_group,
                             parse_presentation, serialize_presentation,
                             tietze_simplify)
-from .quotients import (ProfileConfig, compare_profiles, distinguish, profile,
-                        verify_witness)
+from .quotients import (ProfileConfig, compare_profiles, distinguish,
+                        json_text, profile, verify_witness)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -51,10 +51,6 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _json_text(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _config(args):
     return ProfileConfig(max_index=args.K, node_budget=args.budget,
                          simplify_budget=args.simplify_budget)
@@ -83,7 +79,7 @@ def cmd_simplify(args):
 def cmd_homology(args):
     p = _load_presentation(args.file)
     doc = {"schema_version": 1, "homology": first_homology(p)}
-    _emit(_json_text(doc), args.out)
+    _emit(json_text(doc), args.out)
     return EXIT_OK
 
 
@@ -110,7 +106,7 @@ def cmd_gem_check(args):
     graph = parse_fourgraph(_read(args.file))
     doc = {"schema_version": 1}
     doc.update(gem_report(graph))
-    _emit(_json_text(doc), args.out)
+    _emit(json_text(doc), args.out)
     return EXIT_OK
 
 
@@ -119,7 +115,7 @@ def cmd_verify_witness(args):
     left = _load_presentation(args.file_a)
     right = _load_presentation(args.file_b)
     ok, message = verify_witness(doc, left, right, _catalog(args))
-    _emit(_json_text({"schema_version": 1, "ok": ok, "message": message}),
+    _emit(json_text({"schema_version": 1, "ok": ok, "message": message}),
           args.out)
     return EXIT_OK if ok else EXIT_INPUT
 
@@ -135,7 +131,7 @@ def cmd_corpus(args):
                 for e in entries.values()
             ],
         }
-        _emit(_json_text(doc), args.out)
+        _emit(json_text(doc), args.out)
         return EXIT_OK
 
     config = _config(args)
@@ -173,7 +169,7 @@ def cmd_corpus(args):
         "entries": report_entries,
         "verdicts": verdicts,
     }
-    _emit(_json_text(doc), args.out)
+    _emit(json_text(doc), args.out)
     if any(p.any_budget_exceeded for p in profiles.values()):
         return EXIT_BUDGET
     return EXIT_OK

@@ -68,7 +68,7 @@ def _schema_error(path, detail):
     raise DiagramSyntaxError("%s: %s" % (path, detail))
 
 
-def parse_diagram(text, check=True):
+def parse_diagram(text):
     """Parse a PD document into a LinkDiagram; raise on syntax or structure errors."""
     try:
         doc = json.loads(text)
@@ -107,10 +107,9 @@ def parse_diagram(text, check=True):
             _schema_error("%s.sign" % path, "expected an integer")
         crossings.append(Crossing(c["over"], c["under_in"], c["under_out"], c["sign"]))
     diagram = LinkDiagram(tuple(components), tuple(crossings), name)
-    if check:
-        violations = validate(diagram)
-        if violations:
-            raise DiagramStructureError(violations)
+    violations = validate(diagram)
+    if violations:
+        raise DiagramStructureError(violations)
     return diagram
 
 

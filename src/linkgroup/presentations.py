@@ -130,7 +130,7 @@ def fundamental_group(diagram):
     return GroupPresentation(generators, relators, provenance="derived")
 
 
-def _definition_candidates(generators, relators):
+def _definition_candidates(relators):
     """Relators of the form g = w with g a generator not occurring in w."""
     out = []
     for idx, r in enumerate(relators):
@@ -155,8 +155,9 @@ def _reduce_relator(r):
 def _cyclic_match(target, source):
     """Find the longest overlap of source (or its inverse) with cyclic target.
 
-    Returns (new_letters,) when replacing the overlap by the inverse of the
-    source remainder shortens the target, else None.
+    Returns the target with that overlap replaced by the inverse of the source
+    remainder, cyclically reduced, or None when no overlap is longer than half
+    the source.  Such a replacement always shortens the target.
     """
     t = target.letters
     if len(t) < 2:
@@ -176,11 +177,30 @@ def _cyclic_match(target, source):
                     if doubled[start:start + length] == pattern:
                         remainder = Word(srot[length:])
                         rest = Word(doubled[start + length:start + len(t)])
-                        candidate = (remainder.inverse() * rest).cyclic_reduce()
-                        if len(candidate) < len(t):
-                            best = (length, candidate)
+                        best = (length, (remainder.inverse() * rest).cyclic_reduce())
                         break
     return None if best is None else best[1]
+
+
+def _shortening(rels):
+    """The first phase-3 rewrite: (target index, shortened word), or None.
+
+    Sources are tried shortest first (ties by index), and for each source the
+    targets in the same order, skipping targets shorter than the source.
+    """
+    words = [r.word for r in rels]
+    cyclic = [w.cyclic_reduce() for w in words]
+    order = sorted(range(len(rels)), key=lambda i: (len(words[i]), i))
+    for si in order:
+        source = cyclic[si]
+        if not source.letters:
+            continue
+        for ti in order:
+            if ti != si and len(cyclic[ti]) >= len(source):
+                replacement = _cyclic_match(cyclic[ti], source)
+                if replacement is not None:
+                    return ti, replacement
+    return None
 
 
 def tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
@@ -191,66 +211,32 @@ def tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
     Phase 2 freely reduces both sides of every relator, cyclically reduces bare
     relators, and drops relators that become trivial.  Phase 3 greedily
     replaces a cyclic subword of one relator by the shorter complement from
-    another relator whenever that shortens it.  Each rewrite costs one unit of
-    budget; the result is returned as-is when the budget runs out.
+    another relator whenever that shortens it.  Each step applies one rewrite,
+    from the first of these phases that changes the presentation, and costs
+    one unit of budget; the result is returned as-is when the budget runs out
+    or no phase changes anything.
     """
     gens = list(presentation.generators)
     rels = list(presentation.relators)
-    steps = 0
-
-    def spend():
-        nonlocal steps
-        steps += 1
-        return steps <= budget
-
-    progress = True
-    while progress and steps <= budget:
-        progress = False
-
-        if 1 in phases:
-            candidates = _definition_candidates(gens, rels)
-            if candidates:
-                candidates.sort(key=lambda c: (c[0], c[1]))
-                _, g, idx = candidates[0]
-                w = rels[idx].rhs
-                if spend():
-                    del rels[idx]
-                    gens.remove(g)
-                    rels = [_substitute_relator(r, g, w) for r in rels]
-                    progress = True
-                continue
-
+    for _ in range(budget):
+        candidates = _definition_candidates(rels) if 1 in phases else []
+        if candidates:
+            _, g, idx = min(candidates)
+            w = rels.pop(idx).rhs
+            gens.remove(g)
+            rels = [_substitute_relator(r, g, w) for r in rels]
+            continue
         if 2 in phases:
             reduced = [_reduce_relator(r) for r in rels]
             kept = [r for r in reduced if r.word.free_reduce().letters]
             if kept != rels:
-                if spend():
-                    rels = kept
-                    progress = True
+                rels = kept
                 continue
-
-        if 3 in phases:
-            order = sorted(range(len(rels)), key=lambda i: (len(rels[i].word), i))
-            done = False
-            for si in order:
-                source = rels[si].word.cyclic_reduce()
-                if not source.letters:
-                    continue
-                for ti in order:
-                    if ti == si:
-                        continue
-                    target = rels[ti].word.cyclic_reduce()
-                    if len(target) < len(source):
-                        continue
-                    replacement = _cyclic_match(target, source)
-                    if replacement is not None and spend():
-                        rels[ti] = Relator(replacement)
-                        progress = True
-                        done = True
-                        break
-                if done:
-                    break
-
+        shortening = _shortening(rels) if 3 in phases else None
+        if shortening is None:
+            break
+        ti, word = shortening
+        rels[ti] = Relator(word)
     return GroupPresentation(tuple(gens), tuple(rels), provenance="simplified")
 
 

@@ -38,6 +38,9 @@ class HomCount:
         if not self.budget_exceeded and not 0 <= self.surjective <= self.total:
             raise ValueError("surjective count out of range")
 
+    def value(self):
+        return {"total": self.total, "surjective": self.surjective}
+
 
 @dataclass(frozen=True)
 class SubgroupCount:
@@ -48,6 +51,14 @@ class SubgroupCount:
     def __post_init__(self):
         if not self.budget_exceeded and not 0 <= self.classes <= self.total:
             raise ValueError("class count out of range")
+
+    def value(self):
+        return {"classes": self.classes, "total": self.total}
+
+
+def json_text(doc):
+    """JSON text with sorted keys, two-space indents and a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # --- homomorphism counting ---------------------------------------------------
@@ -62,21 +73,25 @@ def _relator_sequences(presentation):
     return seqs
 
 
-def _closure_schedule(seqs, n_gens, seeds):
-    """Static schedule of assign/branch/deduce/check ops for a given seed order.
+def _closure_schedule(seqs, seeds):
+    """The program (head, segments) for a seed order and the generators it covers.
 
-    A relator with every generator assigned becomes a check; a relator in which
-    exactly one occurrence of exactly one unassigned generator remains forces
-    that generator's image and needs no separate check.  A relator whose only
+    Each (kind, gen, data, post) segment opens with an assign (loop over the
+    whole group) or a branch (loop over the solutions of a conjugation
+    equation) and carries the ops that follow it.  A relator with every
+    generator assigned becomes a check; a relator in which exactly one
+    occurrence of exactly one unassigned generator remains forces that
+    generator's image and needs no separate check.  A relator whose only
     unassigned generator occurs exactly twice with opposite exponents is a
     conjugation equation in that generator; its solutions come from a
     precomputed table, which is far cheaper than a full assignment loop.
     """
     known = set()
     handled = [False] * len(seqs)
-    ops = []
+    head = []
+    segments = []
 
-    def saturate():
+    def saturate(ops):
         progress = True
         while progress:
             progress = False
@@ -95,7 +110,7 @@ def _closure_schedule(seqs, n_gens, seeds):
                     handled[ri] = True
                     progress = True
 
-    def branch():
+    def conjugation():
         for ri, seq in enumerate(seqs):
             if handled[ri]:
                 continue
@@ -103,96 +118,59 @@ def _closure_schedule(seqs, n_gens, seeds):
             if len(unknown) != 2:
                 continue
             (p1, g1, e1), (p2, g2, e2) = unknown
-            if g1 != g2 or e1 != -e2:
-                continue
-            ops.append(("branch", g1, seq[:p1], seq[p1 + 1:p2], seq[p2 + 1:], e1))
-            known.add(g1)
-            handled[ri] = True
-            return True
-        return False
+            if g1 == g2 and e1 == -e2:
+                handled[ri] = True
+                return g1, (seq[:p1], seq[p1 + 1:p2], seq[p2 + 1:], e1)
+        return None
 
-    saturate()
-    while branch():
-        saturate()
+    def close(ops):
+        saturate(ops)
+        while (found := conjugation()) is not None:
+            g, data = found
+            known.add(g)
+            segments.append(("branch", g, data, []))
+            saturate(segments[-1][3])
+
+    close(head)
     for s in seeds:
-        if s in known:
-            continue
-        ops.append(("assign", s))
-        known.add(s)
-        saturate()
-        while branch():
-            saturate()
-    return ops, known
-
-
-def _choose_seeds(seqs, n_gens):
-    """A small seed set from which every generator image can be deduced.
-
-    Seeds are tried in order of decreasing relator occurrence count (name order
-    on ties); all subsets of size up to 4 are tried before falling back to a
-    greedy cover, so the schedule is a pure function of the presentation.
-    """
-    occurrences = [0] * n_gens
-    for seq in seqs:
-        for g, _ in seq:
-            occurrences[g] += 1
-    candidates = sorted(range(n_gens), key=lambda g: (-occurrences[g], g))
-
-    def coverage(seeds):
-        _, known = _closure_schedule(seqs, n_gens, seeds)
-        return known
-
-    for k in range(0, min(n_gens, 4) + 1):
-        for combo in itertools.combinations(candidates, k):
-            if len(coverage(combo)) == n_gens:
-                return combo
-    seeds = []
-    while len(coverage(seeds)) < n_gens:
-        best = None
-        for g in candidates:
-            if g in seeds:
-                continue
-            reach = len(coverage(seeds + [g]))
-            if best is None or reach > best[1]:
-                best = (g, reach)
-        seeds.append(best[0])
-    return tuple(seeds)
+        if s not in known:
+            known.add(s)
+            segments.append(("assign", s, None, []))
+            close(segments[-1][3])
+    program = (tuple(head),
+               tuple((kind, g, data, tuple(post)) for kind, g, data, post in segments))
+    return program, known
 
 
 def compile_hom_search(presentation):
     """The deterministic search program: leading ops plus enumeration segments.
 
-    Each segment opens with an assign (loop over the whole group) or a branch
-    (loop over the solutions of a conjugation equation) and carries the ops
-    that follow it.
+    Seeds are tried in order of decreasing relator occurrence count (index
+    order on ties).  The first seed set of size up to 4 from which every
+    generator image can be deduced gives the program; failing that, seeds are
+    added greedily, each time the one that covers the most generators.  The
+    program is a pure function of the presentation.
     """
     seqs = _relator_sequences(presentation)
     n_gens = len(presentation.generators)
-    seeds = _choose_seeds(seqs, n_gens)
-    ops, known = _closure_schedule(seqs, n_gens, seeds)
-    if len(known) != n_gens:
-        raise RuntimeError("seed selection failed to cover all generators")
-    head = []
-    segments = []
-    current = None
-    for op in ops:
-        if op[0] == "assign":
-            if current is not None:
-                segments.append(current)
-            current = ["assign", op[1], None, []]
-        elif op[0] == "branch":
-            if current is not None:
-                segments.append(current)
-            current = ["branch", op[1], (op[2], op[3], op[4], op[5]), []]
-        elif current is None:
-            head.append(op)
-        else:
-            current[3].append(op)
-    if current is not None:
-        segments.append(current)
-    return (tuple(head),
-            tuple((k, g, data, tuple(post)) for k, g, data, post in segments),
-            n_gens)
+    occurrences = [0] * n_gens
+    for seq in seqs:
+        for g, _ in seq:
+            occurrences[g] += 1
+    candidates = sorted(range(n_gens), key=lambda g: (-occurrences[g], g))
+    for k in range(min(n_gens, 4) + 1):
+        for seeds in itertools.combinations(candidates, k):
+            program, known = _closure_schedule(seqs, seeds)
+            if len(known) == n_gens:
+                return program + (n_gens,)
+    seeds = ()
+    while True:
+        (program, known), seeds = max(
+            ((_closure_schedule(seqs, seeds + (g,)), seeds + (g,))
+             for g in candidates if g not in seeds),
+            key=lambda found: len(found[0][1]))
+        if len(known) == n_gens:
+            return program + (n_gens,)
 
 
 def _eval_seq(seq, images, mul, inv, e, order):
@@ -444,6 +422,17 @@ class ProfileConfig:
     node_budget: int = 10 ** 8
     simplify_budget: int = 10 ** 4
 
+    def __post_init__(self):
+        if self.max_index > MAX_INDEX:
+            raise ValueError("max_index %d is above %d" % (self.max_index, MAX_INDEX))
+
+
+def _count_entry(count):
+    entry = count.value()
+    if count.budget_exceeded:
+        entry["budget_exceeded"] = True
+    return entry
+
 
 @dataclass(frozen=True)
 class InvariantProfile:
@@ -469,18 +458,8 @@ class InvariantProfile:
         }
 
     def to_dict(self):
-        homs = {}
-        for name, hc in self.hom_counts:
-            entry = {"total": hc.total, "surjective": hc.surjective}
-            if hc.budget_exceeded:
-                entry["budget_exceeded"] = True
-            homs[name] = entry
-        low = {}
-        for k, sc in self.low_index:
-            entry = {"classes": sc.classes, "total": sc.total}
-            if sc.budget_exceeded:
-                entry["budget_exceeded"] = True
-            low[str(k)] = entry
+        homs = {name: _count_entry(hc) for name, hc in self.hom_counts}
+        low = {str(k): _count_entry(sc) for k, sc in self.low_index}
         return {
             "schema_version": 1,
             "config": self.config_dict(),
@@ -495,7 +474,7 @@ class InvariantProfile:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
     def comparable_dict(self):
         """The profile without presentation identity: the part verdicts compare."""
@@ -504,7 +483,7 @@ class InvariantProfile:
         return d
 
     def comparable_json(self):
-        return json.dumps(self.comparable_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.comparable_dict())
 
     @property
     def any_budget_exceeded(self):
@@ -579,15 +558,7 @@ class Verdict:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def _hom_value(hc):
-    return {"total": hc.total, "surjective": hc.surjective}
-
-
-def _sub_value(sc):
-    return {"classes": sc.classes, "total": sc.total}
+        return json_text(self.to_dict())
 
 
 def compare_profiles(left, right):
@@ -601,7 +572,7 @@ def compare_profiles(left, right):
         if rc is None or lc.budget_exceeded or rc.budget_exceeded:
             continue
         if (lc.total, lc.surjective) != (rc.total, rc.surjective):
-            return Witness("hom_count:%s" % name, _hom_value(lc), _hom_value(rc),
+            return Witness("hom_count:%s" % name, lc.value(), rc.value(),
                            {"kind": "hom_count", "group": name})
     rl = dict(right.low_index)
     for k, lc in left.low_index:
@@ -609,7 +580,7 @@ def compare_profiles(left, right):
         if rc is None or lc.budget_exceeded or rc.budget_exceeded:
             continue
         if (lc.classes, lc.total) != (rc.classes, rc.total):
-            return Witness("low_index:%d" % k, _sub_value(lc), _sub_value(rc),
+            return Witness("low_index:%d" % k, lc.value(), rc.value(),
                            {"kind": "low_index", "index": k})
     return None
 
@@ -653,9 +624,9 @@ def recompute_entry(presentation, recheck, config, catalog):
             raise ValueError("recheck group %r is not in the catalog" % (name,))
     elif kind == "low_index":
         index = _int_field(recheck, "index", None, "recheck")
-        top = min(config.max_index, MAX_INDEX)
-        if not 2 <= index <= top:
-            raise ValueError("recheck index %d is outside 2..%d" % (index, top))
+        if not 2 <= index <= config.max_index:
+            raise ValueError("recheck index %d is outside 2..%d"
+                             % (index, config.max_index))
     elif kind != "homology":
         raise ValueError("unknown recheck kind %r" % (kind,))
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
@@ -663,10 +634,10 @@ def recompute_entry(presentation, recheck, config, catalog):
         return first_homology(simplified)
     if kind == "hom_count":
         count = count_homs(simplified, catalog.by_name(name), config.node_budget)
-        value = _hom_value(count)
+        value = count.value()
     else:
         count = low_index_single(simplified, index, config.node_budget)
-        value = _sub_value(count)
+        value = count.value()
     if count.budget_exceeded:
         raise BudgetExceeded
     return value

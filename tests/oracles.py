@@ -5,12 +5,18 @@ bitmask Laplace expansion rather than Bareiss, invariant factors come from
 minor gcds rather than elimination, homomorphisms are counted by brute
 vectorized enumeration with no propagation at all, and low-index subgroups
 are counted by a coset-table search rather than as actions on points.
+The Tietze simplifier and the search compiler are checked against verbatim
+copies of their earlier implementations, at the end of this file.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+
+from linkgroup.presentations import GroupPresentation, Relator
+from linkgroup.quotients import _relator_sequences
+from linkgroup.words import Word
 
 
 def det_laplace(rows):
@@ -236,3 +242,266 @@ def _prefix_less(a, b):
     """Whether a is less than b on their common prefix."""
     n = min(len(a), len(b))
     return a[:n] < b[:n]
+
+
+# --- reference copies of the simplifier and the search compiler ---------------
+#
+# The flag-driven tietze_simplify loop and the two-pass search compiler as they
+# stood before their rewrites, kept verbatim (renamed) so the tests can check
+# that the rewrites give byte-identical presentations and equal programs.
+
+def _ref_definition_candidates(generators, relators):
+    """Relators of the form g = w with g a generator not occurring in w."""
+    out = []
+    for idx, r in enumerate(relators):
+        if len(r.lhs) == 1 and r.lhs.letters[0][1] == 1:
+            g = r.lhs.letters[0][0]
+            if g not in r.rhs.generators():
+                out.append((len(r.lhs) + len(r.rhs), g, idx))
+    return out
+
+
+def _ref_substitute_relator(r, name, replacement):
+    return Relator(r.lhs.substitute(name, replacement).free_reduce(),
+                   r.rhs.substitute(name, replacement).free_reduce())
+
+
+def _ref_reduce_relator(r):
+    if not r.rhs.letters:
+        return Relator(r.lhs.cyclic_reduce())
+    return Relator(r.lhs.free_reduce(), r.rhs.free_reduce())
+
+
+def _ref_cyclic_match(target, source):
+    """Find the longest overlap of source (or its inverse) with cyclic target.
+
+    Returns (new_letters,) when replacing the overlap by the inverse of the
+    source remainder shortens the target, else None.
+    """
+    t = target.letters
+    if len(t) < 2:
+        return None
+    doubled = t + t
+    best = None
+    for s in (source.letters, source.inverse().letters):
+        m = len(s)
+        top = min(m, len(t))
+        for rot in range(m):
+            srot = s[rot:] + s[:rot]
+            for length in range(top, m // 2, -1):
+                if best is not None and length <= best[0]:
+                    break
+                pattern = srot[:length]
+                for start in range(len(t)):
+                    if doubled[start:start + length] == pattern:
+                        remainder = Word(srot[length:])
+                        rest = Word(doubled[start + length:start + len(t)])
+                        candidate = (remainder.inverse() * rest).cyclic_reduce()
+                        if len(candidate) < len(t):
+                            best = (length, candidate)
+                        break
+    return None if best is None else best[1]
+
+
+def reference_tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
+    """Simplify a presentation without changing the group it defines.
+
+    Phase 1 eliminates generators with defining relators g = w (shortest
+    definition first, ties by generator name), substituting w for g everywhere.
+    Phase 2 freely reduces both sides of every relator, cyclically reduces bare
+    relators, and drops relators that become trivial.  Phase 3 greedily
+    replaces a cyclic subword of one relator by the shorter complement from
+    another relator whenever that shortens it.  Each rewrite costs one unit of
+    budget; the result is returned as-is when the budget runs out.
+    """
+    gens = list(presentation.generators)
+    rels = list(presentation.relators)
+    steps = 0
+
+    def spend():
+        nonlocal steps
+        steps += 1
+        return steps <= budget
+
+    progress = True
+    while progress and steps <= budget:
+        progress = False
+
+        if 1 in phases:
+            candidates = _ref_definition_candidates(gens, rels)
+            if candidates:
+                candidates.sort(key=lambda c: (c[0], c[1]))
+                _, g, idx = candidates[0]
+                w = rels[idx].rhs
+                if spend():
+                    del rels[idx]
+                    gens.remove(g)
+                    rels = [_ref_substitute_relator(r, g, w) for r in rels]
+                    progress = True
+                continue
+
+        if 2 in phases:
+            reduced = [_ref_reduce_relator(r) for r in rels]
+            kept = [r for r in reduced if r.word.free_reduce().letters]
+            if kept != rels:
+                if spend():
+                    rels = kept
+                    progress = True
+                continue
+
+        if 3 in phases:
+            order = sorted(range(len(rels)), key=lambda i: (len(rels[i].word), i))
+            done = False
+            for si in order:
+                source = rels[si].word.cyclic_reduce()
+                if not source.letters:
+                    continue
+                for ti in order:
+                    if ti == si:
+                        continue
+                    target = rels[ti].word.cyclic_reduce()
+                    if len(target) < len(source):
+                        continue
+                    replacement = _ref_cyclic_match(target, source)
+                    if replacement is not None and spend():
+                        rels[ti] = Relator(replacement)
+                        progress = True
+                        done = True
+                        break
+                if done:
+                    break
+
+    return GroupPresentation(tuple(gens), tuple(rels), provenance="simplified")
+
+
+def _ref_closure_schedule(seqs, n_gens, seeds):
+    """Static schedule of assign/branch/deduce/check ops for a given seed order.
+
+    A relator with every generator assigned becomes a check; a relator in which
+    exactly one occurrence of exactly one unassigned generator remains forces
+    that generator's image and needs no separate check.  A relator whose only
+    unassigned generator occurs exactly twice with opposite exponents is a
+    conjugation equation in that generator; its solutions come from a
+    precomputed table, which is far cheaper than a full assignment loop.
+    """
+    known = set()
+    handled = [False] * len(seqs)
+    ops = []
+
+    def saturate():
+        progress = True
+        while progress:
+            progress = False
+            for ri, seq in enumerate(seqs):
+                if handled[ri]:
+                    continue
+                unknown = [(pos, g, e) for pos, (g, e) in enumerate(seq) if g not in known]
+                if not unknown:
+                    ops.append(("check", seq))
+                    handled[ri] = True
+                    progress = True
+                elif len(unknown) == 1:
+                    pos, g, e = unknown[0]
+                    ops.append(("deduce", g, seq[:pos], seq[pos + 1:], e))
+                    known.add(g)
+                    handled[ri] = True
+                    progress = True
+
+    def branch():
+        for ri, seq in enumerate(seqs):
+            if handled[ri]:
+                continue
+            unknown = [(pos, g, e) for pos, (g, e) in enumerate(seq) if g not in known]
+            if len(unknown) != 2:
+                continue
+            (p1, g1, e1), (p2, g2, e2) = unknown
+            if g1 != g2 or e1 != -e2:
+                continue
+            ops.append(("branch", g1, seq[:p1], seq[p1 + 1:p2], seq[p2 + 1:], e1))
+            known.add(g1)
+            handled[ri] = True
+            return True
+        return False
+
+    saturate()
+    while branch():
+        saturate()
+    for s in seeds:
+        if s in known:
+            continue
+        ops.append(("assign", s))
+        known.add(s)
+        saturate()
+        while branch():
+            saturate()
+    return ops, known
+
+
+def _ref_choose_seeds(seqs, n_gens):
+    """A small seed set from which every generator image can be deduced.
+
+    Seeds are tried in order of decreasing relator occurrence count (name order
+    on ties); all subsets of size up to 4 are tried before falling back to a
+    greedy cover, so the schedule is a pure function of the presentation.
+    """
+    occurrences = [0] * n_gens
+    for seq in seqs:
+        for g, _ in seq:
+            occurrences[g] += 1
+    candidates = sorted(range(n_gens), key=lambda g: (-occurrences[g], g))
+
+    def coverage(seeds):
+        _, known = _ref_closure_schedule(seqs, n_gens, seeds)
+        return known
+
+    for k in range(0, min(n_gens, 4) + 1):
+        for combo in combinations(candidates, k):
+            if len(coverage(combo)) == n_gens:
+                return combo
+    seeds = []
+    while len(coverage(seeds)) < n_gens:
+        best = None
+        for g in candidates:
+            if g in seeds:
+                continue
+            reach = len(coverage(seeds + [g]))
+            if best is None or reach > best[1]:
+                best = (g, reach)
+        seeds.append(best[0])
+    return tuple(seeds)
+
+
+def reference_compile_hom_search(presentation):
+    """The deterministic search program: leading ops plus enumeration segments.
+
+    Each segment opens with an assign (loop over the whole group) or a branch
+    (loop over the solutions of a conjugation equation) and carries the ops
+    that follow it.
+    """
+    seqs = _relator_sequences(presentation)
+    n_gens = len(presentation.generators)
+    seeds = _ref_choose_seeds(seqs, n_gens)
+    ops, known = _ref_closure_schedule(seqs, n_gens, seeds)
+    if len(known) != n_gens:
+        raise RuntimeError("seed selection failed to cover all generators")
+    head = []
+    segments = []
+    current = None
+    for op in ops:
+        if op[0] == "assign":
+            if current is not None:
+                segments.append(current)
+            current = ["assign", op[1], None, []]
+        elif op[0] == "branch":
+            if current is not None:
+                segments.append(current)
+            current = ["branch", op[1], (op[2], op[3], op[4], op[5]), []]
+        elif current is None:
+            head.append(op)
+        else:
+            current[3].append(op)
+    if current is not None:
+        segments.append(current)
+    return (tuple(head),
+            tuple((k, g, data, tuple(post)) for k, g, data, post in segments),
+            n_gens)

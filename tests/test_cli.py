@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from linkgroup import cli
+from linkgroup import cli, quotients
 from linkgroup.quotients import distinguish
 from conftest import data_path, data_text, pres
 
@@ -93,6 +93,17 @@ def test_profile_command(tmp_path, capsys):
     assert doc["hom_counts"]["S3"] == {"total": 4, "surjective": 0}
     assert doc["config"]["max_index"] == 3
     # S_8 would not fit in memory: an index above 7 is an input error
+    code, out, err = run(capsys, ["profile", path, "--K", "8"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_profile_rejects_a_large_index_before_any_work(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simplification ran before the index was checked")
+
+    monkeypatch.setattr(quotients, "tietze_simplify", fail)
+    path = write(tmp_path, "z2.pres", Z2)
     code, out, err = run(capsys, ["profile", path, "--K", "8"])
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

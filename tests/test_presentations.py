@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from linkgroup.diagrams import LinkDiagram, Crossing, parse_diagram, under_walk
@@ -9,6 +11,7 @@ from linkgroup.presentations import (GroupPresentation, PresentationSyntaxError,
 from linkgroup.homology import first_homology
 from linkgroup.words import Word
 from conftest import CORPUS_KEYS, data_text
+from oracles import reference_tietze_simplify
 
 
 def test_transition_name():
@@ -160,3 +163,39 @@ def test_reduce_generators_eliminates_and_preserves_homology():
         reduced = _reduce_generators(full)
         assert len(reduced.generators) <= 4
         assert first_homology(reduced) == first_homology(full) == []
+
+
+def random_word_text(rng, names, max_len):
+    letters = ["%s^%d" % (rng.choice(names), rng.choice((1, -1)))
+               for _ in range(rng.randint(0, max_len))]
+    return "*".join(letters) or "1"
+
+
+def random_tietze_input(rng):
+    """A presentation mixing definitions g = w, equations and bare relators."""
+    names = ("a", "b", "c", "d", "e")[:rng.randint(1, 5)]
+    rels = []
+    for _ in range(rng.randint(0, 6)):
+        shape = rng.random()
+        if shape < 0.3:
+            rels.append("%s = %s" % (rng.choice(names), random_word_text(rng, names, 4)))
+        elif shape < 0.45:
+            rels.append("%s = %s" % (random_word_text(rng, names, 3),
+                                     random_word_text(rng, names, 3)))
+        else:
+            rels.append(random_word_text(rng, names, 9))
+    return parse_presentation("gens: %s\nrels: %s\n" % (", ".join(names), "; ".join(rels)))
+
+
+def test_tietze_matches_reference_implementation():
+    raw = [parse_presentation(data_text(key + ".pres")) for key in CORPUS_KEYS]
+    rng = random.Random(17)
+    inputs = (raw + [tietze_simplify(p) for p in raw]
+              + [parse_presentation(data_text("trefoil.pres"))]
+              + [random_tietze_input(rng) for _ in range(150)])
+    for p in inputs:
+        for budget in (0, 1, 2, 5, 10 ** 4):
+            for phases in ((1, 2, 3), (1,), (2,), (3,)):
+                got = serialize_presentation(tietze_simplify(p, budget, phases))
+                want = serialize_presentation(reference_tietze_simplify(p, budget, phases))
+                assert got == want, (serialize_presentation(p), budget, phases)

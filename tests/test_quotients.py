@@ -5,8 +5,8 @@ import pytest
 
 from linkgroup import quotients
 from linkgroup.corpus import load_corpus
-from linkgroup.presentations import (parse_presentation, serialize_presentation,
-                                     tietze_simplify)
+from linkgroup.presentations import (_reduce_generators, parse_presentation,
+                                     serialize_presentation, tietze_simplify)
 from linkgroup.quotients import (MAX_INDEX, HomCount, InvariantProfile,
                                  ProfileConfig, SubgroupCount, Verdict, Witness,
                                  compare_profiles, count_homs, distinguish,
@@ -14,7 +14,8 @@ from linkgroup.quotients import (MAX_INDEX, HomCount, InvariantProfile,
                                  presentation_hash, profile, recompute_entry,
                                  verify_witness)
 from conftest import pres
-from oracles import coset_table_low_index, naive_hom_counts
+from oracles import (coset_table_low_index, naive_hom_counts,
+                     reference_compile_hom_search)
 
 Z = "gens: a\nrels:\n"
 Z2 = "gens: a\nrels: a^2\n"
@@ -170,6 +171,34 @@ def test_profile_compiles_the_search_once(monkeypatch):
     quotients._search_program.cache_clear()
     profile(load_corpus()["u1466"].presentation())
     assert len(calls) == 1
+
+
+def test_compile_hom_search_matches_reference_implementation():
+    corpus = [p.presentation() for p in load_corpus().values()]
+    inputs = [_reduce_generators(p) for p in corpus] + [pres(TREFOIL), pres(S3_PRES)]
+    # four seeds cover it, and the greedy cover would choose other ones
+    inputs.append(pres("gens: g0, g1, g2, g3, g4, g5, g6\n"
+                       "rels: g5*g0*g5^-1 = g1; g0*g4*g0^-1 = g3; g4^-1*g6\n"))
+    rng = random.Random(23)
+    for _ in range(150):
+        names = ["g%d" % i for i in range(rng.randint(1, 9))]
+        rels = []
+        for _ in range(rng.randint(0, len(names))):
+            if rng.random() < 0.3:
+                # x*y*x^-1 = z, a conjugation equation once y and z are known
+                x, y, z = (rng.choice(names) for _ in range(3))
+                rels.append("%s*%s*%s^-1 = %s" % (x, y, x, z))
+            else:
+                rels.append("*".join("%s^%d" % (rng.choice(names), rng.choice((1, -1)))
+                                     for _ in range(rng.randint(1, 6))))
+        inputs.append(pres("gens: %s\nrels: %s\n" % (", ".join(names), "; ".join(rels))))
+    over_four = 0
+    for p in inputs:
+        program = quotients.compile_hom_search(p)
+        assert program == reference_compile_hom_search(p), serialize_presentation(p)
+        over_four += sum(kind == "assign" for kind, _, _, _ in program[1]) > 4
+    # the greedy fallback, past every seed set of size up to 4, is covered too
+    assert over_four >= 10
 
 
 def test_low_index_invariant_under_simplification():
