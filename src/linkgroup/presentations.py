@@ -182,24 +182,29 @@ def _cyclic_match(target, source):
     return None if best is None else best[1]
 
 
-def _shortening(rels):
+def _shortening(rels, matches):
     """The first phase-3 rewrite: (target index, shortened word), or None.
 
     Sources are tried shortest first (ties by index), and for each source the
     targets in the same order, skipping targets shorter than the source.
+    matches maps a (target, source) pair of cyclic letter tuples to its
+    _cyclic_match result, so a pair is matched once per tietze_simplify call.
     """
     words = [r.word for r in rels]
     cyclic = [w.cyclic_reduce() for w in words]
+    letters = [w.letters for w in cyclic]
     order = sorted(range(len(rels)), key=lambda i: (len(words[i]), i))
     for si in order:
-        source = cyclic[si]
-        if not source.letters:
+        source = letters[si]
+        if not source:
             continue
         for ti in order:
-            if ti != si and len(cyclic[ti]) >= len(source):
-                replacement = _cyclic_match(cyclic[ti], source)
-                if replacement is not None:
-                    return ti, replacement
+            if ti != si and len(letters[ti]) >= len(source):
+                key = (letters[ti], source)
+                if key not in matches:
+                    matches[key] = _cyclic_match(cyclic[ti], cyclic[si])
+                if matches[key] is not None:
+                    return ti, matches[key]
     return None
 
 
@@ -215,16 +220,28 @@ def tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
     from the first of these phases that changes the presentation, and costs
     one unit of budget; the result is returned as-is when the budget runs out
     or no phase changes anything.
+
+    The work is incremental: an elimination rewrites only the relators that
+    contain the eliminated generator, and phase 3 matches each (target,
+    source) relator pair at most once per call, so after a rewrite only the
+    pairs involving the changed relator are matched again.
     """
     gens = list(presentation.generators)
     rels = list(presentation.relators)
+    # The first elimination freely reduces every relator (parsed ones may be
+    # unreduced); every later rewrite leaves them reduced, so from then on a
+    # relator without the eliminated generator is kept as it is.
+    all_reduced = False
+    matches = {}
     for _ in range(budget):
         candidates = _definition_candidates(rels) if 1 in phases else []
         if candidates:
             _, g, idx = min(candidates)
             w = rels.pop(idx).rhs
             gens.remove(g)
-            rels = [_substitute_relator(r, g, w) for r in rels]
+            rels = [_substitute_relator(r, g, w) if not all_reduced or g in r.generators() else r
+                    for r in rels]
+            all_reduced = True
             continue
         if 2 in phases:
             reduced = [_reduce_relator(r) for r in rels]
@@ -232,7 +249,7 @@ def tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
             if kept != rels:
                 rels = kept
                 continue
-        shortening = _shortening(rels) if 3 in phases else None
+        shortening = _shortening(rels, matches) if 3 in phases else None
         if shortening is None:
             break
         ti, word = shortening
@@ -248,7 +265,9 @@ def _reduce_generators(presentation, length_cap=4, budget=1000):
     presented group is unchanged; the candidate with the least total-length
     growth is eliminated first (ties by relator length, then generator name).
     Used internally to compile presentations for search; the result has bare
-    cyclically reduced relators.
+    cyclically reduced relators.  Each elimination rewrites only the relators
+    that contain the eliminated generator; the others are already cyclically
+    reduced and stay as they are.
     """
     gens = list(presentation.generators)
     rels = [r.word.cyclic_reduce() for r in presentation.relators]
@@ -283,9 +302,10 @@ def _reduce_generators(presentation, length_cap=4, budget=1000):
         exp = w.letters[pos][1]
         rest = Word(w.letters[pos + 1:] + w.letters[:pos])
         replacement = rest.inverse() if exp == 1 else rest
-        del rels[ri]
+        touched = {i for i, _ in counts[g]}
         gens.remove(g)
-        rels = [v.substitute(g, replacement).cyclic_reduce() for v in rels]
+        rels = [v.substitute(g, replacement).cyclic_reduce() if i in touched else v
+                for i, v in enumerate(rels) if i != ri]
         rels = [v for v in rels if v.letters]
     return GroupPresentation(tuple(gens), tuple(Relator(w) for w in rels),
                              provenance="simplified")

@@ -5,8 +5,9 @@ bitmask Laplace expansion rather than Bareiss, invariant factors come from
 minor gcds rather than elimination, homomorphisms are counted by brute
 vectorized enumeration with no propagation at all, and low-index subgroups
 are counted by a coset-table search rather than as actions on points.
-The Tietze simplifier and the search compiler are checked against verbatim
-copies of their earlier implementations, at the end of this file.
+The Tietze simplifier, the generator reduction behind the search compiler and
+the search compiler itself are checked against verbatim copies of their
+earlier implementations, at the end of this file.
 """
 
 import math
@@ -246,9 +247,10 @@ def _prefix_less(a, b):
 
 # --- reference copies of the simplifier and the search compiler ---------------
 #
-# The flag-driven tietze_simplify loop and the two-pass search compiler as they
-# stood before their rewrites, kept verbatim (renamed) so the tests can check
-# that the rewrites give byte-identical presentations and equal programs.
+# The flag-driven tietze_simplify loop, the non-incremental _reduce_generators
+# and the two-pass search compiler as they stood before their rewrites, kept
+# verbatim (renamed) so the tests can check that the rewrites give
+# byte-identical presentations and equal programs.
 
 def _ref_definition_candidates(generators, relators):
     """Relators of the form g = w with g a generator not occurring in w."""
@@ -372,6 +374,57 @@ def reference_tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
                     break
 
     return GroupPresentation(tuple(gens), tuple(rels), provenance="simplified")
+
+
+def reference_reduce_generators(presentation, length_cap=4, budget=1000):
+    """Eliminate generators that occur exactly once in some relator.
+
+    This is the classical Tietze elimination: rotate the relator so the single
+    occurrence leads, solve for the generator, and substitute everywhere.  The
+    presented group is unchanged; the candidate with the least total-length
+    growth is eliminated first (ties by relator length, then generator name).
+    Used internally to compile presentations for search; the result has bare
+    cyclically reduced relators.
+    """
+    gens = list(presentation.generators)
+    rels = [r.word.cyclic_reduce() for r in presentation.relators]
+    rels = [w for w in rels if w.letters]
+    original = max(sum(len(w) for w in rels), 50)
+    for _ in range(budget):
+        counts = {g: [] for g in gens}
+        for ri, w in enumerate(rels):
+            per = {}
+            for name, _ in w.letters:
+                per[name] = per.get(name, 0) + 1
+            for name, cnt in per.items():
+                counts[name].append((ri, cnt))
+        best = None
+        for g in gens:
+            total = sum(cnt for _, cnt in counts[g])
+            for ri, cnt in counts[g]:
+                if cnt != 1:
+                    continue
+                growth = (total - 1) * (len(rels[ri]) - 2) - len(rels[ri])
+                key = (growth, len(rels[ri]), g, ri)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        growth, _, g, ri = best
+        current = sum(len(w) for w in rels)
+        if current + growth > length_cap * original:
+            break
+        w = rels[ri]
+        pos = next(i for i, (name, _) in enumerate(w.letters) if name == g)
+        exp = w.letters[pos][1]
+        rest = Word(w.letters[pos + 1:] + w.letters[:pos])
+        replacement = rest.inverse() if exp == 1 else rest
+        del rels[ri]
+        gens.remove(g)
+        rels = [v.substitute(g, replacement).cyclic_reduce() for v in rels]
+        rels = [v for v in rels if v.letters]
+    return GroupPresentation(tuple(gens), tuple(Relator(w) for w in rels),
+                             provenance="simplified")
 
 
 def _ref_closure_schedule(seqs, n_gens, seeds):

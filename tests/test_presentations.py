@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from linkgroup import presentations
 from linkgroup.diagrams import LinkDiagram, Crossing, parse_diagram, under_walk
 from linkgroup.presentations import (GroupPresentation, PresentationSyntaxError,
                                      Relator, _reduce_generators,
@@ -11,7 +12,7 @@ from linkgroup.presentations import (GroupPresentation, PresentationSyntaxError,
 from linkgroup.homology import first_homology
 from linkgroup.words import Word
 from conftest import CORPUS_KEYS, data_text
-from oracles import reference_tietze_simplify
+from oracles import reference_reduce_generators, reference_tietze_simplify
 
 
 def test_transition_name():
@@ -187,15 +188,67 @@ def random_tietze_input(rng):
     return parse_presentation("gens: %s\nrels: %s\n" % (", ".join(names), "; ".join(rels)))
 
 
+# Relators that lack the first eliminated generator and are not freely
+# reduced: the first elimination must still reduce them.
+UNREDUCED_INPUTS = (
+    "gens: a, b, c\nrels: a = b; c*c^-1*b; b*b^-1 = c\n",
+    "gens: a, b, c, d\nrels: d = a*b; a*a^-1*c*b*b^-1; c^-1*c*b*a = b*b^-1*a; b*a*a^-1*b\n",
+    "gens: x, y, z\nrels: x*y*y^-1*x^-1*z^3; z*z^-1 = y*y^-1; x = y^2; y*z*z^-1*y*x^-1\n",
+)
+
+
 def test_tietze_matches_reference_implementation():
     raw = [parse_presentation(data_text(key + ".pres")) for key in CORPUS_KEYS]
     rng = random.Random(17)
     inputs = (raw + [tietze_simplify(p) for p in raw]
               + [parse_presentation(data_text("trefoil.pres"))]
+              + [parse_presentation(text) for text in UNREDUCED_INPUTS]
               + [random_tietze_input(rng) for _ in range(150)])
     for p in inputs:
         for budget in (0, 1, 2, 5, 10 ** 4):
-            for phases in ((1, 2, 3), (1,), (2,), (3,)):
+            for phases in ((1, 2, 3), (1,), (2,), (3,), (1, 3), (2, 3)):
                 got = serialize_presentation(tietze_simplify(p, budget, phases))
                 want = serialize_presentation(reference_tietze_simplify(p, budget, phases))
                 assert got == want, (serialize_presentation(p), budget, phases)
+
+
+def test_tietze_rewrites_only_touched_relators_and_matches_each_pair_once(monkeypatch):
+    matched, substituted = [], []
+    cyclic_match = presentations._cyclic_match
+    substitute_relator = presentations._substitute_relator
+
+    def counting_match(target, source):
+        matched.append((target.letters, source.letters))
+        return cyclic_match(target, source)
+
+    def counting_substitute(r, name, replacement):
+        substituted.append((name, name in r.generators()))
+        return substitute_relator(r, name, replacement)
+
+    monkeypatch.setattr(presentations, "_cyclic_match", counting_match)
+    monkeypatch.setattr(presentations, "_substitute_relator", counting_substitute)
+    # u1466 has nine eliminations; the second input needs many phase-3 rewrites
+    later_substitutions = 0
+    for text in (data_text("u1466.pres"),
+                 "gens: a, b\nrels: b^-2; a^2*b^-1; a*b*a^2*b*a*b*a*b^-1; b^-2*a^-1\n"):
+        matched.clear()
+        substituted.clear()
+        tietze_simplify(parse_presentation(text))
+        assert len(matched) > 20 and len(set(matched)) == len(matched), text
+        first = substituted[0][0]
+        later = [hit for name, hit in substituted if name != first]
+        assert all(later), text
+        later_substitutions += len(later)
+    assert later_substitutions > 0
+
+
+def test_reduce_generators_matches_reference_implementation():
+    raw = [parse_presentation(data_text(key + ".pres")) for key in CORPUS_KEYS]
+    rng = random.Random(23)
+    inputs = (raw + [tietze_simplify(p) for p in raw]
+              + [parse_presentation(data_text("trefoil.pres"))]
+              + [random_tietze_input(rng) for _ in range(150)])
+    for p in inputs:
+        got = serialize_presentation(_reduce_generators(p))
+        want = serialize_presentation(reference_reduce_generators(p))
+        assert got == want, serialize_presentation(p)
