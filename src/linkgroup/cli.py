@@ -56,10 +56,6 @@ def _config(args):
                          simplify_budget=args.simplify_budget)
 
 
-def _catalog(args):
-    return load_catalog(args.catalog)
-
-
 def cmd_derive(args):
     text = _read(args.file)
     if not text.lstrip().startswith("{"):
@@ -85,7 +81,7 @@ def cmd_homology(args):
 
 def cmd_profile(args):
     p = _load_presentation(args.file)
-    prof = profile(p, _config(args), _catalog(args))
+    prof = profile(p, _config(args), load_catalog(args.catalog))
     _emit(prof.to_json(), args.out)
     return EXIT_BUDGET if prof.any_budget_exceeded else EXIT_OK
 
@@ -93,7 +89,7 @@ def cmd_profile(args):
 def cmd_distinguish(args):
     left = _load_presentation(args.file_a)
     right = _load_presentation(args.file_b)
-    verdict = distinguish(left, right, _config(args), _catalog(args))
+    verdict = distinguish(left, right, _config(args), load_catalog(args.catalog))
     _emit(verdict.to_json(), args.out)
     if verdict.outcome == "Distinguished":
         return EXIT_OK
@@ -114,7 +110,7 @@ def cmd_verify_witness(args):
     doc = json.loads(_read(args.verdict))
     left = _load_presentation(args.file_a)
     right = _load_presentation(args.file_b)
-    ok, message = verify_witness(doc, left, right, _catalog(args))
+    ok, message = verify_witness(doc, left, right, load_catalog(args.catalog))
     _emit(json_text({"schema_version": 1, "ok": ok, "message": message}),
           args.out)
     return EXIT_OK if ok else EXIT_INPUT
@@ -135,7 +131,7 @@ def cmd_corpus(args):
         return EXIT_OK
 
     config = _config(args)
-    catalog = _catalog(args)
+    catalog = load_catalog(args.catalog)
     profiles = {}
     report_entries = {}
     for key, entry in entries.items():
@@ -182,17 +178,19 @@ def _parser():
                     "diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=False, dialect=False):
+    def common(p, config=False, simplify=False, dialect=False):
         p.add_argument("--out", default=None, help="write output to this file")
         if config:
-            p.add_argument("--K", type=int, default=6,
-                           help="largest subgroup index to count (default 6)")
-            p.add_argument("--budget", type=int, default=10 ** 8,
-                           help="search node budget (default 1e8)")
+            p.add_argument("--K", type=int, default=ProfileConfig.max_index,
+                           help="largest subgroup index to count (default %(default)s)")
+            p.add_argument("--budget", type=int, default=ProfileConfig.node_budget,
+                           help="search node budget (default %(default)s)")
             p.add_argument("--catalog", default=None,
                            help="path to an alternate target-group catalog")
-        p.add_argument("--simplify-budget", dest="simplify_budget", type=int,
-                       default=10 ** 4, help="rewrite budget for simplification")
+        if config or simplify:
+            p.add_argument("--simplify-budget", type=int,
+                           default=ProfileConfig.simplify_budget,
+                           help="rewrite budget for simplification (default %(default)s)")
         if dialect:
             p.add_argument("--dialect", choices=("native", "plain", "gap"),
                            default="native", help="output text dialect")
@@ -204,7 +202,7 @@ def _parser():
 
     p = sub.add_parser("simplify", help="rewrite a presentation smaller")
     p.add_argument("file")
-    common(p, dialect=True)
+    common(p, simplify=True, dialect=True)
     p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("homology", help="first homology of the presented group")

@@ -26,13 +26,18 @@ class FourGraph:
     def from_matchings(cls, vertices, matchings):
         if not isinstance(vertices, int) or vertices <= 0:
             raise FourGraphError("vertex count must be a positive integer")
-        if len(matchings) != 4:
-            raise FourGraphError("expected exactly 4 matchings, got %d" % len(matchings))
+        if not isinstance(matchings, (list, tuple)) or len(matchings) != 4:
+            raise FourGraphError("expected a list of exactly 4 matchings")
         partners = []
         for color, matching in enumerate(matchings):
+            # a perfect matching has vertices/2 pairs; checking that first keeps
+            # the partner table no larger than the input
+            if not isinstance(matching, (list, tuple)) or 2 * len(matching) != vertices:
+                raise FourGraphError("color %d: expected a list of pairs matching all "
+                                     "%d vertices" % (color, vertices))
             partner = [-1] * vertices
             for pair in matching:
-                if len(pair) != 2:
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise FourGraphError("color %d: edges must be vertex pairs" % color)
                 u, v = pair
                 for x in (u, v):
@@ -45,9 +50,6 @@ class FourGraph:
                                          % (color, u if partner[u] != -1 else v))
                 partner[u] = v
                 partner[v] = u
-            if any(p == -1 for p in partner):
-                missing = partner.index(-1)
-                raise FourGraphError("color %d: vertex %d is unmatched" % (color, missing))
             partners.append(tuple(partner))
         return cls(vertices, tuple(partners))
 

@@ -228,13 +228,23 @@ def parse_catalog(text):
     groups = []
     names = set()
     for entry in doc["groups"]:
-        try:
-            name = entry["name"]
-            degree = entry["degree"]
-            order = entry["order"]
-            gens = [tuple(g) for g in entry["generators"]]
-        except (KeyError, TypeError) as e:
-            raise CatalogError("bad catalog entry: %s" % e) from None
+        if not isinstance(entry, dict):
+            raise CatalogError("each catalog group must be an object")
+        name = entry.get("name")
+        degree = entry.get("degree")
+        order = entry.get("order")
+        gens = entry.get("generators")
+        if not isinstance(name, str):
+            raise CatalogError("group name must be a string, not %r" % (name,))
+        for key, value in (("degree", degree), ("order", order)):
+            if type(value) is not int or value < 1:
+                raise CatalogError("group %s: %s must be a positive integer, not %r"
+                                   % (name, key, value))
+        if (not isinstance(gens, list) or not gens
+                or not all(isinstance(g, list) and len(g) == degree
+                           and all(type(x) is int for x in g) for g in gens)):
+            raise CatalogError("group %s: generators must be a non-empty list of "
+                               "lists of %d integers" % (name, degree))
         if name in names:
             raise CatalogError("duplicate group name %r" % name)
         names.add(name)

@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .homology import first_homology
 from .permgroups import load_catalog, symmetric_group
@@ -183,11 +183,7 @@ def _eval_seq(seq, images, mul, inv, e, order):
     return x
 
 
-def _subgroup_order(images, mul, e, order, memo):
-    key = tuple(sorted(set(images)))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+def _subgroup_order(key, mul, e, order):
     seen = {e}
     frontier = [e]
     while frontier:
@@ -200,7 +196,6 @@ def _subgroup_order(images, mul, e, order, memo):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    memo[key] = len(seen)
     return len(seen)
 
 
@@ -228,26 +223,25 @@ def _search_program(presentation):
     return compile_hom_search(_reduce_generators(presentation))
 
 
-def _search(program, group, leaf, node_budget):
-    """Run a compiled search into group, calling leaf(images, weight) once
-    per homomorphism found.
+def _search(program, group, classify, node_budget):
+    """Run a compiled search into group and return {classify(key): summed weight}.
 
-    When the search opens with an assign, that generator takes only one
-    representative per conjugacy class of group and weight is the class
-    size, so leaf may count only what conjugation in group leaves unchanged.
-    Every candidate tried at any depth, roots included, is one node charged
-    to node_budget; the search raises BudgetExceeded past it.
+    A homomorphism's key is the sorted tuple of its distinct generator
+    images; classify runs once per distinct key, after the walk.  When the
+    search opens with an assign, that generator takes one representative per
+    conjugacy class of group, weighted by the class size, so classify may
+    depend only on what conjugation in group leaves unchanged; otherwise each
+    homomorphism weighs 1.  Every candidate tried at any depth, roots
+    included, is one node charged to node_budget; the search raises
+    BudgetExceeded past it.
     """
     head, segments, n_gens = program
     mul, inv, e = group.tables()
     order = group.order
     images = [e] * n_gens
     if not _run_ops(head, images, mul, inv, e, order):
-        return
-    if not segments:
-        # every generator deduced from relators: a single candidate to try
-        leaf(images, 1)
-        return
+        return {}
+    found = {}      # key -> summed weight
     solve = None
     if any(kind == "branch" for kind, _, _, _ in segments):
         solve = group.conjugacy_solutions()
@@ -276,15 +270,24 @@ def _search(program, group, leaf, node_budget):
             if not _run_ops(post, images, mul, inv, e, order):
                 continue
             if d + 1 == depth:
-                leaf(images, weight)
+                key = tuple(sorted(set(images)))
+                found[key] = found.get(key, 0) + weight
             else:
                 walk(d + 1, weight)
 
-    if segments[0][0] == "assign":
+    if not segments:
+        # every generator deduced from relators: a single candidate to try
+        found[tuple(sorted(set(images)))] = 1
+    elif segments[0][0] == "assign":
         for rep, size in group.conjugacy_classes():
             walk(0, size, (rep,))
     else:
         walk(0, 1)
+    tally = {}
+    for key, weight in found.items():
+        value = classify(key)
+        tally[value] = tally.get(value, 0) + weight
+    return tally
 
 
 def count_homs(presentation, group, node_budget=10 ** 8):
@@ -296,28 +299,21 @@ def count_homs(presentation, group, node_budget=10 ** 8):
     assigns images only to a seed set of generators and deduces the rest by
     unit propagation.
 
-    Both counts are also invariant under conjugation in the target group, so
-    when the search opens with an assign, the first generator takes one
-    representative per conjugacy class and its counts are weighted by the
-    class size.  Every candidate tried at any depth, roots included, is one
+    The search classifies each image set by whether it generates the whole
+    group, which conjugation in the target leaves unchanged: the total is the
+    sum of the tally's weights and the surjective count is its weight for
+    True.  Every candidate tried at any depth, class roots included, is one
     node charged to the single node budget of the whole search.
     """
     mul, _, e = group.tables()
     order = group.order
-    memo = {}
-    total = surjective = 0
-
-    def leaf(images, weight):
-        nonlocal total, surjective
-        total += weight
-        if _subgroup_order(images, mul, e, order, memo) == order:
-            surjective += weight
-
     try:
-        _search(_search_program(presentation), group, leaf, node_budget)
+        tally = _search(_search_program(presentation), group,
+                        lambda key: _subgroup_order(key, mul, e, order) == order,
+                        node_budget)
     except BudgetExceeded:
         return HomCount(0, 0, True)
-    return HomCount(total, surjective)
+    return HomCount(sum(tally.values()), tally.get(True, 0))
 
 
 # --- low-index subgroups ------------------------------------------------------
@@ -362,30 +358,22 @@ def _low_index(program, k, node_budget):
 
     Each subgroup of index k is the stabiliser of point 0 in exactly (k-1)!
     transitive homomorphisms to S_k, and each conjugacy class of subgroups is
-    one S_k-orbit of them, of size k! / |C(image)|.  Both sums are invariant
-    under conjugation in S_k, as the search requires.
+    one S_k-orbit of them, of size k! / |C(image)|.  The search classifies
+    each image set by _transitive_centraliser, which conjugation in S_k
+    leaves unchanged: the transitive count is the weight of the nonzero
+    values and the centraliser sum is the sum of value times weight.
     """
     if not 2 <= k <= MAX_INDEX:
         raise ValueError("subgroup index %d is outside 2..%d" % (k, MAX_INDEX))
     group = symmetric_group(k)
     perms = group.elements()
-    memo = {}
-    transitive = centralised = 0
-
-    def leaf(images, weight):
-        nonlocal transitive, centralised
-        key = tuple(sorted(set(images)))
-        size = memo.get(key)
-        if size is None:
-            size = memo[key] = _transitive_centraliser(key, perms)
-        if size:
-            transitive += weight
-            centralised += weight * size
-
     try:
-        _search(program, group, leaf, node_budget)
+        tally = _search(program, group,
+                        lambda key: _transitive_centraliser(key, perms), node_budget)
     except BudgetExceeded:
         return SubgroupCount(0, 0, True)
+    transitive = sum(weight for size, weight in tally.items() if size)
+    centralised = sum(size * weight for size, weight in tally.items())
     total, rest = divmod(transitive, math.factorial(k - 1))
     classes, rest_classes = divmod(centralised, math.factorial(k))
     if rest or rest_classes:
@@ -423,6 +411,10 @@ class ProfileConfig:
     simplify_budget: int = 10 ** 4
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if type(value) is not int or value < 0:
+                raise ValueError("config %s must be a non-negative integer, not %r"
+                                 % (name, value))
         if self.max_index > MAX_INDEX:
             raise ValueError("max_index %d is above %d" % (self.max_index, MAX_INDEX))
 
@@ -441,9 +433,7 @@ class InvariantProfile:
     low_index: tuple         # ((index, SubgroupCount), ...) ascending
     catalog_version: int
     catalog_names: tuple
-    max_index: int
-    node_budget: int
-    simplify_budget: int
+    config: ProfileConfig
     presentation_hash: str
     generator_count: int
     relator_count: int
@@ -452,20 +442,16 @@ class InvariantProfile:
         return {
             "catalog": list(self.catalog_names),
             "catalog_version": self.catalog_version,
-            "max_index": self.max_index,
-            "node_budget": self.node_budget,
-            "simplify_budget": self.simplify_budget,
+            **asdict(self.config),
         }
 
     def to_dict(self):
-        homs = {name: _count_entry(hc) for name, hc in self.hom_counts}
-        low = {str(k): _count_entry(sc) for k, sc in self.low_index}
         return {
             "schema_version": 1,
             "config": self.config_dict(),
             "homology": list(self.homology),
-            "hom_counts": homs,
-            "low_index": low,
+            "hom_counts": {name: _count_entry(hc) for name, hc in self.hom_counts},
+            "low_index": {str(k): _count_entry(sc) for k, sc in self.low_index},
             "presentation": {
                 "hash": self.presentation_hash,
                 "generators": self.generator_count,
@@ -485,10 +471,16 @@ class InvariantProfile:
     def comparable_json(self):
         return json_text(self.comparable_dict())
 
+    def entries(self):
+        """(recheck, count) for each hom count, then each low-index count."""
+        for name, count in self.hom_counts:
+            yield {"kind": "hom_count", "group": name}, count
+        for k, count in self.low_index:
+            yield {"kind": "low_index", "index": k}, count
+
     @property
     def any_budget_exceeded(self):
-        return (any(hc.budget_exceeded for _, hc in self.hom_counts)
-                or any(sc.budget_exceeded for _, sc in self.low_index))
+        return any(count.budget_exceeded for _, count in self.entries())
 
 
 def presentation_hash(presentation):
@@ -515,9 +507,7 @@ def profile(presentation, config=None, catalog=None, workers=1):
         low_index=tuple(sorted(low.items())),
         catalog_version=catalog.version,
         catalog_names=tuple(catalog.names),
-        max_index=config.max_index,
-        node_budget=config.node_budget,
-        simplify_budget=config.simplify_budget,
+        config=config,
         presentation_hash=presentation_hash(simplified),
         generator_count=len(simplified.generators),
         relator_count=len(simplified.relators),
@@ -532,12 +522,7 @@ class Witness:
     recheck: dict
 
     def to_dict(self):
-        return {
-            "invariant": self.invariant,
-            "left": self.left,
-            "right": self.right,
-            "recheck": self.recheck,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -566,22 +551,14 @@ def compare_profiles(left, right):
     if left.homology != right.homology:
         return Witness("homology", list(left.homology), list(right.homology),
                        {"kind": "homology"})
-    rh = dict(right.hom_counts)
-    for name, lc in left.hom_counts:
-        rc = rh.get(name)
+    right_counts = {tuple(recheck.values()): rc for recheck, rc in right.entries()}
+    for recheck, lc in left.entries():
+        rc = right_counts.get(tuple(recheck.values()))
         if rc is None or lc.budget_exceeded or rc.budget_exceeded:
             continue
-        if (lc.total, lc.surjective) != (rc.total, rc.surjective):
-            return Witness("hom_count:%s" % name, lc.value(), rc.value(),
-                           {"kind": "hom_count", "group": name})
-    rl = dict(right.low_index)
-    for k, lc in left.low_index:
-        rc = rl.get(k)
-        if rc is None or lc.budget_exceeded or rc.budget_exceeded:
-            continue
-        if (lc.classes, lc.total) != (rc.classes, rc.total):
-            return Witness("low_index:%d" % k, lc.value(), rc.value(),
-                           {"kind": "low_index", "index": k})
+        if lc.value() != rc.value():
+            return Witness("%s:%s" % tuple(recheck.values()), lc.value(), rc.value(),
+                           recheck)
     return None
 
 
@@ -590,21 +567,12 @@ def distinguish(left, right, config=None, catalog=None, workers=1):
 
     ``workers`` is accepted for existing callers and ignored.
     """
-    config = config or ProfileConfig()
-    catalog = catalog or load_catalog()
     lp = profile(left, config, catalog)
     rp = profile(right, config, catalog)
     witness = compare_profiles(lp, rp)
     if witness is not None:
         return Verdict("Distinguished", witness, lp, rp)
     return Verdict("Inconclusive", None, lp, rp)
-
-
-def _int_field(doc, key, default, where):
-    value = doc.get(key, default)
-    if type(value) is not int:
-        raise ValueError("%s %s must be an integer, not %r" % (where, key, value))
-    return value
 
 
 def recompute_entry(presentation, recheck, config, catalog):
@@ -623,9 +591,9 @@ def recompute_entry(presentation, recheck, config, catalog):
         if name not in catalog.names:
             raise ValueError("recheck group %r is not in the catalog" % (name,))
     elif kind == "low_index":
-        index = _int_field(recheck, "index", None, "recheck")
-        if not 2 <= index <= config.max_index:
-            raise ValueError("recheck index %d is outside 2..%d"
+        index = recheck.get("index")
+        if type(index) is not int or not 2 <= index <= config.max_index:
+            raise ValueError("recheck index %r is not an integer in 2..%d"
                              % (index, config.max_index))
     elif kind != "homology":
         raise ValueError("unknown recheck kind %r" % (kind,))
@@ -634,13 +602,11 @@ def recompute_entry(presentation, recheck, config, catalog):
         return first_homology(simplified)
     if kind == "hom_count":
         count = count_homs(simplified, catalog.by_name(name), config.node_budget)
-        value = count.value()
     else:
         count = low_index_single(simplified, index, config.node_budget)
-        value = count.value()
     if count.budget_exceeded:
         raise BudgetExceeded
-    return value
+    return count.value()
 
 
 def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
@@ -657,11 +623,9 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
     cfg = verdict_doc.get("config", {})
     if not isinstance(cfg, dict):
         raise ValueError("verdict config must be an object")
-    config = ProfileConfig(
-        max_index=_int_field(cfg, "max_index", 6, "config"),
-        node_budget=_int_field(cfg, "node_budget", 10 ** 8, "config"),
-        simplify_budget=_int_field(cfg, "simplify_budget", 10 ** 4, "config"),
-    )
+    config = ProfileConfig(**{field.name: cfg[field.name]
+                              for field in fields(ProfileConfig)
+                              if field.name in cfg})
     witness = verdict_doc.get("witness")
     if verdict_doc.get("outcome") != "Distinguished" or not witness:
         return False, "verdict has no witness to verify"
@@ -676,12 +640,10 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
     except BudgetExceeded:
         return False, ("node budget exceeded recomputing %s"
                        % (witness.get("invariant"),))
-    if got_left != witness.get("left"):
-        return False, ("left value mismatch for %s: recomputed %r, recorded %r"
-                       % (witness.get("invariant"), got_left, witness.get("left")))
-    if got_right != witness.get("right"):
-        return False, ("right value mismatch for %s: recomputed %r, recorded %r"
-                       % (witness.get("invariant"), got_right, witness.get("right")))
+    for side, got in (("left", got_left), ("right", got_right)):
+        if got != witness.get(side):
+            return False, ("%s value mismatch for %s: recomputed %r, recorded %r"
+                           % (side, witness.get("invariant"), got, witness.get(side)))
     if got_left == got_right:
         return False, "witness values do not differ"
     return True, "witness %s verified" % (witness.get("invariant"),)

@@ -92,10 +92,13 @@ def test_profile_command(tmp_path, capsys):
     assert sorted(doc["low_index"]) == ["2", "3"]
     assert doc["hom_counts"]["S3"] == {"total": 4, "surjective": 0}
     assert doc["config"]["max_index"] == 3
-    # S_8 would not fit in memory: an index above 7 is an input error
-    code, out, err = run(capsys, ["profile", path, "--K", "8"])
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    # S_8 would not fit in memory: an index above 7 is an input error, and so
+    # is any negative config value
+    for option, value in (("--K", "8"), ("--K", "-1"), ("--budget", "-1"),
+                          ("--simplify-budget", "-1")):
+        code, out, err = run(capsys, ["profile", path, option, value])
+        assert code == 1 and out == "", option
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_profile_rejects_a_large_index_before_any_work(tmp_path, capsys, monkeypatch):
@@ -132,6 +135,46 @@ def test_distinguish_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+CATALOG = {"version": 1, "groups": [
+    {"name": "C2", "degree": 2, "order": 2, "generators": [[1, 0]]},
+    {"name": "S3", "degree": 3, "order": 6, "generators": [[1, 0, 2], [1, 2, 0]]},
+]}
+
+
+def with_group(**fields):
+    doc = copy.deepcopy(CATALOG)
+    doc["groups"][1].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    with_group(generators=[]),
+    with_group(degree="3"),
+    with_group(degree=2),
+    with_group(order=0),
+    with_group(name=5),
+    with_group(generators=[[1, 0, "2"]]),
+    with_group(generators=[3]),
+    {"version": 1, "groups": [[1, 0]]},
+], ids=["no-generators", "string-degree", "wrong-degree", "zero-order", "int-name",
+        "string-point", "int-generator", "list-entry"])
+def test_malformed_catalog_is_an_input_error(tmp_path, capsys, doc):
+    z2 = write(tmp_path, "z2.pres", Z2)
+    catalog = write(tmp_path, "catalog.json", json.dumps(doc))
+    code, out, err = run(capsys, ["profile", z2, "--K", "2", "--catalog", catalog])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_catalog_option(tmp_path, capsys):
+    z2 = write(tmp_path, "z2.pres", Z2)
+    catalog = write(tmp_path, "catalog.json", json.dumps(CATALOG))
+    code, out, _ = run(capsys, ["profile", z2, "--K", "2", "--catalog", catalog])
+    assert code == 0
+    assert json.loads(out)["hom_counts"] == {
+        "C2": {"total": 2, "surjective": 1}, "S3": {"total": 4, "surjective": 0}}
+
+
 def test_gem_check(tmp_path, capsys):
     good = write(tmp_path, "gem.json", TWO_VERTEX_GEM)
     code, out, _ = run(capsys, ["gem-check", good])
@@ -142,6 +185,14 @@ def test_gem_check(tmp_path, capsys):
     code, out, _ = run(capsys, ["gem-check", bad])
     assert code == 0
     assert json.loads(out)["is_gem"] is False
+    for doc in ({"vertices": 2, "matchings": 7},
+                {"vertices": 2, "matchings": [[[0, 1]], 5, [[0, 1]], [[0, 1]]]},
+                {"vertices": 2, "matchings": [[[0, 1]], [[0, 1]], [[0, 1]], [3]]},
+                {"vertices": 10 ** 12, "matchings": [[], [], [], []]}):
+        malformed = write(tmp_path, "malformed.json", json.dumps(doc))
+        code, out, err = run(capsys, ["gem-check", malformed])
+        assert code == 1 and out == "", doc
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_witness_flow(tmp_path, capsys):
@@ -211,7 +262,8 @@ def test_verify_witness_rejects_malformed_verdicts(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-_KEYS = ("kind", "group", "index", "left", "right", "invariant")
+_KEYS = ("kind", "group", "index", "left", "right", "invariant", "name", "degree",
+         "order", "generators", "vertices", "matchings")
 _VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 8) | st.text(max_size=3)
     | st.sampled_from(["Distinguished", "homology", "hom_count", "low_index",
@@ -228,34 +280,81 @@ _PATHS = [(), ("outcome",), ("config",), ("config", "max_index"),
 
 
 def mutate(doc, path, value, delete):
-    """Set or delete the value at path; the empty path replaces the document."""
+    """Set or delete the value at a path of object keys and list indexes;
+    the empty path replaces the document.  A path that leads nowhere changes
+    nothing."""
     if not path:
         return value
     node = doc
-    for key in path[:-1]:
-        node = node.get(key) if isinstance(node, dict) else None
-    if isinstance(node, dict):
+    try:
+        for key in path[:-1]:
+            node = node[key]
         if delete:
-            node.pop(path[-1], None)
+            del node[path[-1]]
         else:
             node[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
     return doc
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(st.sampled_from(_PATHS), _VALUES, st.booleans()),
-                min_size=1, max_size=3))
+def run_mutated(tmp_path, base, mutations, argv):
+    """Run the command line on a mutated copy of base, passed as its INPUT
+    argument, and return its exit code and standard error.  It exits with a
+    documented code, and prints nothing or one error line, with exit 1."""
+    doc = copy.deepcopy(base)
+    for path, value, delete in mutations:
+        doc = mutate(doc, path, value, delete)
+    path = write(tmp_path, "mutated.json", json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([path if a == "INPUT" else a for a in argv]
+                        + ["--out", str(tmp_path / "out.json")])
+    text = err.getvalue()
+    assert code in (0, 1, 2, 10)
+    assert text == "" or (code == 1 and text.startswith("error: ")
+                          and text.count("\n") == 1)
+    return code, text
+
+
+def mutation_lists(paths):
+    return st.lists(st.tuples(st.sampled_from(paths), _VALUES, st.booleans()),
+                    min_size=1, max_size=3)
+
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(mutation_lists(_PATHS))
 def test_verify_witness_survives_mutated_verdicts(tmp_path, mutations):
     z2 = write(tmp_path, "z2.pres", Z2)
     z3 = write(tmp_path, "z3.pres", Z3)
-    doc = copy.deepcopy(VERDICT)
-    for path, value, delete in mutations:
-        doc = mutate(doc, path, value, delete)
-    verdict = write(tmp_path, "verdict.json", json.dumps(doc))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli.main(["verify-witness", verdict, z2, z3,
-                         "--out", str(tmp_path / "out.json")])
-    assert code in (0, 1, 2, 10)
-    assert "Traceback" not in err.getvalue()
+    run_mutated(tmp_path, VERDICT, mutations, ["verify-witness", "INPUT", z2, z3])
+
+
+_CATALOG_PATHS = [(), ("version",), ("groups",), ("groups", 1)] + [
+    ("groups", 1, key) for key in ("name", "degree", "order", "generators")] + [
+    ("groups", 1, "generators", 0), ("groups", 1, "generators", 1, 2)]
+
+
+@FUZZ
+@given(mutation_lists(_CATALOG_PATHS))
+def test_profile_survives_mutated_catalogs(tmp_path, mutations):
+    z2 = write(tmp_path, "z2.pres", Z2)
+    code, err = run_mutated(tmp_path, CATALOG, mutations,
+                            ["profile", z2, "--K", "2", "--catalog", "INPUT"])
+    assert code in (0, 1) and (code == 1) == bool(err)
+
+
+_GEM_PATHS = [(), ("vertices",), ("matchings",), ("matchings", 1),
+              ("matchings", 1, 0), ("matchings", 1, 0, 1), ("matchings", 3, 2)]
+
+
+@FUZZ
+@given(mutation_lists(_GEM_PATHS))
+def test_gem_check_survives_mutated_graphs(tmp_path, mutations):
+    code, err = run_mutated(tmp_path, json.loads(K33_PLUS), mutations,
+                            ["gem-check", "INPUT"])
+    assert code in (0, 1) and (code == 1) == bool(err)

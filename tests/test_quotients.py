@@ -53,14 +53,39 @@ def test_count_homs_against_naive_on_randoms(catalog):
     rng = random.Random(99)
     small = [g for g in catalog.groups if g.order <= 12]
     # non-solvable targets, with conjugacy classes of up to 90 elements
-    large = [catalog.by_name(name) for name in ("A5", "PSL(2,7)", "A6")]
+    large = [catalog.by_name(name) for name in ("A5", "PSL(2,7)")]
+    a6 = catalog.by_name("A6")
+    by_gens = {1: [], 2: [], 3: []}
     for _ in range(40):
         p = random_presentation(rng)
+        by_gens[len(p.generators)].append(p)
         targets = small + large if len(p.generators) <= 2 else small
         for g in targets:
             got = count_homs(p, g)
             assert not got.budget_exceeded
             assert (got.total, got.surjective) == naive_hom_counts(p, g), g.name
+    # the naive oracle tries all 360^2 image pairs of a 2-generator input in
+    # A6, so A6 checks every 1-generator input and the first three others
+    for p in by_gens[1] + by_gens[2][:3]:
+        assert count_homs(p, a6) == HomCount(*naive_hom_counts(p, a6))
+    # one of those maps onto A6
+    assert count_homs(by_gens[2][1], a6) == HomCount(29160, 12960)
+
+
+def test_search_classifies_each_image_set_once(catalog):
+    # F2 into A5: 5 class roots times 60 images are 300 leaves, and each of
+    # the 10 sets {r, s} of two roots is reached from r and from s
+    calls = []
+
+    def classify(key):
+        calls.append(key)
+        return len(key)
+
+    program = quotients._search_program(pres(F2))
+    tally = quotients._search(program, catalog.by_name("A5"), classify, 10 ** 8)
+    assert len(calls) == len(set(calls)) == 290
+    # the weights count homomorphisms: a == b in 60 of the 3600
+    assert tally == {1: 60, 2: 3540}
 
 
 def test_count_homs_invariant_under_simplification(catalog):
@@ -234,6 +259,15 @@ def test_presentation_hash_tracks_serialization():
     p = pres(Z2)
     assert presentation_hash(p) == presentation_hash(pres(Z2))
     assert presentation_hash(p) != presentation_hash(pres(Z3))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_index", "6"), ("max_index", True), ("max_index", -1),
+    ("node_budget", 1.5), ("node_budget", -1),
+    ("simplify_budget", None), ("simplify_budget", -1)])
+def test_profile_config_rejects_non_int_or_negative_fields(field, value):
+    with pytest.raises(ValueError):
+        ProfileConfig(**{field: value})
 
 
 def test_compare_profiles_skips_flagged_entries():
