@@ -1,8 +1,8 @@
 """Command line for deriving presentations from framed link diagrams and
 comparing the groups' finite-quotient invariants.
 
-Exit codes: 0 success (or Distinguished), 10 Inconclusive, 1 input error,
-2 node budget exceeded.  No environment variable is read.
+Exit codes: 0 success (or Distinguished), 10 Inconclusive, 1 input error
+(a command line that does not parse included), 2 node budget exceeded.  No environment variable is read.
 """
 
 import argparse
@@ -25,9 +25,22 @@ EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_INCONCLUSIVE = 10
 
+
+class UsageError(Exception):
+    """A command line that does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises UsageError instead of exiting with 2,
+    the exit code of an exceeded node budget."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 _INPUT_ERRORS = (DiagramSyntaxError, DiagramStructureError,
                  PresentationSyntaxError, FourGraphError, CatalogError,
-                 OSError, ValueError)
+                 OSError, ValueError, UsageError)
 
 
 def _read(path):
@@ -172,19 +185,20 @@ def cmd_corpus(args):
 
 
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linkgroup",
         description="Fundamental-group invariants of blackboard framed surgery "
                     "diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=False, simplify=False, dialect=False):
+    def common(p, config=False, catalog=False, simplify=False, dialect=False):
         p.add_argument("--out", default=None, help="write output to this file")
         if config:
             p.add_argument("--K", type=int, default=ProfileConfig.max_index,
                            help="largest subgroup index to count (default %(default)s)")
             p.add_argument("--budget", type=int, default=ProfileConfig.node_budget,
                            help="search node budget (default %(default)s)")
+        if config or catalog:
             p.add_argument("--catalog", default=None,
                            help="path to an alternate target-group catalog")
         if config or simplify:
@@ -230,7 +244,8 @@ def _parser():
     p.add_argument("verdict")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    common(p, config=True)
+    # the replay runs under the config recorded in the verdict
+    common(p, catalog=True)
     p.set_defaults(func=cmd_verify_witness)
 
     p = sub.add_parser("corpus", help="list bundled entries or run the report")
@@ -243,8 +258,8 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _INPUT_ERRORS as e:
         sys.stderr.write("error: %s\n" % e)

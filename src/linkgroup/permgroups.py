@@ -82,6 +82,7 @@ class FiniteGroup:
         self._tree = None
         self._tables = None
         self._conj = None
+        self._centraliser_orbits = {}
 
     def elements(self):
         if self._elements is None:
@@ -121,35 +122,45 @@ class FiniteGroup:
             self._tables = (mul, inv, 0)
         return self._tables
 
-    def _conjugacy(self):
-        """(representatives, centralisers, class of, conjugator), in one pass.
+    def _conjugation_orbits(self, acting):
+        """(representatives, stabilisers, orbit of, conjugator), in one pass.
 
-        Per class: its smallest element index r and the centraliser C(r) as
-        ascending element indexes.  Per element y: its class number and one g
-        with g * r * g^-1 = y, where r represents the class of y.
+        The orbits of the group under conjugation by the elements acting, a
+        subgroup.  Per orbit: its smallest element index v and the elements
+        of acting that commute with v.  Per element y: its orbit number and
+        one g in acting with g * v * g^-1 = y.  The cost is the number of
+        orbits times len(acting) products.
+        """
+        mul, inv, _ = self.tables()
+        n = self.order
+        reps = []
+        stabilisers = []
+        orbit_of = [-1] * n
+        conjugator = [0] * n
+        for v in range(n):
+            if orbit_of[v] >= 0:
+                continue
+            number = len(reps)
+            stabiliser = []
+            for g in acting:
+                y = mul[mul[g * n + v] * n + inv[g]]
+                if orbit_of[y] < 0:
+                    orbit_of[y] = number
+                    conjugator[y] = g
+                if y == v:
+                    stabiliser.append(g)
+            reps.append(v)
+            stabilisers.append(tuple(stabiliser))
+        return tuple(reps), tuple(stabilisers), orbit_of, conjugator
+
+    def _conjugacy(self):
+        """The conjugacy classes: _conjugation_orbits of the whole group.
+
+        Each stabiliser is the centraliser C(r) of its class representative r,
+        as ascending element indexes.
         """
         if self._conj is None:
-            mul, inv, _ = self.tables()
-            n = self.order
-            reps = []
-            cents = []
-            class_of = [-1] * n
-            conjugator = [0] * n
-            for r in range(n):
-                if class_of[r] >= 0:
-                    continue
-                number = len(reps)
-                cent = []
-                for g in range(n):
-                    y = mul[mul[g * n + r] * n + inv[g]]
-                    if class_of[y] < 0:
-                        class_of[y] = number
-                        conjugator[y] = g
-                    if y == r:
-                        cent.append(g)
-                reps.append(r)
-                cents.append(tuple(cent))
-            self._conj = (tuple(reps), tuple(cents), class_of, conjugator)
+            self._conj = self._conjugation_orbits(range(self.order))
         return self._conj
 
     def conjugacy_solutions(self):
@@ -173,15 +184,24 @@ class FiniteGroup:
             return [mul[mul[left + z] * n + right] for z in cents[c]]
         return solve
 
-    def conjugacy_classes(self):
-        """((representative, class size), ...), one pair per conjugacy class.
+    def centraliser_orbits(self, r):
+        """((representative, orbit size), ...): the orbits of C(r) on the group.
 
-        Each representative is the smallest element index of its class, and the
-        pairs come in ascending order of representative.
+        C(r), the centraliser of element r, acts on the group by conjugation.
+        Each representative is the smallest element index of its orbit, and
+        the pairs come in ascending order of representative.  For the
+        identity, C(r) is the whole group and the orbits are the conjugacy
+        classes.  Built on first use for each r and kept.
         """
-        reps, cents, _, _ = self._conjugacy()
-        n = self.order
-        return tuple((r, n // len(c)) for r, c in zip(reps, cents))
+        orbits = self._centraliser_orbits.get(r)
+        if orbits is None:
+            mul, _, _ = self.tables()
+            n = self.order
+            cent = [g for g in range(n) if mul[g * n + r] == mul[r * n + g]]
+            reps, stabilisers, _, _ = self._conjugation_orbits(cent)
+            orbits = tuple((v, len(cent) // len(s)) for v, s in zip(reps, stabilisers))
+            self._centraliser_orbits[r] = orbits
+        return orbits
 
     def __repr__(self):
         return "FiniteGroup(%r, degree=%d)" % (self.name, self.degree)

@@ -227,13 +227,18 @@ def _search(program, group, classify, node_budget):
     """Run a compiled search into group and return {classify(key): summed weight}.
 
     A homomorphism's key is the sorted tuple of its distinct generator
-    images; classify runs once per distinct key, after the walk.  When the
-    search opens with an assign, that generator takes one representative per
-    conjugacy class of group, weighted by the class size, so classify may
-    depend only on what conjugation in group leaves unchanged; otherwise each
-    homomorphism weighs 1.  Every candidate tried at any depth, roots
-    included, is one node charged to node_budget; the search raises
-    BudgetExceeded past it.
+    images; classify runs once per distinct key, after the walk, and may
+    depend only on what conjugation in group leaves unchanged, since the
+    search lets one homomorphism stand for its conjugates.  When the search
+    opens with an assign, its generator takes one representative r per
+    conjugacy class, weighted by the class size.  When the second segment is
+    an assign as well, its generator takes one representative v per orbit of
+    the centraliser C(r) acting by conjugation, weighted by the orbit size:
+    conjugating by c in C(r) fixes r and everything deduced from it and
+    sends v to c * v * c^-1.  Every other candidate weighs 1.  Every
+    candidate tried at any depth, roots and orbit representatives included,
+    is one node charged to node_budget; the search raises BudgetExceeded
+    past it.
     """
     head, segments, n_gens = program
     mul, inv, e = group.tables()
@@ -246,23 +251,27 @@ def _search(program, group, classify, node_budget):
     if any(kind == "branch" for kind, _, _, _ in segments):
         solve = group.conjugacy_solutions()
     depth = len(segments)
+    unit = itertools.repeat(1)
     nodes = 0
 
-    def walk(d, weight, roots=None):
+    def walk(d, weight):
         nonlocal nodes
         kind, gen, data, post = segments[d]
-        if roots is not None:
-            candidates = roots
-        elif kind == "assign":
-            candidates = range(order)
-        else:
+        if kind == "branch":
             pre, mid, suf, eps = data
             q = _eval_seq(mid, images, mul, inv, e, order)
             a = _eval_seq(pre, images, mul, inv, e, order)
             c = _eval_seq(suf, images, mul, inv, e, order)
             t = inv[mul[c * order + a]]
-            candidates = solve(q, t) if eps == 1 else solve(t, q)
-        for v in candidates:
+            candidates = zip(solve(q, t) if eps == 1 else solve(t, q), unit)
+        elif d == 0:
+            candidates = group.centraliser_orbits(e)
+        elif d == 1 and segments[0][0] == "assign":
+            # C(r) fixes the root r and every image deduced from it
+            candidates = group.centraliser_orbits(images[segments[0][1]])
+        else:
+            candidates = zip(range(order), unit)
+        for v, size in candidates:
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded
@@ -271,18 +280,15 @@ def _search(program, group, classify, node_budget):
                 continue
             if d + 1 == depth:
                 key = tuple(sorted(set(images)))
-                found[key] = found.get(key, 0) + weight
+                found[key] = found.get(key, 0) + weight * size
             else:
-                walk(d + 1, weight)
+                walk(d + 1, weight * size)
 
-    if not segments:
+    if segments:
+        walk(0, 1)
+    else:
         # every generator deduced from relators: a single candidate to try
         found[tuple(sorted(set(images)))] = 1
-    elif segments[0][0] == "assign":
-        for rep, size in group.conjugacy_classes():
-            walk(0, size, (rep,))
-    else:
-        walk(0, 1)
     tally = {}
     for key, weight in found.items():
         value = classify(key)
@@ -300,10 +306,12 @@ def count_homs(presentation, group, node_budget=10 ** 8):
     unit propagation.
 
     The search classifies each image set by whether it generates the whole
-    group, which conjugation in the target leaves unchanged: the total is the
-    sum of the tally's weights and the surjective count is its weight for
-    True.  Every candidate tried at any depth, class roots included, is one
-    node charged to the single node budget of the whole search.
+    group, which conjugation in the target leaves unchanged, so it may take
+    class roots and C(r)-orbit representatives: the total is the sum of the
+    tally's weights and the surjective count is its weight for True.  Every
+    candidate tried at any depth, class roots and orbit representatives
+    included, is one node charged to the single node budget of the whole
+    search.
     """
     mul, _, e = group.tables()
     order = group.order
@@ -360,7 +368,8 @@ def _low_index(program, k, node_budget):
     transitive homomorphisms to S_k, and each conjugacy class of subgroups is
     one S_k-orbit of them, of size k! / |C(image)|.  The search classifies
     each image set by _transitive_centraliser, which conjugation in S_k
-    leaves unchanged: the transitive count is the weight of the nonzero
+    leaves unchanged, so class roots and C(r)-orbit representatives stand
+    for their orbits: the transitive count is the weight of the nonzero
     values and the centraliser sum is the sum of value times weight.
     """
     if not 2 <= k <= MAX_INDEX:

@@ -5,18 +5,20 @@ bitmask Laplace expansion rather than Bareiss, invariant factors come from
 minor gcds rather than elimination, homomorphisms are counted by brute
 vectorized enumeration with no propagation at all, and low-index subgroups
 are counted by a coset-table search rather than as actions on points.
-The Tietze simplifier, the generator reduction behind the search compiler and
-the search compiler itself are checked against verbatim copies of their
-earlier implementations, at the end of this file.
+The Tietze simplifier, the generator reduction behind the search compiler,
+the search compiler itself and the search it compiles to are checked against
+verbatim copies of their earlier implementations, at the end of this file.
 """
 
+import functools
 import math
 from itertools import combinations
 
 import numpy as np
 
 from linkgroup.presentations import GroupPresentation, Relator
-from linkgroup.quotients import _relator_sequences
+from linkgroup.quotients import (BudgetExceeded, _eval_seq, _relator_sequences,
+                                 _run_ops)
 from linkgroup.words import Word
 
 
@@ -558,3 +560,80 @@ def reference_compile_hom_search(presentation):
     return (tuple(head),
             tuple((k, g, data, tuple(post)) for k, g, data, post in segments),
             n_gens)
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_conjugacy_classes(group):
+    """((smallest element index, class size), ...) by conjugating by every element."""
+    mul, inv, _ = group.tables()
+    n = group.order
+    classes = []
+    seen = set()
+    for v in range(n):
+        if v not in seen:
+            members = {mul[mul[g * n + v] * n + inv[g]] for g in range(n)}
+            seen |= members
+            classes.append((v, len(members)))
+    return tuple(classes)
+
+
+def reference_search(program, group, classify, node_budget):
+    """Run a compiled search into group and return {classify(key): summed weight}.
+
+    The search before the second assign took C(r)-orbits: only the first
+    assign takes one representative per conjugacy class, and every later
+    candidate weighs 1.  The class list comes from _ref_conjugacy_classes.
+    """
+    head, segments, n_gens = program
+    mul, inv, e = group.tables()
+    order = group.order
+    images = [e] * n_gens
+    if not _run_ops(head, images, mul, inv, e, order):
+        return {}
+    found = {}      # key -> summed weight
+    solve = None
+    if any(kind == "branch" for kind, _, _, _ in segments):
+        solve = group.conjugacy_solutions()
+    depth = len(segments)
+    nodes = 0
+
+    def walk(d, weight, roots=None):
+        nonlocal nodes
+        kind, gen, data, post = segments[d]
+        if roots is not None:
+            candidates = roots
+        elif kind == "assign":
+            candidates = range(order)
+        else:
+            pre, mid, suf, eps = data
+            q = _eval_seq(mid, images, mul, inv, e, order)
+            a = _eval_seq(pre, images, mul, inv, e, order)
+            c = _eval_seq(suf, images, mul, inv, e, order)
+            t = inv[mul[c * order + a]]
+            candidates = solve(q, t) if eps == 1 else solve(t, q)
+        for v in candidates:
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded
+            images[gen] = v
+            if not _run_ops(post, images, mul, inv, e, order):
+                continue
+            if d + 1 == depth:
+                key = tuple(sorted(set(images)))
+                found[key] = found.get(key, 0) + weight
+            else:
+                walk(d + 1, weight)
+
+    if not segments:
+        # every generator deduced from relators: a single candidate to try
+        found[tuple(sorted(set(images)))] = 1
+    elif segments[0][0] == "assign":
+        for rep, size in _ref_conjugacy_classes(group):
+            walk(0, size, (rep,))
+    else:
+        walk(0, 1)
+    tally = {}
+    for key, weight in found.items():
+        value = classify(key)
+        tally[value] = tally.get(value, 0) + weight
+    return tally

@@ -217,6 +217,20 @@ def test_verify_witness_flow(tmp_path, capsys):
     assert "no witness" in json.loads(out)["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "z2.pres", "--K", "abc"],
+    ["homology", "z2.pres", "--simplify-budget", "3"],
+    ["profile"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_errors_are_input_errors(capsys, argv):
+    # exit 2 means a node budget ran out, so a bad command line exits 1
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_corpus_listing(capsys):
     code, out, _ = run(capsys, ["corpus"])
     assert code == 0
@@ -260,6 +274,20 @@ def test_verify_witness_rejects_malformed_verdicts(tmp_path, capsys, doc):
     code, out, err = run(capsys, ["verify-witness", verdict, z2, z3])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", ["--K", "--budget", "--simplify-budget"])
+def test_verify_witness_takes_no_config_options(tmp_path, capsys, option):
+    # the replay runs under the verdict's recorded config
+    z2 = write(tmp_path, "z2.pres", Z2)
+    z3 = write(tmp_path, "z3.pres", Z3)
+    verdict = write(tmp_path, "verdict.json", json.dumps(VERDICT))
+    code, out, err = run(capsys, ["verify-witness", verdict, z2, z3, option, "0"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: unrecognized arguments") and err.count("\n") == 1
+    code, out, _ = run(capsys, ["verify-witness", verdict, z2, z3, "--catalog",
+                                data_path("catalog.json")])
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 _KEYS = ("kind", "group", "index", "left", "right", "invariant", "name", "degree",

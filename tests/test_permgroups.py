@@ -78,7 +78,7 @@ def test_symmetric_groups():
         s = symmetric_group(k)
         assert s.order == math.factorial(k)
         assert symmetric_group(k) is s
-        assert len(s.conjugacy_classes()) == (2, 3, 5, 7)[k - 2]
+        assert len(s.centraliser_orbits(0)) == (2, 3, 5, 7)[k - 2]
 
 
 def test_conjugacy_solutions_against_brute_force(catalog):
@@ -87,7 +87,7 @@ def test_conjugacy_solutions_against_brute_force(catalog):
         mul, inv, _ = g.tables()
         n = g.order
         solve = g.conjugacy_solutions()
-        sizes = dict(g.conjugacy_classes())
+        sizes = dict(g.centraliser_orbits(0))
         assert sum(sizes.values()) == n
         for q in range(n):
             brute = {}
@@ -95,6 +95,46 @@ def test_conjugacy_solutions_against_brute_force(catalog):
                 brute.setdefault(mul[mul[x * n + q] * n + inv[x]], []).append(x)
             for t in range(n):
                 assert sorted(solve(q, t)) == brute.get(t, []), (g.name, q, t)
+
+
+def test_centraliser_orbits_against_brute_force(catalog):
+    for g in catalog.groups + [symmetric_group(k) for k in range(2, 7)]:
+        mul, inv, e = g.tables()
+        n = g.order
+        solve = g.conjugacy_solutions()
+
+        def centraliser(x):
+            return {c for c in range(n) if mul[c * n + x] == mul[x * n + c]}
+
+        # the identity's orbits are the conjugacy classes, read off the solver
+        classes = {min(t for t in range(n) if solve(v, t)) for v in range(n)}
+        classes = [(r, sum(1 for t in range(n) if solve(r, t)))
+                   for r in sorted(classes)]
+        assert list(g.centraliser_orbits(e)) == classes, g.name
+        for r, _ in classes:
+            cent = centraliser(r)
+            orbits = g.centraliser_orbits(r)
+            members = {v: {mul[mul[c * n + v] * n + inv[c]] for c in cent}
+                       for v in range(n)}
+            assert sorted(orbits) == list(orbits)
+            assert sorted(x for v, _ in orbits for x in members[v]) == list(range(n))
+            for v, size in orbits:
+                assert v == min(members[v]), (g.name, r, v)
+                assert size == len(members[v]) == len(cent) // len(cent & centraliser(v))
+            assert list(orbits) == sorted({(min(m), len(m)) for m in members.values()})
+
+
+def test_second_assign_node_counts(catalog):
+    # a search opening with two assigns tries, below each class representative
+    # r, one node per C(r)-orbit instead of one per element
+    groups = [catalog.by_name(name) for name in ("A5", "PSL(2,7)", "A6")]
+    counts = {}
+    for g in groups + [symmetric_group(6)]:
+        roots = g.centraliser_orbits(0)
+        counts[g.name] = (len(roots) * g.order,
+                          sum(len(g.centraliser_orbits(r)) for r, _ in roots))
+    assert counts == {"A5": (300, 77), "PSL(2,7)": (1008, 197), "A6": (2520, 400),
+                      "S6": (7920, 901)}
 
 
 def test_finite_group_rejects_non_permutation():

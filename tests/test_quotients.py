@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from linkgroup import quotients
 from linkgroup.corpus import load_corpus
+from linkgroup.permgroups import symmetric_group
 from linkgroup.presentations import (_reduce_generators, parse_presentation,
                                      serialize_presentation, tietze_simplify)
 from linkgroup.quotients import (MAX_INDEX, HomCount, InvariantProfile,
@@ -15,7 +17,7 @@ from linkgroup.quotients import (MAX_INDEX, HomCount, InvariantProfile,
                                  verify_witness)
 from conftest import pres
 from oracles import (coset_table_low_index, naive_hom_counts,
-                     reference_compile_hom_search)
+                     reference_compile_hom_search, reference_search)
 
 Z = "gens: a\nrels:\n"
 Z2 = "gens: a\nrels: a^2\n"
@@ -73,8 +75,13 @@ def test_count_homs_against_naive_on_randoms(catalog):
 
 
 def test_search_classifies_each_image_set_once(catalog):
-    # F2 into A5: 5 class roots times 60 images are 300 leaves, and each of
-    # the 10 sets {r, s} of two roots is reached from r and from s
+    # F2 into A5: a takes the 5 class representatives r of A5, and b one
+    # representative v per orbit of C(r) acting by conjugation.  By Burnside's
+    # lemma the orbits number 5 for r = e (the classes), 22 for a 3-cycle
+    # (C(r) = C3), 16 for each 5-cycle (C5) and 18 for a double transposition
+    # (V4): 77 leaves.  Each of the 10 sets {r, s} of two roots is reached
+    # from r and from s, since a class representative is the smallest index of
+    # any orbit inside its class, so 67 keys are classified
     calls = []
 
     def classify(key):
@@ -83,9 +90,62 @@ def test_search_classifies_each_image_set_once(catalog):
 
     program = quotients._search_program(pres(F2))
     tally = quotients._search(program, catalog.by_name("A5"), classify, 10 ** 8)
-    assert len(calls) == len(set(calls)) == 290
+    assert len(calls) == len(set(calls)) == 67
     # the weights count homomorphisms: a == b in 60 of the 3600
     assert tally == {1: 60, 2: 3540}
+
+
+class NodeMeter:
+    """A node budget that never runs out and keeps the largest node count
+    compared against it: the smallest budget under which the search completes.
+    """
+    used = 0
+
+    def __lt__(self, nodes):    # the search's test nodes > node_budget
+        self.used = max(self.used, nodes)
+        return False
+
+
+def metered_search(search, program, group, classify):
+    """The tally and the smallest node budget under which search completes."""
+    meter = NodeMeter()
+    tally = search(program, group, classify, meter)
+    assert search(program, group, classify, meter.used) == tally
+    if meter.used:
+        with pytest.raises(quotients.BudgetExceeded):
+            search(program, group, classify, meter.used - 1)
+    return tally, meter.used
+
+
+def test_search_matches_reference_search(catalog):
+    # the same tally as the search without C(r)-orbits, and never more nodes,
+    # so an entry exact under the old search is never flagged now
+    inputs = [pres(F2), pres(TREFOIL), pres(S3_PRES),
+              pres("gens: a, b\nrels: a*b*a^-1 = b^2\n")]
+    rng = random.Random(30)
+    inputs += [random_presentation(rng) for _ in range(25)]
+    groups = catalog.groups + [symmetric_group(k) for k in range(2, 7)]
+    kinds = set()
+    for p in inputs:
+        program = quotients._search_program(p)
+        kinds.add(tuple(kind for kind, _, _, _ in program[1]))
+        for g in groups:
+            if len(program[1]) > 2 and g.order > 24:
+                continue    # the reference walks |g|^2 nodes per root there
+            mul, _, e = g.tables()
+            if g in catalog.groups:
+                classify = functools.lru_cache(maxsize=None)(
+                    lambda key: quotients._subgroup_order(key, mul, e, g.order))
+            else:
+                perms = g.elements()
+                classify = functools.lru_cache(maxsize=None)(
+                    lambda key: quotients._transitive_centraliser(key, perms))
+            tally, used = metered_search(quotients._search, program, g, classify)
+            ref_tally, ref_used = metered_search(reference_search, program, g, classify)
+            assert tally == ref_tally and used <= ref_used, g.name
+    # searches with no segment, one assign, two assigns, three, and a branch
+    assert {(), ("assign",), ("assign", "assign"), ("assign", "assign", "assign"),
+            ("assign", "branch")} <= kinds
 
 
 def test_count_homs_invariant_under_simplification(catalog):
@@ -108,12 +168,13 @@ def test_count_homs_budget_flag(catalog):
 
 
 def test_count_homs_budget_counts_nodes_over_the_whole_search(catalog):
-    # F2 onto A5: 5 class-representative roots, then 60 images each, 305 nodes
+    # F2 onto A5: 5 class-representative roots, then 5 + 22 + 16 + 16 + 18
+    # C(r)-orbit representatives (see the test above), 82 nodes
     a5 = catalog.by_name("A5")
     exact = count_homs(pres(F2), a5, node_budget=10 ** 8)
     assert count_homs(pres(F2), a5, node_budget=400) == exact
-    assert count_homs(pres(F2), a5, node_budget=305) == exact
-    assert count_homs(pres(F2), a5, node_budget=304).budget_exceeded
+    assert count_homs(pres(F2), a5, node_budget=82) == exact
+    assert count_homs(pres(F2), a5, node_budget=81).budget_exceeded
 
 
 def test_low_index_hand_checked():
