@@ -145,18 +145,11 @@ def cmd_corpus(args):
 
     config = _config(args)
     catalog = load_catalog(args.catalog)
-    profiles = {}
-    report_entries = {}
-    for key, entry in entries.items():
-        p = entry.presentation()
-        prof = profile(p, config, catalog)
-        profiles[key] = prof
-        report_entries[key] = {
-            "label": entry.label,
-            "family": entry.family,
-            "partner": entry.partner,
-            "profile": prof.to_dict(),
-        }
+    profiles = {key: profile(entry.presentation(), config, catalog)
+                for key, entry in entries.items()}
+    report_entries = {key: {"label": entry.label, "family": entry.family,
+                            "partner": entry.partner, "profile": profiles[key].to_dict()}
+                      for key, entry in entries.items()}
     verdicts = {}
     seen = set()
     for key, entry in entries.items():
@@ -209,51 +202,30 @@ def _parser():
             p.add_argument("--dialect", choices=("native", "plain", "gap"),
                            default="native", help="output text dialect")
 
-    p = sub.add_parser("derive", help="presentation from a PD-JSON diagram")
-    p.add_argument("file")
-    common(p, dialect=True)
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("simplify", help="rewrite a presentation smaller")
-    p.add_argument("file")
-    common(p, simplify=True, dialect=True)
-    p.set_defaults(func=cmd_simplify)
-
-    p = sub.add_parser("homology", help="first homology of the presented group")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_homology)
-
-    p = sub.add_parser("profile", help="invariant profile of one input")
-    p.add_argument("file")
-    common(p, config=True)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("distinguish", help="compare the profiles of two inputs")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    common(p, config=True)
-    p.set_defaults(func=cmd_distinguish)
-
-    p = sub.add_parser("gem-check", help="sphere test for a 4-colored graph")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_gem_check)
-
-    p = sub.add_parser("verify-witness", help="replay a stored verdict witness")
-    p.add_argument("verdict")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    # the replay runs under the config recorded in the verdict
-    common(p, catalog=True)
-    p.set_defaults(func=cmd_verify_witness)
-
-    p = sub.add_parser("corpus", help="list bundled entries or run the report")
-    p.add_argument("--report", action="store_true",
-                   help="compute profiles and pair verdicts for all entries")
-    common(p, config=True)
-    p.set_defaults(func=cmd_corpus)
-
+    commands = (
+        ("derive", "presentation from a PD-JSON diagram", ["file"], cmd_derive,
+         dict(dialect=True)),
+        ("simplify", "rewrite a presentation smaller", ["file"], cmd_simplify,
+         dict(simplify=True, dialect=True)),
+        ("homology", "first homology of the presented group", ["file"], cmd_homology, {}),
+        ("profile", "invariant profile of one input", ["file"], cmd_profile, dict(config=True)),
+        ("distinguish", "compare the profiles of two inputs", ["file_a", "file_b"],
+         cmd_distinguish, dict(config=True)),
+        ("gem-check", "sphere test for a 4-colored graph", ["file"], cmd_gem_check, {}),
+        # the replay runs under the config recorded in the verdict
+        ("verify-witness", "replay a stored verdict witness", ["verdict", "file_a", "file_b"],
+         cmd_verify_witness, dict(catalog=True)),
+        ("corpus", "list bundled entries or run the report", [], cmd_corpus, dict(config=True)),
+    )
+    for name, help_text, positionals, func, options in commands:
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
+        if name == "corpus":
+            p.add_argument("--report", action="store_true",
+                           help="compute profiles and pair verdicts for all entries")
+        common(p, **options)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -97,20 +97,12 @@ class SmithDecomposition:
         if abs(self.u.det()) != 1 or abs(self.v.det()) != 1:
             return False
         diag = [self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols))]
-        for i, x in enumerate(diag):
-            if x < 0:
-                return False
-            if i + 1 < len(diag):
-                nxt = diag[i + 1]
-                if x == 0 and nxt != 0:
-                    return False
-                if x != 0 and nxt % x != 0:
-                    return False
-        for i in range(self.d.rows):
-            for j in range(self.d.cols):
-                if i != j and self.d.entries[i][j] != 0:
-                    return False
-        return True
+        # nonnegative, each entry dividing the next (zeros last), nothing off it
+        if any(x < 0 for x in diag) or any(y if x == 0 else y % x
+                                           for x, y in zip(diag, diag[1:])):
+            return False
+        return not any(self.d.entries[i][j] for i in range(self.d.rows)
+                       for j in range(self.d.cols) if i != j)
 
 
 def _swap_rows(a, u, i, j):

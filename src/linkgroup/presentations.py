@@ -13,12 +13,15 @@ one.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .diagrams import under_walk
 from .words import Word
 
 GEN_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# parse_presentation rejects relators whose powers expand past this many letters
+MAX_LETTERS = 10 ** 6
 
 
 class PresentationSyntaxError(ValueError):
@@ -130,79 +133,108 @@ def fundamental_group(diagram):
     return GroupPresentation(generators, relators, provenance="derived")
 
 
-def _definition_candidates(relators):
-    """Relators of the form g = w with g a generator not occurring in w."""
+# --- Tietze rewriting on encoded words ----------------------------------------
+#
+# Rewriting runs on one str per word, one character per letter: generator i
+# of the input is chr(2 * i) and its inverse chr(2 * i + 1), so two letters
+# cancel when their code points differ in the lowest bit only.  A word's
+# inverse is s[::-1].translate(table), matching is str.find and substitution
+# is str.replace; words are decoded into Words once, at the return.
+
+def _encoder(generators):
+    """(encode, decode, table) for words over generators; table inverts letters."""
+    index = {g: 2 * i for i, g in enumerate(generators)}
+    letters = [(g, e) for g in generators for e in (1, -1)]
+    return (lambda word: "".join([chr(index[g] + (e < 0)) for g, e in word.letters]),
+            lambda s: Word(tuple([letters[ord(c)] for c in s])),
+            "".join(chr(c ^ 1) for c in range(len(letters))))
+
+
+def _reduce(s, cyclic=False):
+    """Cancel adjacent inverse letters, then, if cyclic, those at the two ends."""
     out = []
-    for idx, r in enumerate(relators):
-        if len(r.lhs) == 1 and r.lhs.letters[0][1] == 1:
-            g = r.lhs.letters[0][0]
-            if g not in r.rhs.generators():
-                out.append((len(r.lhs) + len(r.rhs), g, idx))
-    return out
+    for c in s:
+        if out and ord(out[-1]) ^ ord(c) == 1:
+            out.pop()
+        else:
+            out.append(c)
+    while cyclic and len(out) >= 2 and ord(out[0]) ^ ord(out[-1]) == 1:
+        out = out[1:-1]
+    return "".join(out)
 
 
-def _substitute_relator(r, name, replacement):
-    return Relator(r.lhs.substitute(name, replacement).free_reduce(),
-                   r.rhs.substitute(name, replacement).free_reduce())
+def _uses(relator, letter):
+    both = "".join(relator)
+    return letter in both or chr(ord(letter) ^ 1) in both
 
 
-def _reduce_relator(r):
-    if not r.rhs.letters:
-        return Relator(r.lhs.cyclic_reduce())
-    return Relator(r.lhs.free_reduce(), r.rhs.free_reduce())
+def _substitute_relator(relator, letter, replacement, table):
+    """Each side with letter replaced by replacement and its inverse letter by
+    the inverse, freely reduced; replacement holds neither letter."""
+    other, inverse = chr(ord(letter) ^ 1), replacement[::-1].translate(table)
+    return tuple(_reduce(side.replace(letter, replacement).replace(other, inverse))
+                 for side in relator)
 
 
-def _cyclic_match(target, source):
+def _cyclic_match(target, source, table):
     """Find the longest overlap of source (or its inverse) with cyclic target.
 
     Returns the target with that overlap replaced by the inverse of the source
     remainder, cyclically reduced, or None when no overlap is longer than half
-    the source.  Such a replacement always shortens the target.
+    the source.  Such a replacement always shortens the target.  Of equally
+    long overlaps the first wins: source before inverse, then by rotation,
+    then by start.  The prefixes of a rotation that occur in the doubled
+    target are closed under shortening, so a rotation is skipped when its
+    shortest useful prefix does not occur, and otherwise the prefix grows
+    while it occurs; str.find's first start always lies in the first copy.
     """
-    t = target.letters
-    if len(t) < 2:
+    n = len(target)
+    if n < 2:
         return None
-    doubled = t + t
-    best = None
-    for s in (source.letters, source.inverse().letters):
-        m = len(s)
-        top = min(m, len(t))
+    doubled = target + target
+    m, best = len(source), None
+    top, floor = min(m, n), m // 2
+    for s in (source, source[::-1].translate(table)):
+        ss = s + s
         for rot in range(m):
-            srot = s[rot:] + s[:rot]
-            for length in range(top, m // 2, -1):
-                if best is not None and length <= best[0]:
+            if floor >= top:
+                break
+            length = floor + 1
+            start = doubled.find(ss[rot:rot + length])
+            while start >= 0 and length < top:
+                longer = doubled.find(ss[rot:rot + length + 1], start)
+                if longer < 0:
                     break
-                pattern = srot[:length]
-                for start in range(len(t)):
-                    if doubled[start:start + length] == pattern:
-                        remainder = Word(srot[length:])
-                        rest = Word(doubled[start + length:start + len(t)])
-                        best = (length, (remainder.inverse() * rest).cyclic_reduce())
-                        break
-    return None if best is None else best[1]
+                length, start = length + 1, longer
+            if start >= 0:
+                best, floor = (start, ss[rot + length:rot + m]), length
+    if best is not None:
+        start, remainder = best
+        return _reduce(remainder[::-1].translate(table) + doubled[start + floor:start + n], True)
 
 
-def _shortening(rels, matches):
+def _shortening(rels, cyclic, matches, table):
     """The first phase-3 rewrite: (target index, shortened word), or None.
 
     Sources are tried shortest first (ties by index), and for each source the
     targets in the same order, skipping targets shorter than the source.
-    matches maps a (target, source) pair of cyclic letter tuples to its
-    _cyclic_match result, so a pair is matched once per tietze_simplify call.
+    cyclic maps a relator to its cyclically reduced word, and matches a
+    (target, source) pair of such words to its _cyclic_match result, so each
+    is computed once per tietze_simplify call.
     """
-    words = [r.word for r in rels]
-    cyclic = [w.cyclic_reduce() for w in words]
-    letters = [w.letters for w in cyclic]
-    order = sorted(range(len(rels)), key=lambda i: (len(words[i]), i))
+    words = []
+    for r in rels:
+        if r not in cyclic:
+            cyclic[r] = _reduce(r[0] + r[1][::-1].translate(table), True)
+        words.append(cyclic[r])
+    order = sorted(range(len(rels)), key=lambda i: (len(rels[i][0]) + len(rels[i][1]), i))
     for si in order:
-        source = letters[si]
-        if not source:
-            continue
+        source = words[si]
         for ti in order:
-            if ti != si and len(letters[ti]) >= len(source):
-                key = (letters[ti], source)
+            if source and ti != si and len(words[ti]) >= len(source):
+                key = (words[ti], source)
                 if key not in matches:
-                    matches[key] = _cyclic_match(cyclic[ti], cyclic[si])
+                    matches[key] = _cyclic_match(words[ti], source, table)
                 if matches[key] is not None:
                     return ti, matches[key]
     return None
@@ -221,40 +253,46 @@ def tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
     one unit of budget; the result is returned as-is when the budget runs out
     or no phase changes anything.
 
-    The work is incremental: an elimination rewrites only the relators that
-    contain the eliminated generator, and phase 3 matches each (target,
-    source) relator pair at most once per call, so after a rewrite only the
-    pairs involving the changed relator are matched again.
+    Each side of a relator is an encoded word, and the work is incremental:
+    an elimination rewrites only the relators that contain the eliminated
+    generator, phase 2 reduces only relators it has not yet found fixed, and
+    phase 3 matches each (target, source) pair at most once per call.
     """
-    gens = list(presentation.generators)
-    rels = list(presentation.relators)
+    names = presentation.generators
+    encode, decode, table = _encoder(names)
+    gens = list(names)
+    rels = [(encode(r.lhs), encode(r.rhs)) for r in presentation.relators]
     # The first elimination freely reduces every relator (parsed ones may be
     # unreduced); every later rewrite leaves them reduced, so from then on a
     # relator without the eliminated generator is kept as it is.
     all_reduced = False
-    matches = {}
+    fixed, cyclic, matches = set(), {}, {}
     for _ in range(budget):
-        candidates = _definition_candidates(rels) if 1 in phases else []
-        if candidates:
-            _, g, idx = min(candidates)
-            w = rels.pop(idx).rhs
+        definitions = [(1 + len(rhs), names[ord(lhs) >> 1], idx)
+                       for idx, (lhs, rhs) in enumerate(rels) if 1 in phases
+                       and len(lhs) == 1 and not ord(lhs) & 1 and not _uses((rhs,), lhs)]
+        if definitions:
+            _, g, idx = min(definitions)
+            letter, w = rels.pop(idx)
             gens.remove(g)
-            rels = [_substitute_relator(r, g, w) if not all_reduced or g in r.generators() else r
-                    for r in rels]
+            rels = [_substitute_relator(r, letter, w, table)
+                    if not all_reduced or _uses(r, letter) else r for r in rels]
             all_reduced = True
             continue
         if 2 in phases:
-            reduced = [_reduce_relator(r) for r in rels]
-            kept = [r for r in reduced if r.word.free_reduce().letters]
+            kept = [r if r in fixed else (_reduce(r[0], not r[1]), _reduce(r[1])) for r in rels]
+            kept = [r for r in kept if r[0] != r[1]]
             if kept != rels:
                 rels = kept
                 continue
-        shortening = _shortening(rels, matches) if 3 in phases else None
+            fixed.update(rels)
+        shortening = _shortening(rels, cyclic, matches, table) if 3 in phases else None
         if shortening is None:
             break
-        ti, word = shortening
-        rels[ti] = Relator(word)
-    return GroupPresentation(tuple(gens), tuple(rels), provenance="simplified")
+        rels[shortening[0]] = (shortening[1], "")
+    return GroupPresentation(tuple(gens), tuple(Relator(decode(lhs), decode(rhs))
+                                                for lhs, rhs in rels),
+                             provenance="simplified")
 
 
 def _reduce_generators(presentation, length_cap=4, budget=1000):
@@ -265,49 +303,42 @@ def _reduce_generators(presentation, length_cap=4, budget=1000):
     presented group is unchanged; the candidate with the least total-length
     growth is eliminated first (ties by relator length, then generator name).
     Used internally to compile presentations for search; the result has bare
-    cyclically reduced relators.  Each elimination rewrites only the relators
-    that contain the eliminated generator; the others are already cyclically
-    reduced and stay as they are.
+    cyclically reduced relators.  Relators are encoded words, each kept with
+    the generators it holds exactly once; an elimination rewrites and recounts
+    only the relators that contain the eliminated generator.
     """
-    gens = list(presentation.generators)
-    rels = [r.word.cyclic_reduce() for r in presentation.relators]
-    rels = [w for w in rels if w.letters]
-    original = max(sum(len(w) for w in rels), 50)
+    names = presentation.generators
+    encode, decode, table = _encoder(names)
+    fold = "".join(chr(c & ~1) for c in range(len(table)))
+    def single(w):
+        return [c for c, k in Counter(w.translate(fold)).items() if k == 1]
+    gens = list(names)
+    rels = [_reduce(encode(r.word), True) for r in presentation.relators]
+    rels = [w for w in rels if w]
+    singles = [single(w) for w in rels]
+    original = max(sum(map(len, rels)), 50)
     for _ in range(budget):
-        counts = {g: [] for g in gens}
-        for ri, w in enumerate(rels):
-            per = {}
-            for name, _ in w.letters:
-                per[name] = per.get(name, 0) + 1
-            for name, cnt in per.items():
-                counts[name].append((ri, cnt))
-        best = None
-        for g in gens:
-            total = sum(cnt for _, cnt in counts[g])
-            for ri, cnt in counts[g]:
-                if cnt != 1:
-                    continue
-                growth = (total - 1) * (len(rels[ri]) - 2) - len(rels[ri])
-                key = (growth, len(rels[ri]), g, ri)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        totals = Counter("".join(rels).translate(fold))
+        best = min((((totals[c] - 1) * (n - 2) - n, n, names[ord(c) >> 1], ri, c)
+                    for ri, n in enumerate(map(len, rels)) for c in singles[ri]), default=None)
+        if best is None or sum(map(len, rels)) + best[0] > length_cap * original:
             break
-        growth, _, g, ri = best
-        current = sum(len(w) for w in rels)
-        if current + growth > length_cap * original:
-            break
-        w = rels[ri]
-        pos = next(i for i, (name, _) in enumerate(w.letters) if name == g)
-        exp = w.letters[pos][1]
-        rest = Word(w.letters[pos + 1:] + w.letters[:pos])
-        replacement = rest.inverse() if exp == 1 else rest
-        touched = {i for i, _ in counts[g]}
+        _, _, g, ri, letter = best
         gens.remove(g)
-        rels = [v.substitute(g, replacement).cyclic_reduce() if i in touched else v
-                for i, v in enumerate(rels) if i != ri]
-        rels = [v for v in rels if v.letters]
-    return GroupPresentation(tuple(gens), tuple(Relator(w) for w in rels),
+        w = rels.pop(ri)
+        del singles[ri]
+        other = chr(ord(letter) ^ 1)
+        pos = max(w.find(letter), w.find(other))
+        rest = w[pos + 1:] + w[:pos]
+        replacement = rest[::-1].translate(table) if w[pos] == letter else rest
+        inverse = replacement[::-1].translate(table)
+        for i, v in enumerate(rels):
+            if letter in v or other in v:
+                rels[i] = _reduce(v.replace(letter, replacement).replace(other, inverse), True)
+                singles[i] = single(rels[i])
+        singles = [x for v, x in zip(rels, singles) if v]
+        rels = [v for v in rels if v]
+    return GroupPresentation(tuple(gens), tuple(Relator(decode(w)) for w in rels),
                              provenance="simplified")
 
 
@@ -333,20 +364,31 @@ def _tokenize(line, lineno):
 
 
 class _WordParser:
-    def __init__(self, tokens, known):
-        self.tokens = tokens
-        self.i = 0
+    """Parses relators over the known generators, counting the letters of
+    their expansion so far."""
+
+    def __init__(self, known):
         self.known = known
+        self.letters = 0
+
+    def relator(self, tokens):
+        self.tokens, self.i = tokens, 0
+        lhs, rhs = self.word(), Word()
+        if self.peek() == "=":
+            self.take()
+            rhs = self.word()
+        if self.peek() is not None:
+            self.fail("unexpected token")
+        return Relator(lhs, rhs)
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
 
     def fail(self, message):
-        if self.i < len(self.tokens):
-            _, lineno, col = self.tokens[self.i]
-            raise PresentationSyntaxError("line %d, column %d: %s" % (lineno, col, message))
-        _, lineno, col = self.tokens[-1]
-        raise PresentationSyntaxError("line %d, column %d: %s after this" % (lineno, col, message))
+        at_end = self.i >= len(self.tokens)
+        _, lineno, col = self.tokens[-1 if at_end else self.i]
+        raise PresentationSyntaxError("line %d, column %d: %s%s" % (
+            lineno, col, message, " after this" if at_end else ""))
 
     def take(self):
         tok = self.tokens[self.i]
@@ -377,14 +419,22 @@ class _WordParser:
             tok = self.peek()
             if tok is None or not re.fullmatch(r"-?\d+", tok):
                 self.fail("expected an integer exponent")
-            exp = int(self.take()[0])
+            _, lineno, col = self.take()
+            # int() reads at most one digit more than MAX_LETTERS has: enough to pass it
+            digits = tok.lstrip("-").lstrip("0")[:len(str(MAX_LETTERS)) + 1] or "0"
+            exp = -int(digits) if tok[0] == "-" else int(digits)
             if exp == 0:
                 self.fail("zero exponent")
+        self.letters += abs(exp)
+        if self.letters > MAX_LETTERS:
+            raise PresentationSyntaxError("line %d, column %d: the relators expand to more "
+                                          "than %d letters" % (lineno, col, MAX_LETTERS))
         return (name, exp)
 
 
 def parse_presentation(text):
-    """Parse presentation text: a gens: line plus rels: lines of ;-separated relators."""
+    """Parse presentation text: a gens: line plus rels: lines of ;-separated
+    relators, whose powers may expand to at most MAX_LETTERS letters in all."""
     gens = None
     relator_token_groups = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -398,56 +448,35 @@ def parse_presentation(text):
                 raise PresentationSyntaxError("line %d: expected 'gens:'" % lineno)
             if gens is not None:
                 raise PresentationSyntaxError("line %d: duplicate gens: line" % lineno)
-            gens = []
             rest = tokens[2:]
-            while rest:
-                name, ln, col = rest[0]
-                if not GEN_NAME.match(name):
+            for k, (tok, ln, col) in enumerate(rest):
+                if k % 2 == 0 and not GEN_NAME.match(tok):
                     raise PresentationSyntaxError(
-                        "line %d, column %d: bad generator name %r" % (ln, col, name))
-                gens.append(name)
-                rest = rest[1:]
-                if rest:
-                    if rest[0][0] != ",":
-                        raise PresentationSyntaxError(
-                            "line %d, column %d: expected ',' between generator names"
-                            % (rest[0][1], rest[0][2]))
-                    rest = rest[1:]
-                    if not rest:
-                        raise PresentationSyntaxError(
-                            "line %d: trailing comma in gens: line" % lineno)
+                        "line %d, column %d: bad generator name %r" % (ln, col, tok))
+                if k % 2 and tok != ",":
+                    raise PresentationSyntaxError(
+                        "line %d, column %d: expected ',' between generator names" % (ln, col))
+            if rest and len(rest) % 2 == 0:
+                raise PresentationSyntaxError("line %d: trailing comma in gens: line" % lineno)
+            gens = [tok for tok, _, _ in rest[::2]]
         elif head == "rels":
             if len(tokens) < 2 or tokens[1][0] != ":":
                 raise PresentationSyntaxError("line %d: expected 'rels:'" % lineno)
-            group = []
+            relator_token_groups.append([])
             for tok in tokens[2:]:
                 if tok[0] == ";":
-                    relator_token_groups.append(group)
-                    group = []
+                    relator_token_groups.append([])
                 else:
-                    group.append(tok)
-            relator_token_groups.append(group)
+                    relator_token_groups[-1].append(tok)
         else:
             raise PresentationSyntaxError(
                 "line %d: expected a 'gens:' or 'rels:' line" % lineno)
     if gens is None:
         raise PresentationSyntaxError("missing gens: line")
 
-    known = set(gens)
-    relators = []
-    for group in relator_token_groups:
-        if not group:
-            continue
-        parser = _WordParser(group, known)
-        lhs = parser.word()
-        rhs = Word()
-        if parser.peek() == "=":
-            parser.take()
-            rhs = parser.word()
-        if parser.peek() is not None:
-            parser.fail("unexpected token")
-        relators.append(Relator(lhs, rhs))
-    return GroupPresentation(tuple(gens), tuple(relators), provenance="parsed")
+    parser = _WordParser(set(gens))
+    relators = tuple(parser.relator(group) for group in relator_token_groups if group)
+    return GroupPresentation(tuple(gens), relators, provenance="parsed")
 
 
 def _word_text(word, sep="*"):

@@ -15,6 +15,13 @@ class Word:
 
     letters: tuple = ()
 
+    @classmethod
+    def _of(cls, letters):
+        """A word from letters known to be valid, built without checking them."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     def __post_init__(self):
         for letter in self.letters:
             name, exp = letter
@@ -41,10 +48,10 @@ class Word:
         return iter(self.letters)
 
     def __mul__(self, other):
-        return Word(self.letters + other.letters)
+        return Word._of(self.letters + other.letters)
 
     def inverse(self):
-        return Word(tuple((name, -exp) for name, exp in reversed(self.letters)))
+        return Word._of(tuple((name, -exp) for name, exp in reversed(self.letters)))
 
     def free_reduce(self):
         """Cancel adjacent inverse pairs until none remain."""
@@ -54,14 +61,14 @@ class Word:
                 out.pop()
             else:
                 out.append((name, exp))
-        return Word(tuple(out))
+        return Word._of(tuple(out))
 
     def cyclic_reduce(self):
         """Freely reduce, then strip matching inverse letters from the two ends."""
         letters = list(self.free_reduce().letters)
         while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
             letters = letters[1:-1]
-        return Word(tuple(letters))
+        return Word._of(tuple(letters))
 
     def exponent_sum(self, name):
         return sum(exp for n, exp in self.letters if n == name)
@@ -79,4 +86,4 @@ class Word:
                 letters.extend(replacement.letters)
             else:
                 letters.extend(replacement.inverse().letters)
-        return Word(tuple(letters))
+        return Word._of(tuple(letters))

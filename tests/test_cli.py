@@ -386,3 +386,53 @@ def test_gem_check_survives_mutated_graphs(tmp_path, mutations):
     code, err = run_mutated(tmp_path, json.loads(K33_PLUS), mutations,
                             ["gem-check", "INPUT"])
     assert code in (0, 1) and (code == 1) == bool(err)
+
+
+_DIAGRAM_PATHS = [(), ("name",), ("components",), ("components", 0), ("components", 1, 2),
+                  ("crossings",), ("crossings", 3)] + [
+    ("crossings", 3, key) for key in ("over", "under_in", "under_out", "sign")]
+
+
+@FUZZ
+@given(mutation_lists(_DIAGRAM_PATHS))
+def test_diagram_commands_survive_mutated_diagrams(tmp_path, mutations):
+    base = json.loads(data_text("u1466.pd.json"))
+    for command in ("derive", "homology"):
+        code, err = run_mutated(tmp_path, base, mutations, [command, "INPUT"])
+        assert code in (0, 1) and (code == 1) == bool(err)
+
+
+BASE_PRESENTATION = "# two generators\ngens: a, b\nrels: a*b*a = b*a*b; a^2 = b^-1*a\n"
+_TEXT_EDITS = st.lists(st.tuples(
+    st.integers(0, len(BASE_PRESENTATION)), st.integers(0, 3),
+    st.sampled_from(["", "a", "b", "x", "^", "-", "*", "=", ";", ":", ",", "#", " ",
+                     "\n", "1", "0", "^-1", "gens:", "rels:", "é", "\t"])),
+    min_size=1, max_size=3)
+
+
+@FUZZ
+@given(_TEXT_EDITS)
+def test_presentation_commands_survive_mutated_text(tmp_path, edits):
+    """Each edit replaces up to three characters at a position by a snippet;
+    every command exits with a documented code, with nothing or one error
+    line on standard error."""
+    text = BASE_PRESENTATION
+    for position, width, snippet in edits:
+        position = min(position, len(text))
+        text = text[:position] + snippet + text[position + width:]
+    path = write(tmp_path, "mutated.pres", text)
+    for argv in (["simplify", path], ["homology", path], ["profile", path, "--K", "2"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert code in (0, 1, 2, 10)
+        assert err.getvalue() == "" or (code == 1 and err.getvalue().startswith("error: ")
+                                        and err.getvalue().count("\n") == 1)
+
+
+def test_huge_power_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, "huge.pres", "gens: a\nrels: a^300000000\n")
+    for argv in (["simplify", path], ["homology", path], ["profile", path, "--K", "2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 2, column 9: ") and err.count("\n") == 1

@@ -12,7 +12,8 @@ from linkgroup.presentations import (GroupPresentation, PresentationSyntaxError,
 from linkgroup.homology import first_homology
 from linkgroup.words import Word
 from conftest import CORPUS_KEYS, data_text
-from oracles import reference_reduce_generators, reference_tietze_simplify
+from oracles import (_ref_cyclic_match, reference_reduce_generators,
+                     reference_tietze_simplify)
 
 
 def test_transition_name():
@@ -78,6 +79,23 @@ def test_parse_errors():
         parse_presentation("gens: a\nrels: a b\n")
     with pytest.raises(PresentationSyntaxError):
         parse_presentation("gens: a\nrels: a = = a\n")
+
+
+def test_huge_powers_are_rejected_before_expanding(monkeypatch):
+    with pytest.raises(PresentationSyntaxError, match=r"^line 2, column 16: .* 1000000 letters"):
+        parse_presentation("gens: a, b\nrels: a^2*b; b^300000000\n")
+    # thousands of digits, leading zeros included, never reach int()
+    with pytest.raises(PresentationSyntaxError, match="^line 2, column 9: "):
+        parse_presentation("gens: a\nrels: a^" + "9" * 5000 + "\n")
+    p = parse_presentation("gens: a\nrels: a^-" + "0" * 5000 + "7\n")
+    assert p.relators[0].lhs.letters == (("a", -1),) * 7
+    # the limit counts the letters of all relators together
+    monkeypatch.setattr(presentations, "MAX_LETTERS", 10)
+    assert len(parse_presentation("gens: a, b\nrels: a^4 = b\nrels: b^-4*a").relators) == 2
+    with pytest.raises(PresentationSyntaxError, match="^line 3, column 9: "):
+        parse_presentation("gens: a, b\nrels: a^4 = b\nrels: b^-6*a")
+    with pytest.raises(PresentationSyntaxError, match="^line 3, column 14: "):
+        parse_presentation("gens: a, b\nrels: a^4 = b\nrels: b^-4*a*a")
 
 
 def test_parse_empty_word_and_powers():
@@ -217,13 +235,14 @@ def test_tietze_rewrites_only_touched_relators_and_matches_each_pair_once(monkey
     cyclic_match = presentations._cyclic_match
     substitute_relator = presentations._substitute_relator
 
-    def counting_match(target, source):
-        matched.append((target.letters, source.letters))
-        return cyclic_match(target, source)
+    def counting_match(target, source, table):
+        matched.append((target, source))
+        return cyclic_match(target, source, table)
 
-    def counting_substitute(r, name, replacement):
-        substituted.append((name, name in r.generators()))
-        return substitute_relator(r, name, replacement)
+    def counting_substitute(r, letter, replacement, table):
+        inverse_letter = chr(ord(letter) ^ 1)
+        substituted.append((letter, any(letter in side or inverse_letter in side for side in r)))
+        return substitute_relator(r, letter, replacement, table)
 
     monkeypatch.setattr(presentations, "_cyclic_match", counting_match)
     monkeypatch.setattr(presentations, "_substitute_relator", counting_substitute)
@@ -240,6 +259,59 @@ def test_tietze_rewrites_only_touched_relators_and_matches_each_pair_once(monkey
         assert all(later), text
         later_substitutions += len(later)
     assert later_substitutions > 0
+
+
+def longest_overlaps(target, source):
+    """Every (direction, rotation, start) at which source (direction 0) or its
+    inverse (1), rotated, overlaps cyclic target longest, if longer than half
+    the source."""
+    t, n, found = target.letters, len(target), {}
+    for direction, s in enumerate((source.letters, source.inverse().letters)):
+        m = len(s)
+        for rot in range(m):
+            srot = s[rot:] + s[:rot]
+            for start in range(n):
+                length = 0
+                while length < min(m, n) and t[(start + length) % n] == srot[length]:
+                    length += 1
+                if length > m // 2:
+                    found.setdefault(length, []).append((direction, rot, start))
+    return found[max(found)] if found else []
+
+
+def random_cyclic_word(rng, names, max_len):
+    """A cyclically reduced word; a third of them powers of a short word."""
+    if rng.random() < 1 / 3:
+        root = Word.from_syllables((rng.choice(names), rng.choice((1, -1)))
+                                   for _ in range(rng.randint(1, 3)))
+        return Word(root.letters * rng.randint(1, max_len // len(root))).cyclic_reduce()
+    return Word.from_syllables((rng.choice(names), rng.choice((1, -1)))
+                               for _ in range(rng.randint(0, max_len))).cyclic_reduce()
+
+
+def test_cyclic_match_matches_reference_on_random_pairs():
+    """The str.find matcher against the oracle's slice comparisons, on pairs
+    over few generators, where equally long overlaps are common: in both
+    directions, and at several starts of one rotation."""
+    names = ("a", "b", "c")
+    encode, decode, table = presentations._encoder(names)
+    rng = random.Random(29)
+    both_directions = several_starts = matched = 0
+    for _ in range(4000):
+        sub = names[:rng.randint(1, 3)]
+        target, source = random_cyclic_word(rng, sub, 12), random_cyclic_word(rng, sub, 8)
+        if not source.letters:
+            continue
+        want = _ref_cyclic_match(target, source)
+        got = presentations._cyclic_match(encode(target), encode(source), table)
+        assert (None if got is None else decode(got)) == want, (target, source)
+        best = longest_overlaps(target, source) if len(target) >= 2 else []
+        matched += want is not None
+        both_directions += len({direction for direction, _, _ in best}) == 2
+        rotations = [(direction, rot) for direction, rot, _ in best]
+        several_starts += len(set(rotations)) < len(rotations)
+    assert matched > 1000 and both_directions > 50 and several_starts > 500, (
+        matched, both_directions, several_starts)
 
 
 def test_reduce_generators_matches_reference_implementation():

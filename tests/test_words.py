@@ -17,6 +17,20 @@ def test_letters_are_validated():
         Word.from_syllables([("a", 0)])
 
 
+def test_operations_do_not_validate_again(monkeypatch):
+    u, v = w(("a", 1), ("b", -1)), w(("b", 1), ("c", 1))
+    checks = []
+    monkeypatch.setattr(Word, "__post_init__", lambda self: checks.append(self))
+    results = [u * v, u.inverse(), (u * v).free_reduce(), (u * u.inverse()).cyclic_reduce(),
+               u.substitute("a", v)]
+    assert checks == []
+    assert [r.letters for r in results] == [
+        (("a", 1), ("b", -1), ("b", 1), ("c", 1)), (("b", 1), ("a", -1)),
+        (("a", 1), ("c", 1)), (), (("b", 1), ("c", 1), ("b", -1))]
+    Word((("a", 1),))
+    assert len(checks) == 1
+
+
 def test_from_syllables_expands_powers():
     assert Word.from_syllables([("a", 3)]).letters == (("a", 1),) * 3
     assert Word.from_syllables([("a", -2)]).letters == (("a", -1),) * 2
