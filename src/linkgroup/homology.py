@@ -23,6 +23,14 @@ class IntegerMatrix:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ValueError("matrix entries must be plain ints, got %r" % (x,))
 
+    @classmethod
+    def _of(cls, entries, cols):
+        """A matrix from rows of plain ints known to be valid, built without checking them."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", entries)
+        object.__setattr__(matrix, "cols", cols)
+        return matrix
+
     @property
     def rows(self):
         return len(self.entries)
@@ -44,46 +52,20 @@ class IntegerMatrix:
     def zeros(cls, rows, cols):
         return cls(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)), cols)
 
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        out = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                    for row in self.entries)
-        return IntegerMatrix(out, other.cols)
-
-    def det(self):
-        """Exact determinant by Bareiss fraction-free elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D diagonal in a divisibility chain."""
+    """U @ A @ V == D with U, V unimodular and D diagonal in a divisibility chain.
+
+    u_inv and v_inv are the inverses of U and V; they make the certificate
+    checkable from sparse products alone.
+    """
 
     d: IntegerMatrix
     u: IntegerMatrix
     v: IntegerMatrix
+    u_inv: IntegerMatrix
+    v_inv: IntegerMatrix
 
     @property
     def invariant_factors(self):
@@ -91,69 +73,116 @@ class SmithDecomposition:
                      if self.d.entries[i][i] != 0)
 
     def verify(self, matrix):
-        """Re-check the decomposition exactly against the original matrix."""
-        if (self.u @ matrix) @ self.v != self.d:
+        """Re-check the decomposition exactly against the original matrix.
+
+        U @ A == D @ V^-1 together with U @ U^-1 == I and V @ V^-1 == I gives
+        U @ A @ V == D with U and V unimodular (an integer matrix with an
+        integer inverse has determinant +-1).  A decomposition of the wrong
+        shape is rejected before any product.
+        """
+        m, n = matrix.rows, matrix.cols
+        shapes = ((self.d, m, n), (self.u, m, m), (self.u_inv, m, m),
+                  (self.v, n, n), (self.v_inv, n, n))
+        if any(x.rows != rows or x.cols != cols for x, rows, cols in shapes):
             return False
-        if abs(self.u.det()) != 1 or abs(self.v.det()) != 1:
-            return False
-        diag = [self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols))]
+        diag = [self.d.entries[i][i] for i in range(min(m, n))]
         # nonnegative, each entry dividing the next (zeros last), nothing off it
         if any(x < 0 for x in diag) or any(y if x == 0 else y % x
                                            for x, y in zip(diag, diag[1:])):
             return False
-        return not any(self.d.entries[i][j] for i in range(self.d.rows)
-                       for j in range(self.d.cols) if i != j)
+        if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(self.d.entries)):
+            return False
+        # D is diagonal: row i of D @ V^-1 is d_i times row i of V^-1, zero past the diagonal
+        d_v_inv = [[x * diag[i] for x in self.v_inv.entries[i]] if i < len(diag) else [0] * n
+                   for i in range(m)]
+        return (_product(self.u.entries, matrix.entries, n) == d_v_inv
+                and _product(self.u.entries, self.u_inv.entries, m) == _identity(m)
+                and _product(self.v.entries, self.v_inv.entries, n) == _identity(n))
 
 
-def _swap_rows(a, u, i, j):
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
+def _product(left, right, cols):
+    """The rows of left @ right as lists, formed from the nonzeros of both."""
+    right = [[(j, x) for j, x in enumerate(row) if x] for row in right]
+    out = []
+    for row in left:
+        acc = [0] * cols
+        for k, c in enumerate(row):
+            if c:
+                for j, x in right[k]:
+                    acc[j] += c * x
+        out.append(acc)
+    return out
 
 
-def _swap_cols(a, v, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(a, u, dst, src, factor):
-    a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-    u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-
-def _add_col(a, v, dst, src, factor):
-    for row in a:
-        row[dst] += factor * row[src]
-    for row in v:
-        row[dst] += factor * row[src]
+def _identity(n):
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def smith_normal_form(matrix):
     """Diagonalize over the integers, tracking the row and column transforms.
 
     The pivot is always a minimal-absolute-value nonzero entry of the remaining
-    block, which keeps intermediate entries small.  Every returned
+    block, the first in row-major order, which keeps intermediate entries
+    small.  Each row operation on A is applied to U and, inverted, to U^-1;
+    each column operation to V and, inverted, to V^-1.  U^-1 and V are kept
+    transposed, so that every operation rewrites whole rows.  Every returned
     decomposition is re-verified exactly before being handed back.
     """
     m, n = matrix.rows, matrix.cols
     a = [list(row) for row in matrix.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = _identity(m)
+    u_inv_t = _identity(m)
+    v_t = _identity(n)
+    v_inv = _identity(n)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        v_t[i], v_t[j] = v_t[j], v_t[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def add_row(dst, src, factor):
+        # R_dst += f R_src on A and U is C_src -= f C_dst on U^-1
+        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+        u_inv_t[src] = [x - factor * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
+
+    def add_col(dst, src, factor):
+        # C_dst += f C_src on A and V is R_src -= f R_dst on V^-1
+        for row in a:
+            if row[src]:
+                row[dst] += factor * row[src]
+        v_t[dst] = [x + factor * y for x, y in zip(v_t[dst], v_t[src])]
+        v_inv[src] = [x - factor * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     t = 0
     while t < min(m, n):
         best = None
+        low = 0
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(row[j])
+                if x and (best is None or x < low):
+                    best, low = (i, j), x
+                    if x == 1:
+                        break
+            if low == 1:
+                break
         if best is None:
             break
         if best[0] != t:
-            _swap_rows(a, u, t, best[0])
+            swap_rows(t, best[0])
         if best[1] != t:
-            _swap_cols(a, v, t, best[1])
+            swap_cols(t, best[1])
 
         while True:
             dirty = False
@@ -161,9 +190,9 @@ def smith_normal_form(matrix):
                 if i != t and a[i][t] != 0:
                     q = a[i][t] // a[t][t]
                     if q:
-                        _add_row(a, u, i, t, -q)
+                        add_row(i, t, -q)
                     if a[i][t] != 0:
-                        _swap_rows(a, u, i, t)
+                        swap_rows(i, t)
                         dirty = True
                         break
             if dirty:
@@ -172,24 +201,22 @@ def smith_normal_form(matrix):
                 if j != t and a[t][j] != 0:
                     q = a[t][j] // a[t][t]
                     if q:
-                        _add_col(a, v, j, t, -q)
+                        add_col(j, t, -q)
                     if a[t][j] != 0:
-                        _swap_cols(a, v, j, t)
+                        swap_cols(j, t)
                         dirty = True
                         break
             if not dirty:
                 break
 
+        # a unit pivot divides everything left
+        pivot = a[t][t]
         offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        if abs(pivot) != 1:
+            offender = next((i for i in range(t + 1, m)
+                             if any(x % pivot for x in a[i][t + 1:])), None)
         if offender is not None:
-            _add_row(a, u, t, offender, 1)
+            add_row(t, offender, 1)
             continue
         t += 1
 
@@ -197,11 +224,14 @@ def smith_normal_form(matrix):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
+            u_inv_t[i] = [-x for x in u_inv_t[i]]
 
     decomposition = SmithDecomposition(
-        IntegerMatrix.from_rows(a, n),
-        IntegerMatrix.from_rows(u, m),
-        IntegerMatrix.from_rows(v, n),
+        IntegerMatrix._of(tuple(map(tuple, a)), n),
+        IntegerMatrix._of(tuple(map(tuple, u)), m),
+        IntegerMatrix._of(tuple(zip(*v_t)), n),
+        IntegerMatrix._of(tuple(zip(*u_inv_t)), m),
+        IntegerMatrix._of(tuple(map(tuple, v_inv)), n),
     )
     if not decomposition.verify(matrix):
         raise RuntimeError("Smith normal form self-check failed")
@@ -210,12 +240,14 @@ def smith_normal_form(matrix):
 
 def abelianization_matrix(presentation):
     """Relator-by-generator matrix of exponent sums."""
-    gens = presentation.generators
+    index = {g: i for i, g in enumerate(presentation.generators)}
     rows = []
     for r in presentation.relators:
-        w = r.word
-        rows.append(tuple(w.exponent_sum(g) for g in gens))
-    return IntegerMatrix(tuple(rows), len(gens))
+        row = [0] * len(index)
+        for name, exp in r.word.letters:
+            row[index[name]] += exp
+        rows.append(tuple(row))
+    return IntegerMatrix._of(tuple(rows), len(index))
 
 
 def first_homology(presentation):

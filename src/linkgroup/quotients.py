@@ -150,16 +150,32 @@ def compile_hom_search(presentation):
     generator image can be deduced gives the program; failing that, seeds are
     added greedily, each time the one that covers the most generators.  The
     program is a pure function of the presentation.
+
+    A generator becomes known without being a seed only by a deduce (it
+    occurs exactly once in a relator) or a branch (exactly twice, with
+    opposite exponents).  One that can do neither is in every covering seed
+    set, so only the sets holding all of them are tried, in the same order;
+    with more than 4 of them no set of size up to 4 is tried at all.
     """
     seqs = _relator_sequences(presentation)
     n_gens = len(presentation.generators)
     occurrences = [0] * n_gens
+    deducible = set()
     for seq in seqs:
-        for g, _ in seq:
+        exponents = {}
+        for g, e in seq:
             occurrences[g] += 1
+            exponents.setdefault(g, []).append(e)
+        deducible.update(g for g, es in exponents.items()
+                         if len(es) == 1 or (len(es) == 2 and es[0] == -es[1]))
     candidates = sorted(range(n_gens), key=lambda g: (-occurrences[g], g))
-    for k in range(min(n_gens, 4) + 1):
-        for seeds in itertools.combinations(candidates, k):
+    rank = {g: i for i, g in enumerate(candidates)}
+    forced = [g for g in candidates if g not in deducible]
+    free = [g for g in candidates if g in deducible]
+    for k in range(len(forced), min(n_gens, 4) + 1):
+        # the sets holding every forced seed, in combinations(candidates, k) order
+        for extra in itertools.combinations(free, k - len(forced)):
+            seeds = tuple(sorted(forced + list(extra), key=rank.__getitem__))
             program, known = _closure_schedule(seqs, seeds)
             if len(known) == n_gens:
                 return program + (n_gens,)

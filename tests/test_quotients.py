@@ -278,6 +278,23 @@ def test_compile_hom_search_matches_reference_implementation():
                 rels.append("*".join("%s^%d" % (rng.choice(names), rng.choice((1, -1)))
                                      for _ in range(rng.randint(1, 6))))
         inputs.append(pres("gens: %s\nrels: %s\n" % (", ".join(names), "; ".join(rels))))
+    # forced seeds: generators never alone in a relator nor twice with opposite signs
+    inputs.append(involutions(6))
+    for _ in range(60):
+        names = ["g%d" % i for i in range(rng.randint(2, 9))]
+        forced = rng.sample(names, rng.randint(1, min(len(names), 6)))
+        free = [g for g in names if g not in forced]
+        rels = ["%s^%d" % (f, rng.choice((2, 3, -2))) for f in forced]
+        for _ in range(rng.randint(0, len(names))):
+            f = rng.choice(forced)
+            if free and rng.random() < 0.5:
+                rels.append("%s*%s^%d" % (rng.choice(free), f, rng.choice((2, -2))))
+            elif free:
+                rels.append("*".join("%s^%d" % (rng.choice(free), rng.choice((1, -1)))
+                                     for _ in range(rng.randint(1, 4))))
+            else:
+                rels.append("%s*%s*%s*%s" % (f, rng.choice(forced), f, rng.choice(forced)))
+        inputs.append(pres("gens: %s\nrels: %s\n" % (", ".join(names), "; ".join(rels))))
     over_four = 0
     for p in inputs:
         program = quotients.compile_hom_search(p)
@@ -285,6 +302,28 @@ def test_compile_hom_search_matches_reference_implementation():
         over_four += sum(kind == "assign" for kind, _, _, _ in program[1]) > 4
     # the greedy fallback, past every seed set of size up to 4, is covered too
     assert over_four >= 10
+
+
+def involutions(n):
+    names = ["x%d" % i for i in range(n)]
+    return pres("gens: %s\nrels: %s\n" % (", ".join(names),
+                                            "; ".join(x + "^2" for x in names)))
+
+
+def test_compile_skips_seed_sets_missing_a_forced_seed(monkeypatch):
+    # no x_i can be deduced, so no set of 4 seeds covers 40 free involutions:
+    # only the greedy stage runs, 40 + 39 + ... + 1 = 820 schedules
+    calls = []
+    schedule = quotients._closure_schedule
+
+    def counting(seqs, seeds):
+        calls.append(seeds)
+        return schedule(seqs, seeds)
+
+    monkeypatch.setattr(quotients, "_closure_schedule", counting)
+    quotients._search_program.cache_clear()
+    assert count_homs(involutions(40), symmetric_group(3), node_budget=1000).budget_exceeded
+    assert len(calls) <= 820
 
 
 def test_low_index_invariant_under_simplification():
