@@ -227,8 +227,9 @@ def blackboardize(diagram, targets):
     taken = set(diagram.arcs)
     changed = False
     for i, comp in enumerate(components):
-        delta = targets[i] - self_writhe(LinkDiagram(tuple(tuple(c) for c in components),
-                                                     tuple(crossings), diagram.name), i)
+        # curls, and the one renamed follower crossing, stay inside their own
+        # component, so each self-writhe is read from the input diagram
+        delta = targets[i] - self_writhe(diagram, i)
         if delta == 0:
             continue
         changed = True

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 
 class FourGraphError(ValueError):
@@ -132,20 +133,15 @@ def gem_report(graph):
     """
     spheres = []
     all_spherical = True
+    pair_cycles = {pair: residues(graph, pair) for pair in combinations(range(4), 2)}
     for dropped in range(4):
-        kept = [c for c in range(4) if c != dropped]
-        components = residues(graph, kept)
-        pair_cycles = {}
-        for a in range(3):
-            for b in range(a + 1, 3):
-                pair_cycles[(kept[a], kept[b])] = residues(graph, (kept[a], kept[b]))
+        components = residues(graph, [c for c in range(4) if c != dropped])
         for component in components:
             members = set(component)
             v = len(component)
             e = 3 * v // 2
-            bigons = 0
-            for pair, cycles in sorted(pair_cycles.items()):
-                bigons += sum(1 for cyc in cycles if cyc[0] in members)
+            bigons = sum(1 for pair, cycles in pair_cycles.items() if dropped not in pair
+                         for cyc in cycles if cyc[0] in members)
             euler = v - e + bigons
             if euler != 2:
                 all_spherical = False

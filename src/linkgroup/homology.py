@@ -253,12 +253,8 @@ def abelianization_matrix(presentation):
 def first_homology(presentation):
     """Invariant factors of H1: torsion factors > 1, then one 0 per free rank."""
     matrix = abelianization_matrix(presentation)
-    decomposition = smith_normal_form(matrix)
-    diag = [decomposition.d.entries[i][i]
-            for i in range(min(decomposition.d.rows, decomposition.d.cols))]
-    torsion = [x for x in diag if x > 1]
-    free_rank = matrix.cols - sum(1 for x in diag if x != 0)
-    return torsion + [0] * free_rank
+    factors = smith_normal_form(matrix).invariant_factors
+    return [x for x in factors if x > 1] + [0] * (matrix.cols - len(factors))
 
 
 def is_perfect(presentation):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagrams import under_walk
 from .words import Word
@@ -51,7 +51,6 @@ class Relator:
 class GroupPresentation:
     generators: tuple
     relators: tuple
-    provenance: str = field(default="constructed", compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -73,22 +72,6 @@ def transition_name(under_in, under_out):
     return "t_%s_%s" % (under_in, under_out)
 
 
-def transition_generators(diagram):
-    """Transition generator names and their defining equations, in walk order.
-
-    At a crossing with overstrand o, the transition generator is o for sign +1
-    and o^-1 for sign -1; conjugation by it carries the incoming understrand
-    arc to the outgoing one.
-    """
-    names, definitions = [], []
-    for i in range(len(diagram.components)):
-        for c in under_walk(diagram, i):
-            t = transition_name(c.under_in, c.under_out)
-            names.append(t)
-            definitions.append(Relator(Word(((t, 1),)), Word(((c.over, c.sign),))))
-    return names, definitions
-
-
 def wirtinger(diagram):
     """The Wirtinger presentation: arc generators, one conjugation per crossing."""
     generators = tuple(arc for comp in diagram.components for arc in comp)
@@ -101,22 +84,7 @@ def wirtinger(diagram):
             lhs = Word(((c.under_out, 1), (c.over, 1)))
             rhs = Word(((c.over, 1), (c.under_in, 1)))
         relators.append(Relator(lhs, rhs))
-    return GroupPresentation(generators, tuple(relators), provenance="derived")
-
-
-def filling_relators(diagram):
-    """One relator per component: the product of its transition generators.
-
-    Components that never pass under a crossing contribute no relator.
-    """
-    out = []
-    for i in range(len(diagram.components)):
-        walk = under_walk(diagram, i)
-        if not walk:
-            continue
-        letters = tuple((transition_name(c.under_in, c.under_out), 1) for c in walk)
-        out.append(Relator(Word(letters)))
-    return out
+    return GroupPresentation(generators, tuple(relators))
 
 
 def fundamental_group(diagram):
@@ -124,13 +92,24 @@ def fundamental_group(diagram):
 
     Generators are the transition generators then the arc generators; relators
     are the transition definitions, the per-component filling products, and the
-    Wirtinger conjugations, in that order.
+    Wirtinger conjugations, in that order.  Walking each component's crossings
+    in order names its transition generators: at a crossing with overstrand o
+    the transition generator is o for sign +1 and o^-1 for sign -1, and
+    conjugation by it carries the incoming understrand arc to the outgoing one.
+    The filling relator is their product; a component that never passes under
+    a crossing contributes none.
     """
-    t_names, t_defs = transition_generators(diagram)
+    names, definitions, fillings = [], [], []
+    for i in range(len(diagram.components)):
+        walk = [(transition_name(c.under_in, c.under_out), c) for c in under_walk(diagram, i)]
+        for t, c in walk:
+            names.append(t)
+            definitions.append(Relator(Word(((t, 1),)), Word(((c.over, c.sign),))))
+        if walk:
+            fillings.append(Relator(Word(tuple((t, 1) for t, _ in walk))))
     w = wirtinger(diagram)
-    generators = tuple(t_names) + w.generators
-    relators = tuple(t_defs) + tuple(filling_relators(diagram)) + w.relators
-    return GroupPresentation(generators, relators, provenance="derived")
+    return GroupPresentation(tuple(names) + w.generators,
+                             tuple(definitions) + tuple(fillings) + w.relators)
 
 
 # --- Tietze rewriting on encoded words ----------------------------------------
@@ -291,17 +270,18 @@ def tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
             break
         rels[shortening[0]] = (shortening[1], "")
     return GroupPresentation(tuple(gens), tuple(Relator(decode(lhs), decode(rhs))
-                                                for lhs, rhs in rels),
-                             provenance="simplified")
+                                                for lhs, rhs in rels))
 
 
-def _reduce_generators(presentation, length_cap=4, budget=1000):
+def _reduce_generators(presentation):
     """Eliminate generators that occur exactly once in some relator.
 
     This is the classical Tietze elimination: rotate the relator so the single
     occurrence leads, solve for the generator, and substitute everywhere.  The
     presented group is unchanged; the candidate with the least total-length
     growth is eliminated first (ties by relator length, then generator name).
+    It stops after 1000 eliminations, or when the best one would take the
+    total relator length past 4 times the original (counted as at least 50).
     Used internally to compile presentations for search; the result has bare
     cyclically reduced relators.  Relators are encoded words, each kept with
     the generators it holds exactly once; an elimination rewrites and recounts
@@ -317,11 +297,11 @@ def _reduce_generators(presentation, length_cap=4, budget=1000):
     rels = [w for w in rels if w]
     singles = [single(w) for w in rels]
     original = max(sum(map(len, rels)), 50)
-    for _ in range(budget):
+    for _ in range(1000):
         totals = Counter("".join(rels).translate(fold))
         best = min((((totals[c] - 1) * (n - 2) - n, n, names[ord(c) >> 1], ri, c)
                     for ri, n in enumerate(map(len, rels)) for c in singles[ri]), default=None)
-        if best is None or sum(map(len, rels)) + best[0] > length_cap * original:
+        if best is None or sum(map(len, rels)) + best[0] > 4 * original:
             break
         _, _, g, ri, letter = best
         gens.remove(g)
@@ -338,8 +318,7 @@ def _reduce_generators(presentation, length_cap=4, budget=1000):
                 singles[i] = single(rels[i])
         singles = [x for v, x in zip(rels, singles) if v]
         rels = [v for v in rels if v]
-    return GroupPresentation(tuple(gens), tuple(Relator(decode(w)) for w in rels),
-                             provenance="simplified")
+    return GroupPresentation(tuple(gens), tuple(Relator(decode(w)) for w in rels))
 
 
 # --- text grammar -----------------------------------------------------------
@@ -476,7 +455,7 @@ def parse_presentation(text):
 
     parser = _WordParser(set(gens))
     relators = tuple(parser.relator(group) for group in relator_token_groups if group)
-    return GroupPresentation(tuple(gens), relators, provenance="parsed")
+    return GroupPresentation(tuple(gens), relators)
 
 
 def _word_text(word, sep="*"):

@@ -6,9 +6,10 @@ minor gcds rather than elimination, homomorphisms are counted by brute
 vectorized enumeration with no propagation at all, and low-index subgroups
 are counted by a coset-table search rather than as actions on points.
 The Tietze simplifier, the generator reduction behind the search compiler,
-the search compiler itself, the search it compiles to and the Smith normal
-form with its certificate are checked against verbatim copies of their
-earlier implementations, at the end of this file.
+the search compiler itself, the search it compiles to, the Smith normal
+form with its certificate, the surgery presentation of a diagram and the
+gem report are checked against verbatim copies of their earlier
+implementations, at the end of this file.
 """
 
 import functools
@@ -17,8 +18,11 @@ from itertools import combinations
 
 import numpy as np
 
+from linkgroup.diagrams import under_walk
+from linkgroup.gems import is_bipartite, residues
 from linkgroup.homology import IntegerMatrix
-from linkgroup.presentations import GroupPresentation, Relator
+from linkgroup.presentations import (GroupPresentation, Relator, transition_name,
+                                     wirtinger)
 from linkgroup.quotients import (BudgetExceeded, _eval_seq, _relator_sequences,
                                  _run_ops)
 from linkgroup.words import Word
@@ -377,7 +381,7 @@ def reference_tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
                 if done:
                     break
 
-    return GroupPresentation(tuple(gens), tuple(rels), provenance="simplified")
+    return GroupPresentation(tuple(gens), tuple(rels))
 
 
 def reference_reduce_generators(presentation, length_cap=4, budget=1000):
@@ -427,8 +431,7 @@ def reference_reduce_generators(presentation, length_cap=4, budget=1000):
         gens.remove(g)
         rels = [v.substitute(g, replacement).cyclic_reduce() for v in rels]
         rels = [v for v in rels if v.letters]
-    return GroupPresentation(tuple(gens), tuple(Relator(w) for w in rels),
-                             provenance="simplified")
+    return GroupPresentation(tuple(gens), tuple(Relator(w) for w in rels))
 
 
 def _ref_closure_schedule(seqs, n_gens, seeds):
@@ -792,3 +795,97 @@ def reference_smith_normal_form(matrix):
     if not reference_smith_verify(d, u, v, matrix):
         raise RuntimeError("Smith normal form self-check failed")
     return d, u, v
+
+
+# --- surgery presentation and gem report before computing each fact once ------
+# Verbatim copies: one walk of every component for the transition generators
+# and another for the filling relators, and each two-colour residue computed
+# once for every dropped colour that leaves it.
+
+def _ref_transition_generators(diagram):
+    """Transition generator names and their defining equations, in walk order.
+
+    At a crossing with overstrand o, the transition generator is o for sign +1
+    and o^-1 for sign -1; conjugation by it carries the incoming understrand
+    arc to the outgoing one.
+    """
+    names, definitions = [], []
+    for i in range(len(diagram.components)):
+        for c in under_walk(diagram, i):
+            t = transition_name(c.under_in, c.under_out)
+            names.append(t)
+            definitions.append(Relator(Word(((t, 1),)), Word(((c.over, c.sign),))))
+    return names, definitions
+
+
+def _ref_filling_relators(diagram):
+    """One relator per component: the product of its transition generators.
+
+    Components that never pass under a crossing contribute no relator.
+    """
+    out = []
+    for i in range(len(diagram.components)):
+        walk = under_walk(diagram, i)
+        if not walk:
+            continue
+        letters = tuple((transition_name(c.under_in, c.under_out), 1) for c in walk)
+        out.append(Relator(Word(letters)))
+    return out
+
+
+def reference_fundamental_group(diagram):
+    """Presentation of the fundamental group of the surgered manifold.
+
+    Generators are the transition generators then the arc generators; relators
+    are the transition definitions, the per-component filling products, and the
+    Wirtinger conjugations, in that order.
+    """
+    t_names, t_defs = _ref_transition_generators(diagram)
+    w = wirtinger(diagram)
+    generators = tuple(t_names) + w.generators
+    relators = tuple(t_defs) + tuple(_ref_filling_relators(diagram)) + w.relators
+    return GroupPresentation(generators, relators)
+
+
+def reference_gem_report(graph):
+    """Check the sphere condition on every 3-residue and report the numbers.
+
+    For each dropped color, each component K of the remaining 3-colored graph
+    has V vertices, E = 3V/2 edges, and B bicolored cycles; K encodes a sphere
+    exactly when V - E + B == 2.
+    """
+    spheres = []
+    all_spherical = True
+    for dropped in range(4):
+        kept = [c for c in range(4) if c != dropped]
+        components = residues(graph, kept)
+        pair_cycles = {}
+        for a in range(3):
+            for b in range(a + 1, 3):
+                pair_cycles[(kept[a], kept[b])] = residues(graph, (kept[a], kept[b]))
+        for component in components:
+            members = set(component)
+            v = len(component)
+            e = 3 * v // 2
+            bigons = 0
+            for pair, cycles in sorted(pair_cycles.items()):
+                bigons += sum(1 for cyc in cycles if cyc[0] in members)
+            euler = v - e + bigons
+            if euler != 2:
+                all_spherical = False
+            spheres.append({
+                "dropped_color": dropped,
+                "component_min_vertex": component[0],
+                "vertices": v,
+                "edges": e,
+                "bigons": bigons,
+                "euler": euler,
+            })
+    bipartite = is_bipartite(graph)
+    return {
+        "vertices": graph.vertices,
+        "bipartite": bipartite,
+        "residues_spherical": all_spherical,
+        "is_gem": bipartite and all_spherical,
+        "spheres": spheres,
+    }

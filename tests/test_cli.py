@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -436,3 +439,15 @@ def test_huge_power_is_an_input_error(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("error: line 2, column 9: ") and err.count("\n") == 1
+
+
+def test_readme_synopsis_lists_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = {line.split()[1]: line for line in readme.splitlines()
+                if line.startswith("linkgroup ")}
+    commands = next(a for a in cli._parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(synopsis) == set(commands)
+    for name, parser in commands.items():
+        flags = {f for a in parser._actions for f in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[A-Za-z-]+", synopsis[name])) == flags, name

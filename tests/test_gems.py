@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from linkgroup import gems
 from linkgroup.gems import (FourGraph, FourGraphError, gem_report, is_gem,
                             parse_fourgraph, residues, serialize_fourgraph)
+from oracles import reference_gem_report
 
 TWO_VERTEX = FourGraph.from_matchings(2, [[[0, 1]]] * 4)
 
@@ -26,6 +28,23 @@ def random_bipartite_fourgraph(rng, half):
         rng.shuffle(right)
         matchings.append([[i, right[i]] for i in range(half)])
     return FourGraph.from_matchings(2 * half, matchings)
+
+
+def random_fourgraph(rng, half):
+    """Each color is a random perfect matching of all 2 * half vertices."""
+    matchings = []
+    for _ in range(4):
+        order = list(range(2 * half))
+        rng.shuffle(order)
+        matchings.append([order[i:i + 2] for i in range(0, 2 * half, 2)])
+    return FourGraph.from_matchings(2 * half, matchings)
+
+
+def seeded_fourgraphs():
+    """300 graphs of 2-24 vertices, bipartite and unrestricted in turn."""
+    rng = random.Random(17)
+    return [(random_bipartite_fourgraph if k % 2 else random_fourgraph)(rng, rng.randint(1, 12))
+            for k in range(300)]
 
 
 def test_two_vertex_graph_is_a_gem():
@@ -130,3 +149,26 @@ def test_non_bipartite_graph_is_not_a_gem():
     report = gem_report(g)
     assert not report["bipartite"]
     assert not report["is_gem"]
+
+
+def test_gem_report_matches_reference_implementation():
+    graphs = seeded_fourgraphs() + [TWO_VERTEX, K33_PLUS]
+    reports = [gem_report(g) for g in graphs]
+    assert reports == [reference_gem_report(g) for g in graphs]
+    assert {g.vertices for g in graphs} == set(range(2, 25, 2))
+    assert any(r["is_gem"] for r in reports) and not all(r["is_gem"] for r in reports)
+    assert any(r["bipartite"] and not r["residues_spherical"] for r in reports)
+
+
+def test_gem_report_computes_each_residue_once(monkeypatch):
+    calls = []
+
+    def counting_residues(graph, colors):
+        calls.append(tuple(colors))
+        return residues(graph, colors)
+
+    monkeypatch.setattr(gems, "residues", counting_residues)
+    for graph in seeded_fourgraphs()[:20]:
+        calls.clear()
+        gem_report(graph)
+        assert len(calls) == 10 and len(set(calls)) == 10

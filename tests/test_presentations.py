@@ -3,7 +3,8 @@ import random
 import pytest
 
 from linkgroup import presentations
-from linkgroup.diagrams import LinkDiagram, Crossing, parse_diagram, under_walk
+from linkgroup.diagrams import (LinkDiagram, Crossing, blackboardize, parse_diagram,
+                                self_writhe, under_walk)
 from linkgroup.presentations import (GroupPresentation, PresentationSyntaxError,
                                      Relator, _reduce_generators,
                                      fundamental_group, parse_presentation,
@@ -12,8 +13,9 @@ from linkgroup.presentations import (GroupPresentation, PresentationSyntaxError,
 from linkgroup.homology import first_homology
 from linkgroup.words import Word
 from conftest import CORPUS_KEYS, data_text
-from oracles import (_ref_cyclic_match, reference_reduce_generators,
-                     reference_tietze_simplify)
+from oracles import (_ref_cyclic_match, reference_fundamental_group,
+                     reference_reduce_generators, reference_tietze_simplify)
+from test_diagrams import TREFOIL, UNKNOT0
 
 
 def test_transition_name():
@@ -324,3 +326,50 @@ def test_reduce_generators_matches_reference_implementation():
         got = serialize_presentation(_reduce_generators(p))
         want = serialize_presentation(reference_reduce_generators(p))
         assert got == want, serialize_presentation(p)
+
+
+# a Hopf link whose two components are single arcs, each passing under once
+HOPF = LinkDiagram(components=(("a",), ("c",)),
+                   crossings=(Crossing(over="c", under_in="a", under_out="a", sign=1),
+                              Crossing(over="a", under_in="c", under_out="c", sign=1)))
+
+
+def framed_diagrams():
+    """The corpus and test diagrams, as given and blackboardized to seeded framings
+    in -3..3, each also with a crossingless circle appended."""
+    rng = random.Random(31)
+    base = ([parse_diagram(data_text(key + ".pd.json")) for key in CORPUS_KEYS]
+            + [parse_diagram(UNKNOT0), parse_diagram(TREFOIL), HOPF])
+    out = []
+    for d in base:
+        circle = LinkDiagram(d.components + (("loose",),), d.crossings, d.name)
+        for diagram in (d, circle):
+            out.append(diagram)
+            for _ in range(4):
+                framings = [rng.randint(-3, 3) for _ in diagram.components]
+                out.append(blackboardize(diagram, framings))
+    return out
+
+
+def test_fundamental_group_matches_reference_implementation():
+    diagrams = framed_diagrams()
+    assert len(diagrams) == 70
+    assert any(self_writhe(d, 0) == -3 for d in diagrams)
+    assert any(self_writhe(d, 0) == 3 for d in diagrams)
+    for d in diagrams:
+        got = serialize_presentation(fundamental_group(d))
+        assert got == serialize_presentation(reference_fundamental_group(d)), d
+
+
+def test_fundamental_group_walks_each_component_once(monkeypatch):
+    walked = []
+
+    def counting_walk(diagram, i):
+        walked.append(i)
+        return under_walk(diagram, i)
+
+    monkeypatch.setattr(presentations, "under_walk", counting_walk)
+    for d in framed_diagrams():
+        walked.clear()
+        fundamental_group(d)
+        assert walked == list(range(len(d.components)))
