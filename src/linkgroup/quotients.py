@@ -189,17 +189,12 @@ def compile_hom_search(presentation):
             return program + (n_gens,)
 
 
-def _eval_seq(seq, images, mul, inv, e, order):
-    x = e
-    for g, s in seq:
-        y = images[g]
-        if s < 0:
-            y = inv[y]
-        x = mul[x * order + y]
-    return x
-
-
 def _subgroup_order(key, mul, e, order):
+    """The order of the subgroup that the elements key generate.
+
+    The closure stops once it holds more than half the group: a subgroup
+    that large is the whole group, since its order divides the group's.
+    """
     seen = {e}
     frontier = [e]
     while frontier:
@@ -211,60 +206,162 @@ def _subgroup_order(key, mul, e, order):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+            if 2 * len(seen) > order:
+                return order
         frontier = nxt
     return len(seen)
 
 
-def _run_ops(ops, images, mul, inv, e, order):
-    for op in ops:
-        if op[0] == "deduce":
-            _, g, pre, suf, eps = op
-            p = _eval_seq(pre, images, mul, inv, e, order)
-            s = _eval_seq(suf, images, mul, inv, e, order)
-            v = inv[mul[s * order + p]]
-            images[g] = v if eps == 1 else inv[v]
-        else:
-            if _eval_seq(op[1], images, mul, inv, e, order) != e:
-                return False
-    return True
+def _lower(program):
+    """The search program in slot form: the form _search walks.
+
+    Every value lives in one list of slots.  For n generators, slot 2g
+    holds generator g's image and slot 2g + 1 its inverse, both written when
+    g is assigned or deduced, so a letter is one slot read.  Slot 2n holds
+    the identity.  The slots above hold constant runs: maximal runs of two
+    or more letters in a segment's ops whose generators were all known
+    before the segment opened, so that a run's value is fixed for the
+    segment's whole candidate loop.
+
+    A word is (first slot, rest slots) and its value starts from the first
+    slot's.  An op is (runs needed, target, first, rest).  A check has target
+    -1 and passes when its word is the identity.  A deduce of g from the
+    relator pre g^eps suf evaluates suf + pre, the inverse of g^eps, into its
+    target slot and the inverse into the paired one.  Deduces keep their
+    order, each check moves up to just after the last deduce it reads, and
+    checks at the same point run shortest first; a segment's runs are
+    numbered in the order its ops first read them.
+
+    Returns (slot count, head ops, segments, n).  A segment is (kind, image
+    slot, branch, ops, runs): branch is (mid, suf + pre, eps) as words for a
+    branch and None for an assign, and each run is (slot, first, rest).
+    """
+    head, segments, n_gens = program
+    identity = 2 * n_gens
+    slot_count = identity + 1
+
+    def letters(seq):
+        return [2 * g + (s < 0) for g, s in seq] or [identity]
+
+    def word(slots):
+        return slots[0], tuple(slots[1:])
+
+    def lower_ops(ops, fixed):
+        nonlocal slot_count
+
+        # a lowered word is a list of slots and runs, a run being its letters
+        def split(seq):
+            items = []
+            for constant, run in itertools.groupby(seq, lambda letter: letter[0] in fixed):
+                run = tuple(run)
+                if constant and len(run) > 1:
+                    items.append(run)
+                else:
+                    items.extend(letters(run))
+            return items or [identity]
+
+        # sort keys: (i, 0) for the i-th deduce, (i, length) for a check whose
+        # last deduced generator is the i-th deduce's, -1 when it reads none
+        placed = []
+        deduced_at = {}
+        for op in ops:
+            if op[0] == "deduce":
+                _, g, pre, suf, eps = op
+                deduced_at[g] = len(deduced_at)
+                placed.append(((deduced_at[g], 0), 2 * g + (eps > 0), split(suf + pre)))
+            else:
+                items = split(op[1])
+                after = max((deduced_at.get(g, -1) for g, _ in op[1]), default=-1)
+                placed.append(((after, len(items)), -1, items))
+        placed.sort(key=lambda entry: entry[0])
+
+        run_slots = {}
+        runs = []
+        lowered = []
+        for _, target, items in placed:
+            slots = []
+            for item in items:
+                if type(item) is tuple:
+                    if item not in run_slots:
+                        run_slots[item] = slot_count
+                        runs.append((slot_count,) + word(letters(item)))
+                        slot_count += 1
+                    item = run_slots[item]
+                slots.append(item)
+            lowered.append((len(runs), target) + word(slots))
+        return tuple(lowered), tuple(runs)
+
+    head_ops, _ = lower_ops(head, frozenset())
+    known = {op[1] for op in head if op[0] == "deduce"}
+    out = []
+    for kind, g, data, post in segments:
+        branch = None
+        if kind == "branch":
+            pre, mid, suf, eps = data
+            branch = (word(letters(mid)), word(letters(suf + pre)), eps)
+        ops, runs = lower_ops(post, frozenset(known))
+        out.append((kind, 2 * g, branch, ops, runs))
+        known.add(g)
+        known.update(op[1] for op in post if op[0] == "deduce")
+    return slot_count, head_ops, tuple(out), n_gens
 
 
 @functools.lru_cache(maxsize=1)
 def _search_program(presentation):
-    """The compiled search program of the reduced presentation.
+    """The search program of the reduced presentation, in slot form.
 
     A profile runs every one of its searches on one presentation, so the
-    program of the last presentation seen is kept and compiled only once.
+    program of the last presentation seen is kept and compiled and lowered
+    only once.
     """
-    return compile_hom_search(_reduce_generators(presentation))
+    return _lower(compile_hom_search(_reduce_generators(presentation)))
 
 
 def _search(program, group, classify, node_budget):
-    """Run a compiled search into group and return {classify(key): summed weight}.
+    """Run a search program in slot form into group; return {classify(key): summed weight}.
 
-    A homomorphism's key is the sorted tuple of its distinct generator
-    images; classify runs once per distinct key, after the walk, and may
-    depend only on what conjugation in group leaves unchanged, since the
-    search lets one homomorphism stand for its conjugates.  When the search
-    opens with an assign, its generator takes one representative r per
-    conjugacy class, weighted by the class size.  When the second segment is
-    an assign as well, its generator takes one representative v per orbit of
-    the centraliser C(r) acting by conjugation, weighted by the orbit size:
-    conjugating by c in C(r) fixes r and everything deduced from it and
-    sends v to c * v * c^-1.  Every other candidate weighs 1.  Every
-    candidate tried at any depth, roots and orbit representatives included,
-    is one node charged to node_budget; the search raises BudgetExceeded
-    past it.
+    The program comes from _lower.  A homomorphism's key is the sorted tuple
+    of its distinct generator images; classify runs once per distinct key,
+    after the walk, and may depend only on what conjugation in group leaves
+    unchanged, since the search lets one homomorphism stand for its
+    conjugates.  When the search opens with an assign, its generator takes
+    one representative r per conjugacy class, weighted by the class size.
+    When the second segment is an assign as well, its generator takes one
+    representative v per orbit of the centraliser C(r) acting by
+    conjugation, weighted by the orbit size: conjugating by c in C(r) fixes
+    r and everything deduced from it and sends v to c * v * c^-1.  Every
+    other candidate weighs 1.  Every candidate tried at any depth, roots and
+    orbit representatives included, is one node charged to node_budget; the
+    search raises BudgetExceeded past it.
+
+    Each call of walk is one parent node of its segment.  It evaluates the
+    segment's constant runs once, and only when the first of its candidates
+    reaches an op that reads them, so a parent whose candidates all fail
+    earlier, or that has none, pays nothing for them.
     """
-    head, segments, n_gens = program
+    slot_count, head, segments, n_gens = program
     mul, inv, e = group.tables()
     order = group.order
-    images = [e] * n_gens
-    if not _run_ops(head, images, mul, inv, e, order):
-        return {}
+    vals = [e] * slot_count
+    images = 2 * n_gens
+
+    def word(first, rest):
+        x = vals[first]
+        for s in rest:
+            x = mul[x * order + vals[s]]
+        return x
+
+    for _, target, first, rest in head:
+        x = word(first, rest)
+        if target < 0:
+            if x != e:
+                return {}
+        else:
+            vals[target] = x
+            vals[target ^ 1] = inv[x]
     found = {}      # key -> summed weight
     solve = None
-    if any(kind == "branch" for kind, _, _, _ in segments):
+    if any(kind == "branch" for kind, _, _, _, _ in segments):
         solve = group.conjugacy_solutions()
     depth = len(segments)
     unit = itertools.repeat(1)
@@ -272,39 +369,54 @@ def _search(program, group, classify, node_budget):
 
     def walk(d, weight):
         nonlocal nodes
-        kind, gen, data, post = segments[d]
+        kind, slot, branch, ops, runs = segments[d]
         if kind == "branch":
-            pre, mid, suf, eps = data
-            q = _eval_seq(mid, images, mul, inv, e, order)
-            a = _eval_seq(pre, images, mul, inv, e, order)
-            c = _eval_seq(suf, images, mul, inv, e, order)
-            t = inv[mul[c * order + a]]
+            mid, sufpre, eps = branch
+            q = word(*mid)
+            t = inv[word(*sufpre)]
             candidates = zip(solve(q, t) if eps == 1 else solve(t, q), unit)
         elif d == 0:
             candidates = group.centraliser_orbits(e)
         elif d == 1 and segments[0][0] == "assign":
             # C(r) fixes the root r and every image deduced from it
-            candidates = group.centraliser_orbits(images[segments[0][1]])
+            candidates = group.centraliser_orbits(vals[segments[0][1]])
         else:
             candidates = zip(range(order), unit)
+        last = d + 1 == depth
+        ready = 0
         for v, size in candidates:
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded
-            images[gen] = v
-            if not _run_ops(post, images, mul, inv, e, order):
-                continue
-            if d + 1 == depth:
-                key = tuple(sorted(set(images)))
-                found[key] = found.get(key, 0) + weight * size
+            vals[slot] = v
+            vals[slot + 1] = inv[v]
+            # word is inlined here, where it runs once per candidate and op
+            for need, target, first, rest in ops:
+                while ready < need:
+                    run, run_first, run_rest = runs[ready]
+                    vals[run] = word(run_first, run_rest)
+                    ready += 1
+                x = vals[first]
+                for s in rest:
+                    x = mul[x * order + vals[s]]
+                if target < 0:
+                    if x != e:
+                        break
+                else:
+                    vals[target] = x
+                    vals[target ^ 1] = inv[x]
             else:
-                walk(d + 1, weight * size)
+                if last:
+                    key = tuple(sorted(set(vals[:images:2])))
+                    found[key] = found.get(key, 0) + weight * size
+                else:
+                    walk(d + 1, weight * size)
 
     if segments:
         walk(0, 1)
     else:
         # every generator deduced from relators: a single candidate to try
-        found[tuple(sorted(set(images)))] = 1
+        found[tuple(sorted(set(vals[:images:2])))] = 1
     tally = {}
     for key, weight in found.items():
         value = classify(key)
@@ -522,6 +634,7 @@ def profile(presentation, config=None, catalog=None, workers=1):
     catalog = catalog or load_catalog()
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
     homology = tuple(first_homology(simplified))
+    _search_program(simplified)     # compiled once, outside every search
     hom_counts = tuple(
         (g.name, count_homs(simplified, g, config.node_budget))
         for g in catalog.groups)
@@ -625,6 +738,7 @@ def recompute_entry(presentation, recheck, config, catalog):
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
     if kind == "homology":
         return first_homology(simplified)
+    _search_program(simplified)
     if kind == "hom_count":
         count = count_homs(simplified, catalog.by_name(name), config.node_budget)
     else:

@@ -6,13 +6,15 @@ minor gcds rather than elimination, homomorphisms are counted by brute
 vectorized enumeration with no propagation at all, and low-index subgroups
 are counted by a coset-table search rather than as actions on points.
 The Tietze simplifier, the generator reduction behind the search compiler,
-the search compiler itself, the search it compiles to, the Smith normal
-form with its certificate, the surgery presentation of a diagram and the
-gem report are checked against verbatim copies of their earlier
-implementations, at the end of this file.
+the search compiler itself, the search it compiles to (before and after
+centraliser orbits, both walking relators letter by letter), the subgroup
+closure, the Smith normal form with its certificate, the surgery
+presentation of a diagram and the gem report are checked against verbatim
+copies of their earlier implementations, at the end of this file.
 """
 
 import functools
+import itertools
 import math
 from itertools import combinations
 
@@ -23,8 +25,7 @@ from linkgroup.gems import is_bipartite, residues
 from linkgroup.homology import IntegerMatrix
 from linkgroup.presentations import (GroupPresentation, Relator, transition_name,
                                      wirtinger)
-from linkgroup.quotients import (BudgetExceeded, _eval_seq, _relator_sequences,
-                                 _run_ops)
+from linkgroup.quotients import BudgetExceeded, _relator_sequences
 from linkgroup.words import Word
 
 
@@ -637,6 +638,125 @@ def reference_search(program, group, classify, node_budget):
             walk(0, size, (rep,))
     else:
         walk(0, 1)
+    tally = {}
+    for key, weight in found.items():
+        value = classify(key)
+        tally[value] = tally.get(value, 0) + weight
+    return tally
+
+
+# --- the search before slot form ----------------------------------------------
+# Verbatim copies of the search that walked the compiled program letter by
+# letter, with a sign test and an inverse lookup per negative letter, and of
+# the subgroup closure that ran to the end.  reference_search above runs on
+# the same sequence evaluation.
+
+def _eval_seq(seq, images, mul, inv, e, order):
+    x = e
+    for g, s in seq:
+        y = images[g]
+        if s < 0:
+            y = inv[y]
+        x = mul[x * order + y]
+    return x
+
+
+def _run_ops(ops, images, mul, inv, e, order):
+    for op in ops:
+        if op[0] == "deduce":
+            _, g, pre, suf, eps = op
+            p = _eval_seq(pre, images, mul, inv, e, order)
+            s = _eval_seq(suf, images, mul, inv, e, order)
+            v = inv[mul[s * order + p]]
+            images[g] = v if eps == 1 else inv[v]
+        else:
+            if _eval_seq(op[1], images, mul, inv, e, order) != e:
+                return False
+    return True
+
+
+def reference_subgroup_order(key, mul, e, order):
+    seen = {e}
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            base = x * order
+            for g in key:
+                y = mul[base + g]
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen)
+
+
+def reference_orbit_search(program, group, classify, node_budget):
+    """Run a compiled search into group and return {classify(key): summed weight}.
+
+    A homomorphism's key is the sorted tuple of its distinct generator
+    images; classify runs once per distinct key, after the walk, and may
+    depend only on what conjugation in group leaves unchanged, since the
+    search lets one homomorphism stand for its conjugates.  When the search
+    opens with an assign, its generator takes one representative r per
+    conjugacy class, weighted by the class size.  When the second segment is
+    an assign as well, its generator takes one representative v per orbit of
+    the centraliser C(r) acting by conjugation, weighted by the orbit size:
+    conjugating by c in C(r) fixes r and everything deduced from it and
+    sends v to c * v * c^-1.  Every other candidate weighs 1.  Every
+    candidate tried at any depth, roots and orbit representatives included,
+    is one node charged to node_budget; the search raises BudgetExceeded
+    past it.
+    """
+    head, segments, n_gens = program
+    mul, inv, e = group.tables()
+    order = group.order
+    images = [e] * n_gens
+    if not _run_ops(head, images, mul, inv, e, order):
+        return {}
+    found = {}      # key -> summed weight
+    solve = None
+    if any(kind == "branch" for kind, _, _, _ in segments):
+        solve = group.conjugacy_solutions()
+    depth = len(segments)
+    unit = itertools.repeat(1)
+    nodes = 0
+
+    def walk(d, weight):
+        nonlocal nodes
+        kind, gen, data, post = segments[d]
+        if kind == "branch":
+            pre, mid, suf, eps = data
+            q = _eval_seq(mid, images, mul, inv, e, order)
+            a = _eval_seq(pre, images, mul, inv, e, order)
+            c = _eval_seq(suf, images, mul, inv, e, order)
+            t = inv[mul[c * order + a]]
+            candidates = zip(solve(q, t) if eps == 1 else solve(t, q), unit)
+        elif d == 0:
+            candidates = group.centraliser_orbits(e)
+        elif d == 1 and segments[0][0] == "assign":
+            # C(r) fixes the root r and every image deduced from it
+            candidates = group.centraliser_orbits(images[segments[0][1]])
+        else:
+            candidates = zip(range(order), unit)
+        for v, size in candidates:
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded
+            images[gen] = v
+            if not _run_ops(post, images, mul, inv, e, order):
+                continue
+            if d + 1 == depth:
+                key = tuple(sorted(set(images)))
+                found[key] = found.get(key, 0) + weight * size
+            else:
+                walk(d + 1, weight * size)
+
+    if segments:
+        walk(0, 1)
+    else:
+        # every generator deduced from relators: a single candidate to try
+        found[tuple(sorted(set(images)))] = 1
     tally = {}
     for key, weight in found.items():
         value = classify(key)

@@ -17,7 +17,8 @@ from linkgroup.quotients import (MAX_INDEX, HomCount, InvariantProfile,
                                  verify_witness)
 from conftest import pres
 from oracles import (coset_table_low_index, naive_hom_counts,
-                     reference_compile_hom_search, reference_search)
+                     reference_compile_hom_search, reference_orbit_search,
+                     reference_search, reference_subgroup_order)
 
 Z = "gens: a\nrels:\n"
 Z2 = "gens: a\nrels: a^2\n"
@@ -117,6 +118,28 @@ def metered_search(search, program, group, classify):
     return tally, meter.used
 
 
+def catalog_classify(g, catalog):
+    """The classify of count_homs into a catalog group, of _low_index into S_k."""
+    mul, _, e = g.tables()
+    if g in catalog.groups:
+        return functools.lru_cache(maxsize=None)(
+            lambda key: quotients._subgroup_order(key, mul, e, g.order))
+    perms = g.elements()
+    return functools.lru_cache(maxsize=None)(
+        lambda key: quotients._transitive_centraliser(key, perms))
+
+
+def compiled(p):
+    """The compiled search program of p, before it is lowered to slot form."""
+    return quotients.compile_hom_search(_reduce_generators(p))
+
+
+def corpus_programs():
+    config = ProfileConfig()
+    return [compiled(tietze_simplify(entry.presentation(), budget=config.simplify_budget))
+            for entry in load_corpus().values()]
+
+
 def test_search_matches_reference_search(catalog):
     # the same tally as the search without C(r)-orbits, and never more nodes,
     # so an entry exact under the old search is never flagged now
@@ -127,25 +150,106 @@ def test_search_matches_reference_search(catalog):
     groups = catalog.groups + [symmetric_group(k) for k in range(2, 7)]
     kinds = set()
     for p in inputs:
-        program = quotients._search_program(p)
+        program = compiled(p)
+        lowered = quotients._lower(program)
         kinds.add(tuple(kind for kind, _, _, _ in program[1]))
         for g in groups:
             if len(program[1]) > 2 and g.order > 24:
                 continue    # the reference walks |g|^2 nodes per root there
-            mul, _, e = g.tables()
-            if g in catalog.groups:
-                classify = functools.lru_cache(maxsize=None)(
-                    lambda key: quotients._subgroup_order(key, mul, e, g.order))
-            else:
-                perms = g.elements()
-                classify = functools.lru_cache(maxsize=None)(
-                    lambda key: quotients._transitive_centraliser(key, perms))
-            tally, used = metered_search(quotients._search, program, g, classify)
+            classify = catalog_classify(g, catalog)
+            tally, used = metered_search(quotients._search, lowered, g, classify)
             ref_tally, ref_used = metered_search(reference_search, program, g, classify)
             assert tally == ref_tally and used <= ref_used, g.name
     # searches with no segment, one assign, two assigns, three, and a branch
     assert {(), ("assign",), ("assign", "assign"), ("assign", "assign", "assign"),
             ("assign", "branch")} <= kinds
+
+
+def test_slot_search_matches_reference_orbit_search(catalog):
+    # the slot form tries the same candidates in the same order as the search
+    # that walked relators letter by letter: the same tally, and exactly the
+    # same smallest budget under which it completes.  Programs compiled
+    # without the generator reduction keep deduces inside their segments.
+    inputs = [pres(F2), pres(TREFOIL), pres(S3_PRES),
+              pres("gens: a, b\nrels: a*b*a^-1 = b^2\n"),
+              # a deduce reading a constant run, inside the second branch
+              pres("gens: a, b, c, d\nrels: a*b*a^-1 = b^2; b*c*b^-1*a*c^-1*a; "
+                   "c*a*d*b*a*c; d*a*d^-1*b^-1*a*b*c*d*c\n")]
+    rng = random.Random(31)
+    inputs += [random_presentation(rng, max_gens=4, max_rels=5) for _ in range(30)]
+    programs = corpus_programs() + [quotients.compile_hom_search(p) for p in inputs]
+    groups = catalog.groups + [symmetric_group(k) for k in range(2, 7)]
+    kinds = set()
+    for program in programs:
+        lowered = quotients._lower(program)
+        shape = tuple(kind for kind, _, _, _ in program[1])
+        kinds.add(shape)
+        if any(op[0] == "deduce" for _, _, _, post in program[1] for op in post):
+            kinds.add("deduce in a segment")
+        for g in groups:
+            if shape.count("assign") > 2 and g.order > 24:
+                continue    # |g| candidates per node from the third assign on
+            classify = catalog_classify(g, catalog)
+            assert (metered_search(quotients._search, lowered, g, classify)
+                    == metered_search(reference_orbit_search, program, g, classify)), g.name
+    assert {(), ("assign",), ("assign", "assign"), ("assign", "assign", "branch"),
+            ("assign", "branch", "branch"), "deduce in a segment"} <= kinds
+
+
+class CountingList(list):
+    """A list that counts its subscripts."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
+class CountedGroup:
+    """group, with every subscript of its multiplication table counted.
+
+    The conjugacy and centraliser orbit tables come from group itself, so
+    only the search's own products are counted.
+    """
+
+    def __init__(self, group):
+        mul, inv, e = group.tables()
+        self.mul = CountingList(mul)
+        self.order = group.order
+        self._tables = (self.mul, inv, e)
+        self.conjugacy_solutions = group.conjugacy_solutions
+        self.centraliser_orbits = group.centraliser_orbits
+
+    def tables(self):
+        return self._tables
+
+
+def test_slot_search_work_count_on_u2165(catalog):
+    # constant runs, evaluated once per parent, and shortest checks first cut
+    # the table lookups of the corpus search that dominates the profile
+    program = corpus_programs()[list(load_corpus()).index("u2165")]
+    lowered = quotients._lower(program)
+    for g, pinned in ((symmetric_group(6), 121401), (catalog.by_name("A6"), 44667)):
+        counted, reference = CountedGroup(g), CountedGroup(g)
+        tally = quotients._search(lowered, counted, len, 10 ** 8)
+        assert tally == reference_orbit_search(program, reference, len, 10 ** 8)
+        assert counted.mul.reads == pinned, g.name
+        assert counted.mul.reads < reference.mul.reads
+
+
+def test_subgroup_order_stops_at_half_the_group(catalog):
+    # past |G|/2 elements the closure is G; every key the corpus searches
+    # classify gets the order of the full closure
+    groups = catalog.groups + [symmetric_group(k) for k in range(2, 7)]
+    for program in corpus_programs():
+        lowered = quotients._lower(program)
+        for g in groups:
+            keys = []
+            quotients._search(lowered, g, keys.append, 10 ** 8)
+            mul, _, e = g.tables()
+            for key in keys:
+                assert (quotients._subgroup_order(key, mul, e, g.order)
+                        == reference_subgroup_order(key, mul, e, g.order)), g.name
 
 
 def test_count_homs_invariant_under_simplification(catalog):
@@ -257,6 +361,31 @@ def test_profile_compiles_the_search_once(monkeypatch):
     quotients._search_program.cache_clear()
     profile(load_corpus()["u1466"].presentation())
     assert len(calls) == 1
+
+
+def test_profile_and_recheck_compile_before_the_first_search(monkeypatch, catalog):
+    # the compile is not charged to whichever search comes first
+    events = []
+
+    def logged(name, fn):
+        def call(*args):
+            events.append(name)
+            return fn(*args)
+        monkeypatch.setattr(quotients, name, call)
+
+    for name in ("compile_hom_search", "count_homs", "low_index_subgroups",
+                 "low_index_single"):
+        logged(name, getattr(quotients, name))
+    config = ProfileConfig(max_index=3)
+    for run in (lambda p: profile(p, config),
+                lambda p: recompute_entry(p, {"kind": "hom_count", "group": "A5"},
+                                          config, catalog),
+                lambda p: recompute_entry(p, {"kind": "low_index", "index": 3},
+                                          config, catalog)):
+        events.clear()
+        quotients._search_program.cache_clear()
+        run(pres(TREFOIL))
+        assert events[0] == "compile_hom_search" and events.count("compile_hom_search") == 1
 
 
 def test_compile_hom_search_matches_reference_implementation():
