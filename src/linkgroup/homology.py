@@ -55,17 +55,16 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D diagonal in a divisibility chain.
+    """D = U·A·V in a divisibility chain, certified by the log of operations.
 
-    u_inv and v_inv are the inverses of U and V; they make the certificate
-    checkable from sparse products alone.
+    Each op is (axis, i, j, factor) on the rows (axis 0) or columns (axis 1):
+    swap lines i and j (factor None), add factor times line j to line i
+    (i != j), or negate line i (i == j, factor -1).  U is the product of the
+    row ops and V of the column ops, each unimodular by its type.
     """
 
     d: IntegerMatrix
-    u: IntegerMatrix
-    v: IntegerMatrix
-    u_inv: IntegerMatrix
-    v_inv: IntegerMatrix
+    ops: tuple
 
     @property
     def invariant_factors(self):
@@ -75,15 +74,13 @@ class SmithDecomposition:
     def verify(self, matrix):
         """Re-check the decomposition exactly against the original matrix.
 
-        U @ A == D @ V^-1 together with U @ U^-1 == I and V @ V^-1 == I gives
-        U @ A @ V == D with U and V unimodular (an integer matrix with an
-        integer inverse has determinant +-1).  A decomposition of the wrong
-        shape is rejected before any product.
+        D must be diagonal, nonnegative and a divisibility chain, and replaying
+        the log on a copy of A must give D; that proves U·A·V == D with U and V
+        unimodular.  A D of the wrong shape or a malformed op is rejected, not
+        an error.
         """
         m, n = matrix.rows, matrix.cols
-        shapes = ((self.d, m, n), (self.u, m, m), (self.u_inv, m, m),
-                  (self.v, n, n), (self.v_inv, n, n))
-        if any(x.rows != rows or x.cols != cols for x, rows, cols in shapes):
+        if self.d.rows != m or self.d.cols != n:
             return False
         diag = [self.d.entries[i][i] for i in range(min(m, n))]
         # nonnegative, each entry dividing the next (zeros last), nothing off it
@@ -92,147 +89,110 @@ class SmithDecomposition:
             return False
         if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(self.d.entries)):
             return False
-        # D is diagonal: row i of D @ V^-1 is d_i times row i of V^-1, zero past the diagonal
-        d_v_inv = [[x * diag[i] for x in self.v_inv.entries[i]] if i < len(diag) else [0] * n
-                   for i in range(m)]
-        return (_product(self.u.entries, matrix.entries, n) == d_v_inv
-                and _product(self.u.entries, self.u_inv.entries, m) == _identity(m)
-                and _product(self.v.entries, self.v_inv.entries, n) == _identity(n))
+        a = [list(row) for row in matrix.entries]
+        for op in self.ops:
+            if not _is_op(op, m, n):
+                return False
+            _apply(a, *op)
+        return a == [list(row) for row in self.d.entries]
 
 
-def _product(left, right, cols):
-    """The rows of left @ right as lists, formed from the nonzeros of both."""
-    right = [[(j, x) for j, x in enumerate(row) if x] for row in right]
-    out = []
-    for row in left:
-        acc = [0] * cols
-        for k, c in enumerate(row):
-            if c:
-                for j, x in right[k]:
-                    acc[j] += c * x
-        out.append(acc)
-    return out
+def _is_op(op, m, n):
+    """True when op is one of the three unimodular kinds, within an m x n matrix."""
+    if type(op) is not tuple or len(op) != 4:
+        return False
+    axis, i, j, factor = op
+    if type(axis) is not int or axis not in (0, 1):
+        return False
+    size = n if axis else m
+    if not all(type(k) is int and 0 <= k < size for k in (i, j)):
+        return False
+    if factor is None:
+        return i != j
+    return type(factor) is int and (i != j or factor == -1)
 
 
-def _identity(n):
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
+def _apply(a, axis, i, j, factor):
+    """Apply one logged op to the rows of a (axis 0) or its columns (axis 1), in place."""
+    if axis == 0:
+        if factor is None:
+            a[i], a[j] = a[j], a[i]
+        elif i == j:
+            a[i] = [-x for x in a[i]]
+        else:
+            a[i] = [x + factor * y for x, y in zip(a[i], a[j])]
+    else:
+        for row in a:
+            if factor is None:
+                row[i], row[j] = row[j], row[i]
+            elif i == j:
+                row[i] = -row[i]
+            elif row[j]:
+                row[i] += factor * row[j]
 
 
 def smith_normal_form(matrix):
-    """Diagonalize over the integers, tracking the row and column transforms.
+    """Diagonalize over the integers, logging every elementary operation.
 
-    The pivot is always a minimal-absolute-value nonzero entry of the remaining
-    block, the first in row-major order, which keeps intermediate entries
-    small.  Each row operation on A is applied to U and, inverted, to U^-1;
-    each column operation to V and, inverted, to V^-1.  U^-1 and V are kept
-    transposed, so that every operation rewrites whole rows.  Every returned
-    decomposition is re-verified exactly before being handed back.
+    The pivot is a minimal-absolute-value nonzero entry of the remaining
+    block, the first in row-major order, which keeps entries small.  It is
+    picked again after every row or column sweep that leaves a remainder,
+    since that remainder is smaller (Havas, Holt and Rees, "Recognizing badly
+    presented Z-modules", 1993).  Every returned decomposition is re-verified
+    by replaying its log before being handed back.
     """
     m, n = matrix.rows, matrix.cols
     a = [list(row) for row in matrix.entries]
-    u = _identity(m)
-    u_inv_t = _identity(m)
-    v_t = _identity(n)
-    v_inv = _identity(n)
+    ops = []
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        v_t[i], v_t[j] = v_t[j], v_t[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def add_row(dst, src, factor):
-        # R_dst += f R_src on A and U is C_src -= f C_dst on U^-1
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-        u_inv_t[src] = [x - factor * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
-
-    def add_col(dst, src, factor):
-        # C_dst += f C_src on A and V is R_src -= f R_dst on V^-1
-        for row in a:
-            if row[src]:
-                row[dst] += factor * row[src]
-        v_t[dst] = [x + factor * y for x, y in zip(v_t[dst], v_t[src])]
-        v_inv[src] = [x - factor * y for x, y in zip(v_inv[src], v_inv[dst])]
+    def run(*op):
+        ops.append(op)
+        _apply(a, *op)
 
     t = 0
     while t < min(m, n):
         best = None
-        low = 0
         for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                x = abs(row[j])
-                if x and (best is None or x < low):
-                    best, low = (i, j), x
-                    if x == 1:
-                        break
-            if low == 1:
+            for j, x in enumerate(a[i][t:], t):
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+            if best and best[0] == 1:
                 break
         if best is None:
             break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
+        _, i, j = best
+        if i != t:
+            run(0, t, i, None)
+        if j != t:
+            run(1, t, j, None)
 
-        while True:
-            dirty = False
-            for i in range(m):
-                if i != t and a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(i, t)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(n):
-                if j != t and a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(j, t)
-                        dirty = True
-                        break
-            if not dirty:
-                break
+        # rows and columns before t are clear, so each sweep starts past t
+        pivot = a[t][t]
+        for i in range(t + 1, m):
+            if a[i][t]:
+                run(0, i, t, -(a[i][t] // pivot))
+        if any(a[i][t] for i in range(t + 1, m)):
+            continue
+        for j in range(t + 1, n):
+            if a[t][j]:
+                run(1, j, t, -(a[t][j] // pivot))
+        if any(a[t][t + 1:]):
+            continue
 
         # a unit pivot divides everything left
-        pivot = a[t][t]
-        offender = None
         if abs(pivot) != 1:
             offender = next((i for i in range(t + 1, m)
                              if any(x % pivot for x in a[i][t + 1:])), None)
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
+            if offender is not None:
+                run(0, t, offender, 1)
+                continue
         t += 1
 
     for i in range(min(m, n)):
         if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-            u_inv_t[i] = [-x for x in u_inv_t[i]]
+            run(0, i, i, -1)
 
-    decomposition = SmithDecomposition(
-        IntegerMatrix._of(tuple(map(tuple, a)), n),
-        IntegerMatrix._of(tuple(map(tuple, u)), m),
-        IntegerMatrix._of(tuple(zip(*v_t)), n),
-        IntegerMatrix._of(tuple(zip(*u_inv_t)), m),
-        IntegerMatrix._of(tuple(map(tuple, v_inv)), n),
-    )
+    decomposition = SmithDecomposition(IntegerMatrix._of(tuple(map(tuple, a)), n), tuple(ops))
     if not decomposition.verify(matrix):
         raise RuntimeError("Smith normal form self-check failed")
     return decomposition

@@ -917,6 +917,39 @@ def reference_smith_normal_form(matrix):
     return d, u, v
 
 
+def reference_log_transforms(ops, m, n):
+    """(U, V) of a Smith operation log for an m x n matrix, or None for a malformed op.
+
+    An op (axis, i, j, factor) acts on rows (axis 0) or columns (axis 1): it
+    swaps lines i != j (factor None), adds factor times line j to line i != j,
+    or negates line i (i == j, factor -1).  Row ops build U from the identity
+    and column ops build V, so replaying the log on A gives U @ A @ V.
+    """
+    # V is built transposed, so a column op on it rewrites one row
+    built = ([[int(r == c) for c in range(m)] for r in range(m)],
+             [[int(r == c) for c in range(n)] for r in range(n)])
+    for op in ops:
+        if not isinstance(op, tuple) or len(op) != 4:
+            return None
+        axis, i, j, factor = op
+        if type(axis) is not int or axis not in (0, 1):
+            return None
+        size = (m, n)[axis]
+        if any(type(k) is not int or k < 0 or k >= size for k in (i, j)):
+            return None
+        lines = built[axis]
+        if factor is None and i != j:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif type(factor) is int and i != j:
+            lines[i] = [x + factor * y for x, y in zip(lines[i], lines[j])]
+        elif type(factor) is int and factor == -1:
+            lines[i] = [-x for x in lines[i]]
+        else:
+            return None
+    u, v_t = built
+    return IntegerMatrix.from_rows(u, m), IntegerMatrix.from_rows(list(zip(*v_t)), n)
+
+
 # --- surgery presentation and gem report before computing each fact once ------
 # Verbatim copies: one walk of every component for the transition generators
 # and another for the filling relators, and each two-colour residue computed

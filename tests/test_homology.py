@@ -1,16 +1,18 @@
 import dataclasses
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linkgroup import cli
 from linkgroup.homology import (IntegerMatrix, SmithDecomposition,
                                 abelianization_matrix, first_homology,
                                 is_perfect, smith_normal_form)
 from linkgroup.presentations import parse_presentation, tietze_simplify
 from conftest import CORPUS_KEYS, data_text
-from oracles import (minor_gcd_invariant_factors, reference_det, reference_matmul,
-                     reference_smith_normal_form, reference_smith_verify)
+from oracles import (minor_gcd_invariant_factors, reference_det, reference_log_transforms,
+                     reference_matmul, reference_smith_normal_form, reference_smith_verify)
 
 
 def mat(rows, cols=None):
@@ -57,19 +59,29 @@ def test_snf_verify_rejects_tampering():
     m = mat([[2, 0], [0, 3]])
     good = smith_normal_form(m)
     assert good.verify(m)
-    i2, i3 = IntegerMatrix.identity(2), IntegerMatrix.identity(3)
-    bad = SmithDecomposition(mat([[2, 0], [0, 3]]), i2, i2, i2, i2)
-    assert not bad.verify(m)  # 2 does not divide 3
-    swapped = SmithDecomposition(good.d, good.v, good.u, good.v_inv, good.u_inv)
-    assert not swapped.verify(m)
-    # a decomposition of the wrong shape is rejected, not an error
-    for mis_shaped in (SmithDecomposition(m, i3, i2, i2, i2),
-                       SmithDecomposition(m, i2, i3, i2, i2),
-                       SmithDecomposition(m, i2, i2, i3, i2),
-                       SmithDecomposition(m, i2, i2, i2, i3),
-                       SmithDecomposition(IntegerMatrix.zeros(2, 3), i2, i2, i2, i2),
-                       SmithDecomposition(IntegerMatrix.zeros(3, 2), i2, i2, i2, i2)):
-        assert not mis_shaped.verify(m)
+    assert not SmithDecomposition(m, ()).verify(m)  # 2 does not divide 3
+    negative = mat([[-2]])
+    assert smith_normal_form(negative).ops == ((0, 0, 0, -1),)
+    assert not SmithDecomposition(negative, ()).verify(negative)
+    # a D of the wrong shape is rejected, not an error
+    for d in (IntegerMatrix.zeros(2, 3), IntegerMatrix.zeros(3, 2)):
+        assert not SmithDecomposition(d, good.ops).verify(m)
+    # each malformed op is rejected, not an error; the pairs would otherwise
+    # undo each other and leave the certificate intact
+    for bad in ([(0, 0, 0, 2)] * 2,           # i == j scales by other than -1
+                [(1, 1, 1, None)],            # a line swapped with itself
+                [(0, 2, 0, 1)],               # index out of range
+                [(0, -1, 0, None)] * 2,
+                [(0, 0, 1, True), (0, 0, 1, -1)],  # a bool factor
+                [(0, 0, 1, 1.0), (0, 0, 1, -1.0)],  # a float factor
+                [(2, 0, 1, None)] * 2,        # an axis other than 0/1
+                [(True, 0, 1, None)] * 2,
+                [(0, 0, 1)],                  # not a 4-tuple
+                [(0, 0, 1, None, 0)] * 2,
+                [[0, 0, 1, None]] * 2):
+        for ops in (good.ops + tuple(bad), tuple(bad) + good.ops):
+            assert SmithDecomposition(good.d, ops).verify(m) is False, bad
+            assert certificate_holds(SmithDecomposition(good.d, ops), m) is False, bad
 
 
 def test_snf_matches_minor_gcd_oracle_on_seeded_randoms():
@@ -102,46 +114,47 @@ def wirtinger_like(rng, cols):
 
 
 def certificate_holds(dec, matrix):
-    """The old certificate on D, U, V, and U^-1, V^-1 the inverses of U, V."""
-    def inverse_pair(x, x_inv):
-        product = reference_matmul(x, x_inv)
-        return product == IntegerMatrix.identity(product.rows)
-
-    try:
-        return (reference_smith_verify(dec.d, dec.u, dec.v, matrix)
-                and inverse_pair(dec.u, dec.u_inv) and inverse_pair(dec.v, dec.v_inv))
-    except ValueError:  # shape mismatch
-        return False
+    """The certificate checked densely on D and the U, V that the oracle builds from the log."""
+    transforms = reference_log_transforms(dec.ops, matrix.rows, matrix.cols)
+    return transforms is not None and reference_smith_verify(dec.d, *transforms, matrix)
 
 
 def tampered(rng, dec, matrix):
     """Decompositions one change away from dec, and the matrix each is checked against."""
-    fields = ("d", "u", "v", "u_inv", "v_inv")
-    for name in fields:
-        x = getattr(dec, name)
-        if x.rows and x.cols:
-            i, j = rng.randrange(x.rows), rng.randrange(x.cols)
-            rows = [list(r) for r in x.entries]
-            rows[i][j] += rng.choice((-2, -1, 1, 2))
-            yield dataclasses.replace(dec, **{name: mat(rows, x.cols)}), matrix
+    ops = list(dec.ops)
+
+    def with_ops(changed):
+        return dataclasses.replace(dec, ops=tuple(changed)), matrix
+
+    def with_op(k, op):
+        return with_ops(ops[:k] + [op] + ops[k + 1:])
+
+    def bumped(x):
+        i, j = rng.randrange(x.rows), rng.randrange(x.cols)
+        rows = [list(r) for r in x.entries]
+        rows[i][j] += rng.choice((-2, -1, 1, 2))
+        return mat(rows, x.cols)
+
+    numeric = [k for k, op in enumerate(ops) if op[3] is not None]
+    if numeric:
+        k = rng.choice(numeric)
+        axis, i, j, factor = ops[k]
+        yield with_op(k, (axis, i, j, factor + rng.choice((-1, 1))))
+    if ops:
+        k = rng.randrange(len(ops))
+        axis, i, j, factor = ops[k]
+        size = (matrix.rows, matrix.cols)[axis]
+        moved = rng.choice([x for x in range(size) if x != i] or [size])
+        yield with_op(k, (axis, i, moved, factor) if rng.random() < 0.5
+                      else (axis, moved, j, factor))
+        yield with_op(k, (1 - axis, i, j, factor))
+        yield with_ops(ops[:k] + ops[k + 1:])
+    if len(ops) > 1:
+        k = rng.randrange(len(ops) - 1)
+        yield with_ops(ops[:k] + [ops[k + 1], ops[k]] + ops[k + 2:])
     if matrix.rows and matrix.cols:
-        i, j = rng.randrange(matrix.rows), rng.randrange(matrix.cols)
-        rows = [list(r) for r in matrix.entries]
-        rows[i][j] += 1
-        yield dec, mat(rows, matrix.cols)
-    yield SmithDecomposition(dec.d, dec.v, dec.u, dec.v_inv, dec.u_inv), matrix
-    if matrix.rows > 1:
-        # row i += c * row r on U, with U^-1 kept its inverse: every check but
-        # U @ A == D @ V^-1 still holds; rows past the diagonal included
-        i, r = rng.sample(range(matrix.rows), 2)
-        c = rng.choice((-1, 1))
-        u = [list(row) for row in dec.u.entries]
-        u[i] = [x + c * y for x, y in zip(u[i], u[r])]
-        u_inv = [list(row) for row in dec.u_inv.entries]
-        for row in u_inv:
-            row[r] -= c * row[i]
-        yield dataclasses.replace(dec, u=mat(u, matrix.rows),
-                                  u_inv=mat(u_inv, matrix.rows)), matrix
+        yield dataclasses.replace(dec, d=bumped(dec.d)), matrix
+        yield dec, bumped(matrix)
 
 
 def test_snf_matches_reference_and_verify_agrees():
@@ -155,16 +168,60 @@ def test_snf_matches_reference_and_verify_agrees():
     outcomes = {True: 0, False: 0}
     for matrix in matrices:
         dec = smith_normal_form(matrix)
-        assert (dec.d, dec.u, dec.v) == reference_smith_normal_form(matrix)
+        assert dec.d == reference_smith_normal_form(matrix)[0]
         assert certificate_holds(dec, matrix)
         if matrix.cols > 45:
             continue  # the dense reference check is slow; the shapes above cover it
-        for candidate, against in tampered(rng, dec, matrix):
-            expected = certificate_holds(candidate, against)
-            assert candidate.verify(against) == expected
-            outcomes[expected] += 1
-    # some tampering leaves a valid decomposition (an entry with nothing to meet)
-    assert outcomes[False] > 300 and outcomes[True] > 0
+        for _ in range(3):
+            for candidate, against in tampered(rng, dec, matrix):
+                expected = certificate_holds(candidate, against)
+                assert candidate.verify(against) == expected
+                outcomes[expected] += 1
+    # some changes leave a valid certificate (commuting ops swapped, an op with no effect)
+    assert outcomes[False] > 600 and outcomes[True] > 50
+
+
+def found_shaped(rng, cols):
+    """4 entries of +-1/+-2 per row, 1-3 more rows than columns.
+
+    An elimination that kept dense U and V let their entries grow past
+    10^5 bits at 70 columns.
+    """
+    rows = []
+    for _ in range(cols + rng.randint(1, 3)):
+        row = [0] * cols
+        for j in rng.sample(range(cols), 4):
+            row[j] = rng.choice((1, -1, 2, -2))
+        rows.append(row)
+    return mat(rows, cols)
+
+
+def test_snf_coefficients_stay_bounded_on_large_sparse_matrices(tmp_path, capsys):
+    rng = random.Random(20261019)
+    for cols in (70, 100, 150):
+        matrix = found_shaped(rng, cols)
+        dec = smith_normal_form(matrix)
+        assert dec.verify(matrix)
+        assert all(abs(op[3]) < 2 ** 128 for op in dec.ops if op[3] is not None)
+        rows = list(range(matrix.rows))
+        columns = list(range(cols))
+        rng.shuffle(rows)
+        rng.shuffle(columns)
+        permuted = mat([[matrix.entries[i][j] for j in columns] for i in rows], cols)
+        transposed = mat(list(zip(*matrix.entries)), matrix.rows)
+        for other in (permuted, transposed):
+            assert smith_normal_form(other).invariant_factors == dec.invariant_factors
+        if cols == 100:
+            # the same matrix as a presentation, through the command line
+            gens = ["x%d" % j for j in range(cols)]
+            relators = ["*".join("%s^%d" % (gens[j], x) for j, x in enumerate(row) if x)
+                        for row in matrix.entries]
+            path = tmp_path / "sparse.pres"
+            path.write_text("gens: %s\nrels: %s\n" % (", ".join(gens), "; ".join(relators)))
+            assert cli.main(["homology", str(path)]) == 0
+            factors = dec.invariant_factors
+            expected = [x for x in factors if x > 1] + [0] * (cols - len(factors))
+            assert json.loads(capsys.readouterr().out)["homology"] == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
