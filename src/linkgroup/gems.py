@@ -25,7 +25,7 @@ class FourGraph:
 
     @classmethod
     def from_matchings(cls, vertices, matchings):
-        if not isinstance(vertices, int) or vertices <= 0:
+        if type(vertices) is not int or vertices <= 0:
             raise FourGraphError("vertex count must be a positive integer")
         if not isinstance(matchings, (list, tuple)) or len(matchings) != 4:
             raise FourGraphError("expected a list of exactly 4 matchings")
@@ -42,7 +42,7 @@ class FourGraph:
                     raise FourGraphError("color %d: edges must be vertex pairs" % color)
                 u, v = pair
                 for x in (u, v):
-                    if not isinstance(x, int) or not 0 <= x < vertices:
+                    if type(x) is not int or not 0 <= x < vertices:
                         raise FourGraphError("color %d: vertex %r out of range" % (color, x))
                 if u == v:
                     raise FourGraphError("color %d: loop at vertex %d" % (color, u))

@@ -235,8 +235,11 @@ def tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
     Each side of a relator is an encoded word, and the work is incremental:
     an elimination rewrites only the relators that contain the eliminated
     generator, phase 2 reduces only relators it has not yet found fixed, and
-    phase 3 matches each (target, source) pair at most once per call.
+    phase 3 matches each (target, source) pair at most once per call.  A
+    budget that is not a non-negative integer raises ValueError.
     """
+    if type(budget) is not int or budget < 0:
+        raise ValueError("simplify budget must be a non-negative integer, not %r" % (budget,))
     names = presentation.generators
     encode, decode, table = _encoder(names)
     gens = list(names)

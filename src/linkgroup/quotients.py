@@ -189,8 +189,8 @@ def compile_hom_search(presentation):
             return program + (n_gens,)
 
 
-def _subgroup_order(key, mul, e, order):
-    """The order of the subgroup that the elements key generate.
+def _subgroup_order(images, mul, e, order):
+    """The order of the subgroup that the elements images generate.
 
     The closure stops once it holds more than half the group: a subgroup
     that large is the whole group, since its order divides the group's.
@@ -201,7 +201,7 @@ def _subgroup_order(key, mul, e, order):
         nxt = []
         for x in frontier:
             base = x * order
-            for g in key:
+            for g in images:
                 y = mul[base + g]
                 if y not in seen:
                     seen.add(y)
@@ -317,22 +317,21 @@ def _search_program(presentation):
     return _lower(compile_hom_search(_reduce_generators(presentation)))
 
 
-def _search(program, group, classify, node_budget):
-    """Run a search program in slot form into group; return {classify(key): summed weight}.
+def _search(program, group, node_budget):
+    """Run a search program in slot form into group; return {images: weight}.
 
-    The program comes from _lower.  A homomorphism's key is the sorted tuple
-    of its distinct generator images; classify runs once per distinct key,
-    after the walk, and may depend only on what conjugation in group leaves
-    unchanged, since the search lets one homomorphism stand for its
-    conjugates.  When the search opens with an assign, its generator takes
-    one representative r per conjugacy class, weighted by the class size.
-    When the second segment is an assign as well, its generator takes one
-    representative v per orbit of the centraliser C(r) acting by
-    conjugation, weighted by the orbit size: conjugating by c in C(r) fixes
-    r and everything deduced from it and sends v to c * v * c^-1.  Every
-    other candidate weighs 1.  Every candidate tried at any depth, roots and
-    orbit representatives included, is one node charged to node_budget; the
-    search raises BudgetExceeded past it.
+    The program comes from _lower.  images holds the reduced presentation's
+    generator images under one homomorphism found, and weight counts the
+    homomorphisms it stands for, so a reader may use only what conjugation
+    in group leaves unchanged.  When the search opens with an assign, its
+    generator takes one representative r per conjugacy class, weighted by
+    the class size.  When the second segment is an assign as well, its
+    generator takes one representative v per orbit of the centraliser C(r)
+    acting by conjugation, weighted by the orbit size: conjugating by c in
+    C(r) fixes r and everything deduced from it and sends v to c * v * c^-1.
+    Every other candidate weighs 1.  Every candidate tried at any depth,
+    roots and orbit representatives included, is one node charged to
+    node_budget; the search raises BudgetExceeded past it.
 
     Each call of walk is one parent node of its segment.  It evaluates the
     segment's constant runs once, and only when the first of its candidates
@@ -359,7 +358,7 @@ def _search(program, group, classify, node_budget):
         else:
             vals[target] = x
             vals[target ^ 1] = inv[x]
-    found = {}      # key -> summed weight
+    found = {}      # images -> weight
     solve = None
     if any(kind == "branch" for kind, _, _, _, _ in segments):
         solve = group.conjugacy_solutions()
@@ -407,8 +406,7 @@ def _search(program, group, classify, node_budget):
                     vals[target ^ 1] = inv[x]
             else:
                 if last:
-                    key = tuple(sorted(set(vals[:images:2])))
-                    found[key] = found.get(key, 0) + weight * size
+                    found[tuple(vals[:images:2])] = weight * size
                 else:
                     walk(d + 1, weight * size)
 
@@ -416,12 +414,8 @@ def _search(program, group, classify, node_budget):
         walk(0, 1)
     else:
         # every generator deduced from relators: a single candidate to try
-        found[tuple(sorted(set(vals[:images:2])))] = 1
-    tally = {}
-    for key, weight in found.items():
-        value = classify(key)
-        tally[value] = tally.get(value, 0) + weight
-    return tally
+        found[tuple(vals[:images:2])] = 1
+    return found
 
 
 def count_homs(presentation, group, node_budget=10 ** 8):
@@ -433,23 +427,23 @@ def count_homs(presentation, group, node_budget=10 ** 8):
     assigns images only to a seed set of generators and deduces the rest by
     unit propagation.
 
-    The search classifies each image set by whether it generates the whole
-    group, which conjugation in the target leaves unchanged, so it may take
-    class roots and C(r)-orbit representatives: the total is the sum of the
-    tally's weights and the surjective count is its weight for True.  Every
-    candidate tried at any depth, class roots and orbit representatives
-    included, is one node charged to the single node budget of the whole
-    search.
+    Whether a homomorphism is onto is unchanged by conjugation in the
+    target, so the search may take class roots and C(r)-orbit
+    representatives: the total is the summed weight of the tally and the
+    surjective count that of the image tuples generating the whole group.
+    Every candidate tried at any depth, class roots and orbit
+    representatives included, is one node charged to the single node budget
+    of the whole search.
     """
     mul, _, e = group.tables()
     order = group.order
     try:
-        tally = _search(_search_program(presentation), group,
-                        lambda key: _subgroup_order(key, mul, e, order) == order,
-                        node_budget)
+        found = _search(_search_program(presentation), group, node_budget)
     except BudgetExceeded:
         return HomCount(0, 0, True)
-    return HomCount(sum(tally.values()), tally.get(True, 0))
+    return HomCount(sum(found.values()),
+                    sum(weight for images, weight in found.items()
+                        if _subgroup_order(images, mul, e, order) == order))
 
 
 # --- low-index subgroups ------------------------------------------------------
@@ -459,15 +453,15 @@ def count_homs(presentation, group, node_budget=10 ** 8):
 MAX_INDEX = 7
 
 
-def _transitive_centraliser(key, perms):
-    """|C_{S_k}(<key>)| when the elements key act transitively, else 0.
+def _transitive_centraliser(images, perms):
+    """|C_{S_k}(<images>)| when the elements images act transitively, else 0.
 
     A permutation c commuting with a transitive group is fixed by c(0): it
     sends 0.w to c(0).w for every word w.  So the centraliser order is the
     number of points b for which that rule, applied along a spanning tree of
     the orbit of 0, gives a map commuting with every generator.
     """
-    gens = [perms[g] for g in key]
+    gens = [perms[g] for g in images]
     k = len(perms[0])
     points = [0]
     tree = []
@@ -494,23 +488,24 @@ def _low_index(program, k, node_budget):
 
     Each subgroup of index k is the stabiliser of point 0 in exactly (k-1)!
     transitive homomorphisms to S_k, and each conjugacy class of subgroups is
-    one S_k-orbit of them, of size k! / |C(image)|.  The search classifies
-    each image set by _transitive_centraliser, which conjugation in S_k
-    leaves unchanged, so class roots and C(r)-orbit representatives stand
-    for their orbits: the transitive count is the weight of the nonzero
-    values and the centraliser sum is the sum of value times weight.
+    one S_k-orbit of them, of size k! / |C(image)|.  _transitive_centraliser
+    is unchanged by conjugation in S_k, so class roots and C(r)-orbit
+    representatives stand for their orbits: the transitive count is the
+    weight of the image tuples with a nonzero centraliser and the
+    centraliser sum is the sum of centraliser times weight.
     """
     if not 2 <= k <= MAX_INDEX:
         raise ValueError("subgroup index %d is outside 2..%d" % (k, MAX_INDEX))
     group = symmetric_group(k)
     perms = group.elements()
     try:
-        tally = _search(program, group,
-                        lambda key: _transitive_centraliser(key, perms), node_budget)
+        found = _search(program, group, node_budget)
     except BudgetExceeded:
         return SubgroupCount(0, 0, True)
-    transitive = sum(weight for size, weight in tally.items() if size)
-    centralised = sum(size * weight for size, weight in tally.items())
+    sizes = [(_transitive_centraliser(images, perms), weight)
+             for images, weight in found.items()]
+    transitive = sum(weight for size, weight in sizes if size)
+    centralised = sum(size * weight for size, weight in sizes)
     total, rest = divmod(transitive, math.factorial(k - 1))
     classes, rest_classes = divmod(centralised, math.factorial(k))
     if rest or rest_classes:
@@ -718,7 +713,8 @@ def recompute_entry(presentation, recheck, config, catalog):
 
     A recheck that is not an object, names an unknown kind or a group outside
     the catalog, or an index outside 2..config.max_index raises ValueError
-    before any work is done.  A search that exceeds the node budget raises
+    before any work is done.  Homology, a group invariant, is read from the
+    presentation as given.  A search that exceeds the node budget raises
     BudgetExceeded, since a flagged entry has no value to compare.
     """
     if not isinstance(recheck, dict):
@@ -733,11 +729,11 @@ def recompute_entry(presentation, recheck, config, catalog):
         if type(index) is not int or not 2 <= index <= config.max_index:
             raise ValueError("recheck index %r is not an integer in 2..%d"
                              % (index, config.max_index))
-    elif kind != "homology":
+    elif kind == "homology":
+        return first_homology(presentation)
+    else:
         raise ValueError("unknown recheck kind %r" % (kind,))
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
-    if kind == "homology":
-        return first_homology(simplified)
     _search_program(simplified)
     if kind == "hom_count":
         count = count_homs(simplified, catalog.by_name(name), config.node_budget)

@@ -75,6 +75,15 @@ def test_simplify_fixed_point(capsys):
     assert out == data_text("trefoil.pres")
 
 
+def test_simplify_rejects_a_negative_budget(tmp_path, capsys):
+    # simplify and profile reject the same rewrite budgets
+    path = write(tmp_path, "z2.pres", Z2)
+    for command in ("simplify", "profile"):
+        code, out, err = run(capsys, [command, path, "--simplify-budget", "-1"])
+        assert code == 1 and out == "", command
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_homology_json(tmp_path, capsys):
     path = write(tmp_path, "z2.pres", Z2)
     code, out, _ = run(capsys, ["homology", path])
@@ -191,7 +200,9 @@ def test_gem_check(tmp_path, capsys):
     for doc in ({"vertices": 2, "matchings": 7},
                 {"vertices": 2, "matchings": [[[0, 1]], 5, [[0, 1]], [[0, 1]]]},
                 {"vertices": 2, "matchings": [[[0, 1]], [[0, 1]], [[0, 1]], [3]]},
-                {"vertices": 10 ** 12, "matchings": [[], [], [], []]}):
+                {"vertices": 10 ** 12, "matchings": [[], [], [], []]},
+                # a JSON true is not the vertex 1
+                {"vertices": 2, "matchings": [[[0, True]], [[0, 1]], [[0, 1]], [[0, 1]]]}):
         malformed = write(tmp_path, "malformed.json", json.dumps(doc))
         code, out, err = run(capsys, ["gem-check", malformed])
         assert code == 1 and out == "", doc

@@ -146,6 +146,13 @@ def test_tietze_budget_zero_is_identity():
     assert len(q.relators) == len(p.relators)
 
 
+def test_tietze_rejects_a_budget_that_is_not_a_non_negative_int():
+    p = parse_presentation("gens: a\nrels: a^2\n")
+    for budget in (-1, 2.0, True, None):
+        with pytest.raises(ValueError):
+            tietze_simplify(p, budget=budget)
+
+
 def test_tietze_drops_trivial_relators():
     p = parse_presentation("gens: a, b\nrels: a*a^-1; b = b; a^2\n")
     q = tietze_simplify(p, phases=(2,))

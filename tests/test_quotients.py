@@ -75,25 +75,19 @@ def test_count_homs_against_naive_on_randoms(catalog):
     assert count_homs(by_gens[2][1], a6) == HomCount(29160, 12960)
 
 
-def test_search_classifies_each_image_set_once(catalog):
+def test_search_returns_weighted_image_tuples(catalog):
     # F2 into A5: a takes the 5 class representatives r of A5, and b one
     # representative v per orbit of C(r) acting by conjugation.  By Burnside's
     # lemma the orbits number 5 for r = e (the classes), 22 for a 3-cycle
     # (C(r) = C3), 16 for each 5-cycle (C5) and 18 for a double transposition
-    # (V4): 77 leaves.  Each of the 10 sets {r, s} of two roots is reached
-    # from r and from s, since a class representative is the smallest index of
-    # any orbit inside its class, so 67 keys are classified
-    calls = []
-
-    def classify(key):
-        calls.append(key)
-        return len(key)
-
+    # (V4): 77 leaves, each one homomorphism keyed by its images (a, b)
     program = quotients._search_program(pres(F2))
-    tally = quotients._search(program, catalog.by_name("A5"), classify, 10 ** 8)
-    assert len(calls) == len(set(calls)) == 67
+    found = quotients._search(program, catalog.by_name("A5"), 10 ** 8)
+    assert len(found) == 77
+    assert all(len(images) == 2 for images in found)
     # the weights count homomorphisms: a == b in 60 of the 3600
-    assert tally == {1: 60, 2: 3540}
+    assert sum(found.values()) == 3600
+    assert sum(weight for (a, b), weight in found.items() if a == b) == 60
 
 
 class NodeMeter:
@@ -107,19 +101,30 @@ class NodeMeter:
         return False
 
 
-def metered_search(search, program, group, classify):
-    """The tally and the smallest node budget under which search completes."""
+def regroup(found, classify):
+    """{classify(key): summed weight} of a tally {images: weight}, each image
+    tuple keyed by its sorted distinct images, as the reference searches key it."""
+    tally = {}
+    for images, weight in found.items():
+        value = classify(tuple(sorted(set(images))))
+        tally[value] = tally.get(value, 0) + weight
+    return tally
+
+
+def metered_search(search):
+    """search(node_budget)'s result and the smallest budget under which it completes."""
     meter = NodeMeter()
-    tally = search(program, group, classify, meter)
-    assert search(program, group, classify, meter.used) == tally
+    tally = search(meter)
+    assert search(meter.used) == tally
     if meter.used:
         with pytest.raises(quotients.BudgetExceeded):
-            search(program, group, classify, meter.used - 1)
+            search(meter.used - 1)
     return tally, meter.used
 
 
 def catalog_classify(g, catalog):
-    """The classify of count_homs into a catalog group, of _low_index into S_k."""
+    """The subgroup order of an image set in a catalog group (count_homs reads
+    whether it is the group's order), its transitive centraliser in S_k."""
     mul, _, e = g.tables()
     if g in catalog.groups:
         return functools.lru_cache(maxsize=None)(
@@ -157,9 +162,10 @@ def test_search_matches_reference_search(catalog):
             if len(program[1]) > 2 and g.order > 24:
                 continue    # the reference walks |g|^2 nodes per root there
             classify = catalog_classify(g, catalog)
-            tally, used = metered_search(quotients._search, lowered, g, classify)
-            ref_tally, ref_used = metered_search(reference_search, program, g, classify)
-            assert tally == ref_tally and used <= ref_used, g.name
+            found, used = metered_search(lambda budget: quotients._search(lowered, g, budget))
+            ref_tally, ref_used = metered_search(
+                lambda budget: reference_search(program, g, classify, budget))
+            assert regroup(found, classify) == ref_tally and used <= ref_used, g.name
     # searches with no segment, one assign, two assigns, three, and a branch
     assert {(), ("assign",), ("assign", "assign"), ("assign", "assign", "assign"),
             ("assign", "branch")} <= kinds
@@ -190,8 +196,9 @@ def test_slot_search_matches_reference_orbit_search(catalog):
             if shape.count("assign") > 2 and g.order > 24:
                 continue    # |g| candidates per node from the third assign on
             classify = catalog_classify(g, catalog)
-            assert (metered_search(quotients._search, lowered, g, classify)
-                    == metered_search(reference_orbit_search, program, g, classify)), g.name
+            found, used = metered_search(lambda budget: quotients._search(lowered, g, budget))
+            assert ((regroup(found, classify), used) == metered_search(
+                lambda budget: reference_orbit_search(program, g, classify, budget))), g.name
     assert {(), ("assign",), ("assign", "assign"), ("assign", "assign", "branch"),
             ("assign", "branch", "branch"), "deduce in a segment"} <= kinds
 
@@ -231,25 +238,23 @@ def test_slot_search_work_count_on_u2165(catalog):
     lowered = quotients._lower(program)
     for g, pinned in ((symmetric_group(6), 121401), (catalog.by_name("A6"), 44667)):
         counted, reference = CountedGroup(g), CountedGroup(g)
-        tally = quotients._search(lowered, counted, len, 10 ** 8)
-        assert tally == reference_orbit_search(program, reference, len, 10 ** 8)
+        found = quotients._search(lowered, counted, 10 ** 8)
+        assert regroup(found, len) == reference_orbit_search(program, reference, len, 10 ** 8)
         assert counted.mul.reads == pinned, g.name
         assert counted.mul.reads < reference.mul.reads
 
 
 def test_subgroup_order_stops_at_half_the_group(catalog):
-    # past |G|/2 elements the closure is G; every key the corpus searches
-    # classify gets the order of the full closure
+    # past |G|/2 elements the closure is G; every image tuple the corpus
+    # searches find gets the order of the full closure
     groups = catalog.groups + [symmetric_group(k) for k in range(2, 7)]
     for program in corpus_programs():
         lowered = quotients._lower(program)
         for g in groups:
-            keys = []
-            quotients._search(lowered, g, keys.append, 10 ** 8)
             mul, _, e = g.tables()
-            for key in keys:
-                assert (quotients._subgroup_order(key, mul, e, g.order)
-                        == reference_subgroup_order(key, mul, e, g.order)), g.name
+            for images in quotients._search(lowered, g, 10 ** 8):
+                assert (quotients._subgroup_order(images, mul, e, g.order)
+                        == reference_subgroup_order(images, mul, e, g.order)), g.name
 
 
 def test_count_homs_invariant_under_simplification(catalog):
@@ -577,6 +582,23 @@ def test_recompute_entry_kinds(catalog):
                 {"kind": "low_index", "index": "2"}):
         with pytest.raises(ValueError):
             recompute_entry(p, bad, config, catalog)
+
+
+def test_homology_recheck_reads_the_presentation_as_given(monkeypatch, catalog):
+    # H1 is a group invariant, so its replay does not simplify first; the
+    # recheck is still validated before any work
+    doc = distinguish(pres(Z2), pres(Z3)).to_dict()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a homology recheck simplified its input")
+
+    monkeypatch.setattr(quotients, "tietze_simplify", fail)
+    config = ProfileConfig()
+    p = pres("gens: a, b\nrels: a^6; b = a^2\n")
+    assert recompute_entry(p, {"kind": "homology"}, config, catalog) == [6]
+    with pytest.raises(ValueError):
+        recompute_entry(p, {"kind": "volume"}, config, catalog)
+    assert verify_witness(doc, pres(Z2), pres(Z3)) == (True, "witness homology verified")
 
 
 def test_count_validation():
