@@ -55,6 +55,7 @@ from .quotients import (
     low_index_single,
     low_index_subgroups,
     profile,
+    search_program,
     verify_witness,
 )
 from .gems import (
@@ -83,7 +84,8 @@ __all__ = [
     "Catalog", "FiniteGroup", "load_catalog", "parse_catalog",
     "HomCount", "InvariantProfile", "ProfileConfig", "SubgroupCount",
     "Verdict", "Witness", "compare_profiles", "count_homs", "distinguish",
-    "low_index_single", "low_index_subgroups", "profile", "verify_witness",
+    "low_index_single", "low_index_subgroups", "profile", "search_program",
+    "verify_witness",
     "FourGraph", "FourGraphError", "gem_report", "is_gem", "parse_fourgraph",
     "residues", "serialize_fourgraph",
     "CorpusEntry", "load_corpus",

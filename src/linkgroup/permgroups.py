@@ -243,7 +243,7 @@ def parse_catalog(text):
     if not isinstance(doc, dict) or not isinstance(doc.get("groups"), list):
         raise CatalogError("catalog must be an object with a groups list")
     version = doc.get("version")
-    if not isinstance(version, int):
+    if type(version) is not int:
         raise CatalogError("catalog version must be an integer")
     groups = []
     names = set()

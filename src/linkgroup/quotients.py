@@ -12,7 +12,6 @@ reports an explicit flag instead of a count.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -232,9 +231,12 @@ def _lower(program):
     checks at the same point run shortest first; a segment's runs are
     numbered in the order its ops first read them.
 
-    Returns (slot count, head ops, segments, n).  A segment is (kind, image
-    slot, branch, ops, runs): branch is (mid, suf + pre, eps) as words for a
-    branch and None for an assign, and each run is (slot, first, rest).
+    The head is not lowered: its ops run before any generator is assigned,
+    so each deduce gives the identity, which every slot starts with, and
+    each check holds.  Returns (slot count, segments, n).  A segment is
+    (kind, image slot, branch, ops, runs): branch is (mid, suf + pre, eps)
+    as words for a branch and None for an assign, and each run is (slot,
+    first, rest).
     """
     head, segments, n_gens = program
     identity = 2 * n_gens
@@ -291,7 +293,6 @@ def _lower(program):
             lowered.append((len(runs), target) + word(slots))
         return tuple(lowered), tuple(runs)
 
-    head_ops, _ = lower_ops(head, frozenset())
     known = {op[1] for op in head if op[0] == "deduce"}
     out = []
     for kind, g, data, post in segments:
@@ -303,16 +304,18 @@ def _lower(program):
         out.append((kind, 2 * g, branch, ops, runs))
         known.add(g)
         known.update(op[1] for op in post if op[0] == "deduce")
-    return slot_count, head_ops, tuple(out), n_gens
+    return slot_count, tuple(out), n_gens
 
 
-@functools.lru_cache(maxsize=1)
-def _search_program(presentation):
-    """The search program of the reduced presentation, in slot form.
+def search_program(presentation):
+    """The compiled search of the presented group, in slot form.
 
-    A profile runs every one of its searches on one presentation, so the
-    program of the last presentation seen is kept and compiled and lowered
-    only once.
+    count_homs, low_index_subgroups and low_index_single run it, so a caller
+    compiles once and passes the program to every search on the presentation.
+    Each count depends only on the group, so the presentation is first
+    reduced by eliminating generators with a single occurrence in some
+    relator; the search then assigns images only to a seed set of generators
+    and deduces the rest.
     """
     return _lower(compile_hom_search(_reduce_generators(presentation)))
 
@@ -338,7 +341,7 @@ def _search(program, group, node_budget):
     reaches an op that reads them, so a parent whose candidates all fail
     earlier, or that has none, pays nothing for them.
     """
-    slot_count, head, segments, n_gens = program
+    slot_count, segments, n_gens = program
     mul, inv, e = group.tables()
     order = group.order
     vals = [e] * slot_count
@@ -350,14 +353,6 @@ def _search(program, group, node_budget):
             x = mul[x * order + vals[s]]
         return x
 
-    for _, target, first, rest in head:
-        x = word(first, rest)
-        if target < 0:
-            if x != e:
-                return {}
-        else:
-            vals[target] = x
-            vals[target ^ 1] = inv[x]
     found = {}      # images -> weight
     solve = None
     if any(kind == "branch" for kind, _, _, _, _ in segments):
@@ -418,14 +413,9 @@ def _search(program, group, node_budget):
     return found
 
 
-def count_homs(presentation, group, node_budget=10 ** 8):
-    """Count all and surjective homomorphisms from the presented group.
-
-    Both counts depend only on the presented group, so the presentation is
-    first compiled down by eliminating generators with a single occurrence in
-    some relator, once for all the searches on it.  The remaining search
-    assigns images only to a seed set of generators and deduces the rest by
-    unit propagation.
+def count_homs(program, group, node_budget=10 ** 8):
+    """Count all and surjective homomorphisms from the group whose
+    search_program is program.
 
     Whether a homomorphism is onto is unchanged by conjugation in the
     target, so the search may take class roots and C(r)-orbit
@@ -438,7 +428,7 @@ def count_homs(presentation, group, node_budget=10 ** 8):
     mul, _, e = group.tables()
     order = group.order
     try:
-        found = _search(_search_program(presentation), group, node_budget)
+        found = _search(program, group, node_budget)
     except BudgetExceeded:
         return HomCount(0, 0, True)
     return HomCount(sum(found.values()),
@@ -515,23 +505,22 @@ def _low_index(program, k, node_budget):
     return SubgroupCount(classes, total)
 
 
-def low_index_subgroups(presentation, max_index, node_budget=10 ** 8):
+def low_index_subgroups(program, max_index, node_budget=10 ** 8):
     """Subgroup counts by exact index, from 2 up to max_index inclusive.
 
-    Each index k is counted by its own search of Hom(G, S_k) on the shared
-    compiled program, with its own node budget and its own budget flag.
-    max_index may be at most MAX_INDEX.
+    Each index k is counted by its own search of Hom(G, S_k) on program, the
+    group's search_program, with its own node budget and its own budget
+    flag.  max_index may be at most MAX_INDEX.
     """
     if max_index > MAX_INDEX:
         raise ValueError("max_index %d is above %d" % (max_index, MAX_INDEX))
-    program = _search_program(presentation)
     return {k: _low_index(program, k, node_budget)
             for k in range(2, max_index + 1)}
 
 
-def low_index_single(presentation, k, node_budget=10 ** 8):
+def low_index_single(program, k, node_budget=10 ** 8):
     """The counts at one index k, equal to low_index_subgroups(...)[k]."""
-    return _low_index(_search_program(presentation), k, node_budget)
+    return _low_index(program, k, node_budget)
 
 
 # --- profiles and verdicts ----------------------------------------------------
@@ -629,11 +618,11 @@ def profile(presentation, config=None, catalog=None, workers=1):
     catalog = catalog or load_catalog()
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
     homology = tuple(first_homology(simplified))
-    _search_program(simplified)     # compiled once, outside every search
+    program = search_program(simplified)
     hom_counts = tuple(
-        (g.name, count_homs(simplified, g, config.node_budget))
+        (g.name, count_homs(program, g, config.node_budget))
         for g in catalog.groups)
-    low = low_index_subgroups(simplified, config.max_index, config.node_budget)
+    low = low_index_subgroups(program, config.max_index, config.node_budget)
     return InvariantProfile(
         homology=homology,
         hom_counts=hom_counts,
@@ -734,11 +723,11 @@ def recompute_entry(presentation, recheck, config, catalog):
     else:
         raise ValueError("unknown recheck kind %r" % (kind,))
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
-    _search_program(simplified)
+    program = search_program(simplified)
     if kind == "hom_count":
-        count = count_homs(simplified, catalog.by_name(name), config.node_budget)
+        count = count_homs(program, catalog.by_name(name), config.node_budget)
     else:
-        count = low_index_single(simplified, index, config.node_budget)
+        count = low_index_single(program, index, config.node_budget)
     if count.budget_exceeded:
         raise BudgetExceeded
     return count.value()

@@ -16,7 +16,8 @@ from linkgroup.permgroups import load_catalog
 from linkgroup.presentations import (fundamental_group, parse_presentation,
                                      serialize_presentation, tietze_simplify)
 from linkgroup.quotients import (ProfileConfig, count_homs, distinguish,
-                                 low_index_subgroups, profile, verify_witness)
+                                 low_index_subgroups, profile, search_program,
+                                 verify_witness)
 from conftest import CORPUS_KEYS, data_path, data_text
 from oracles import minor_gcd_invariant_factors, naive_hom_counts
 
@@ -120,8 +121,9 @@ def test_c05_hom_counts_match_naive_enumeration():
                                  for _ in range(rng.randint(1, 6))))
         p = parse_presentation("gens: %s\nrels: %s\n"
                                % (", ".join(names), "; ".join(rels)))
+        program = search_program(p)
         for group in small:
-            hc = count_homs(p, group)
+            hc = count_homs(program, group)
             assert (hc.total, hc.surjective) == naive_hom_counts(p, group), \
                 (trial, group.name)
     elapsed = time.perf_counter() - started
@@ -133,10 +135,10 @@ def test_c05_hom_counts_match_naive_enumeration():
 def test_c06_closed_form_low_index_counts():
     started = time.perf_counter()
     z = parse_presentation("gens: a\nrels:\n")
-    for k, sc in low_index_subgroups(z, 6).items():
+    for k, sc in low_index_subgroups(search_program(z), 6).items():
         assert (sc.classes, sc.total) == (1, 1), k
     f2 = parse_presentation("gens: a, b\nrels:\n")
-    sc = low_index_subgroups(f2, 2)[2]
+    sc = low_index_subgroups(search_program(f2), 2)[2]
     assert (sc.classes, sc.total) == (3, 3)
     elapsed = time.perf_counter() - started
     announce(6, elapsed < 5.0,
@@ -167,7 +169,8 @@ def test_c07_engine_matches_external_pins(tmp_path, monkeypatch):
             assert computed["low_index"][index] == \
                 {"classes": classes, "total": total}, (key, index)
     # the shipped report was produced by this same job and must not drift
-    assert raw == open(data_path("report.json"), "rb").read()
+    with open(data_path("report.json"), "rb") as f:
+        assert raw == f.read()
     announce(7, elapsed < 600.0,
              "trefoil + all 4 corpus profiles match the pinned values, corpus "
              "job %.1fs (< 600s)" % elapsed)

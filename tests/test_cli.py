@@ -168,8 +168,9 @@ def with_group(**fields):
     with_group(generators=[[1, 0, "2"]]),
     with_group(generators=[3]),
     {"version": 1, "groups": [[1, 0]]},
+    dict(CATALOG, version=True),
 ], ids=["no-generators", "string-degree", "wrong-degree", "zero-order", "int-name",
-        "string-point", "int-generator", "list-entry"])
+        "string-point", "int-generator", "list-entry", "bool-version"])
 def test_malformed_catalog_is_an_input_error(tmp_path, capsys, doc):
     z2 = write(tmp_path, "z2.pres", Z2)
     catalog = write(tmp_path, "catalog.json", json.dumps(doc))
@@ -218,7 +219,8 @@ def test_verify_witness_flow(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify-witness", verdict, z2, z3])
     assert code == 0
     assert json.loads(out)["ok"] is True
-    doc = json.loads(open(verdict).read())
+    with open(verdict) as f:
+        doc = json.load(f)
     doc["witness"]["right"] = [7]
     tampered = write(tmp_path, "tampered.json", json.dumps(doc))
     code, out, _ = run(capsys, ["verify-witness", tampered, z2, z3])

@@ -14,7 +14,7 @@ from linkgroup.quotients import (MAX_INDEX, HomCount, InvariantProfile,
                                  compare_profiles, count_homs, distinguish,
                                  low_index_single, low_index_subgroups,
                                  presentation_hash, profile, recompute_entry,
-                                 verify_witness)
+                                 search_program, verify_witness)
 from conftest import pres
 from oracles import (coset_table_low_index, naive_hom_counts,
                      reference_compile_hom_search, reference_orbit_search,
@@ -42,14 +42,15 @@ def random_presentation(rng, max_gens=3, max_rels=4, max_len=6):
 def test_count_homs_hand_checked(catalog):
     c3 = catalog.by_name("C3")
     s3 = catalog.by_name("S3")
-    assert count_homs(pres(Z), c3) == HomCount(3, 2)
-    assert count_homs(pres(Z), s3) == HomCount(6, 0)
+    assert count_homs(search_program(pres(Z)), c3) == HomCount(3, 2)
+    assert count_homs(search_program(pres(Z)), s3) == HomCount(6, 0)
     # x^2 = e in S3: the identity and the three transpositions
-    assert count_homs(pres(Z2), s3) == HomCount(4, 0)
-    assert count_homs(pres(F2), c3) == HomCount(9, 8)
+    assert count_homs(search_program(pres(Z2)), s3) == HomCount(4, 0)
+    assert count_homs(search_program(pres(F2)), c3) == HomCount(9, 8)
     # no generators at all: only the trivial homomorphism
-    assert count_homs(pres("gens:\nrels:\n"), s3) == HomCount(1, 0)
-    assert count_homs(pres("gens:\nrels:\n"), catalog.by_name("C2")) == HomCount(1, 0)
+    empty = search_program(pres("gens:\nrels:\n"))
+    assert count_homs(empty, s3) == HomCount(1, 0)
+    assert count_homs(empty, catalog.by_name("C2")) == HomCount(1, 0)
 
 
 def test_count_homs_against_naive_on_randoms(catalog):
@@ -63,16 +64,17 @@ def test_count_homs_against_naive_on_randoms(catalog):
         p = random_presentation(rng)
         by_gens[len(p.generators)].append(p)
         targets = small + large if len(p.generators) <= 2 else small
+        program = search_program(p)
         for g in targets:
-            got = count_homs(p, g)
+            got = count_homs(program, g)
             assert not got.budget_exceeded
             assert (got.total, got.surjective) == naive_hom_counts(p, g), g.name
     # the naive oracle tries all 360^2 image pairs of a 2-generator input in
     # A6, so A6 checks every 1-generator input and the first three others
     for p in by_gens[1] + by_gens[2][:3]:
-        assert count_homs(p, a6) == HomCount(*naive_hom_counts(p, a6))
+        assert count_homs(search_program(p), a6) == HomCount(*naive_hom_counts(p, a6))
     # one of those maps onto A6
-    assert count_homs(by_gens[2][1], a6) == HomCount(29160, 12960)
+    assert count_homs(search_program(by_gens[2][1]), a6) == HomCount(29160, 12960)
 
 
 def test_search_returns_weighted_image_tuples(catalog):
@@ -81,7 +83,7 @@ def test_search_returns_weighted_image_tuples(catalog):
     # lemma the orbits number 5 for r = e (the classes), 22 for a 3-cycle
     # (C(r) = C3), 16 for each 5-cycle (C5) and 18 for a double transposition
     # (V4): 77 leaves, each one homomorphism keyed by its images (a, b)
-    program = quotients._search_program(pres(F2))
+    program = search_program(pres(F2))
     found = quotients._search(program, catalog.by_name("A5"), 10 ** 8)
     assert len(found) == 77
     assert all(len(images) == 2 for images in found)
@@ -175,7 +177,8 @@ def test_slot_search_matches_reference_orbit_search(catalog):
     # the slot form tries the same candidates in the same order as the search
     # that walked relators letter by letter: the same tally, and exactly the
     # same smallest budget under which it completes.  Programs compiled
-    # without the generator reduction keep deduces inside their segments.
+    # without the generator reduction keep deduces inside their segments, and
+    # some open with a head, which the reference runs and the slot form drops.
     inputs = [pres(F2), pres(TREFOIL), pres(S3_PRES),
               pres("gens: a, b\nrels: a*b*a^-1 = b^2\n"),
               # a deduce reading a constant run, inside the second branch
@@ -192,6 +195,8 @@ def test_slot_search_matches_reference_orbit_search(catalog):
         kinds.add(shape)
         if any(op[0] == "deduce" for _, _, _, post in program[1] for op in post):
             kinds.add("deduce in a segment")
+        if program[0]:
+            kinds.add("head")
         for g in groups:
             if shape.count("assign") > 2 and g.order > 24:
                 continue    # |g| candidates per node from the third assign on
@@ -200,7 +205,7 @@ def test_slot_search_matches_reference_orbit_search(catalog):
             assert ((regroup(found, classify), used) == metered_search(
                 lambda budget: reference_orbit_search(program, g, classify, budget))), g.name
     assert {(), ("assign",), ("assign", "assign"), ("assign", "assign", "branch"),
-            ("assign", "branch", "branch"), "deduce in a segment"} <= kinds
+            ("assign", "branch", "branch"), "deduce in a segment", "head"} <= kinds
 
 
 class CountingList(list):
@@ -263,15 +268,17 @@ def test_count_homs_invariant_under_simplification(catalog):
     for _ in range(15):
         p = random_presentation(rng)
         q = tietze_simplify(p)
+        p_program, q_program = search_program(p), search_program(q)
         for g in targets:
-            assert count_homs(p, g) == count_homs(q, g)
+            assert count_homs(p_program, g) == count_homs(q_program, g)
 
 
 def test_count_homs_budget_flag(catalog):
     a5 = catalog.by_name("A5")
-    flagged = count_homs(pres(F2), a5, node_budget=1)
+    f2 = search_program(pres(F2))
+    flagged = count_homs(f2, a5, node_budget=1)
     assert flagged == HomCount(0, 0, True)
-    ok = count_homs(pres(F2), a5, node_budget=10 ** 8)
+    ok = count_homs(f2, a5, node_budget=10 ** 8)
     assert not ok.budget_exceeded
     assert ok.total == 3600
 
@@ -280,23 +287,24 @@ def test_count_homs_budget_counts_nodes_over_the_whole_search(catalog):
     # F2 onto A5: 5 class-representative roots, then 5 + 22 + 16 + 16 + 18
     # C(r)-orbit representatives (see the test above), 82 nodes
     a5 = catalog.by_name("A5")
-    exact = count_homs(pres(F2), a5, node_budget=10 ** 8)
-    assert count_homs(pres(F2), a5, node_budget=400) == exact
-    assert count_homs(pres(F2), a5, node_budget=82) == exact
-    assert count_homs(pres(F2), a5, node_budget=81).budget_exceeded
+    f2 = search_program(pres(F2))
+    exact = count_homs(f2, a5, node_budget=10 ** 8)
+    assert count_homs(f2, a5, node_budget=400) == exact
+    assert count_homs(f2, a5, node_budget=82) == exact
+    assert count_homs(f2, a5, node_budget=81).budget_exceeded
 
 
 def test_low_index_hand_checked():
     # Z has one subgroup of each index, always normal
-    assert low_index_subgroups(pres(Z), 6) == {
+    assert low_index_subgroups(search_program(pres(Z)), 6) == {
         k: SubgroupCount(1, 1) for k in range(2, 7)}
     # F2 at index 2: three subgroups, all normal
-    assert low_index_single(pres(F2), 2) == SubgroupCount(3, 3)
+    assert low_index_single(search_program(pres(F2)), 2) == SubgroupCount(3, 3)
     # C2 has only the trivial subgroup below it
-    assert low_index_subgroups(pres(Z2), 4) == {
+    assert low_index_subgroups(search_program(pres(Z2)), 4) == {
         2: SubgroupCount(1, 1), 3: SubgroupCount(0, 0), 4: SubgroupCount(0, 0)}
     # S3: one A3, one class of three order-2 subgroups, the trivial subgroup
-    assert low_index_subgroups(pres(S3_PRES), 6) == {
+    assert low_index_subgroups(search_program(pres(S3_PRES)), 6) == {
         2: SubgroupCount(1, 1), 3: SubgroupCount(1, 3), 4: SubgroupCount(0, 0),
         5: SubgroupCount(0, 0), 6: SubgroupCount(1, 1)}
 
@@ -304,19 +312,20 @@ def test_low_index_hand_checked():
 def test_low_index_f2_known_table():
     # classes / totals for the free group of rank 2
     expected = {2: (3, 3), 3: (7, 13), 4: (26, 71), 5: (97, 461)}
-    got = low_index_subgroups(pres(F2), 5)
+    got = low_index_subgroups(search_program(pres(F2)), 5)
     assert {k: (sc.classes, sc.total) for k, sc in got.items()} == expected
 
 
 def test_low_index_budget_flags_every_index():
     # every index of F2 needs more than 3 nodes
-    got = low_index_subgroups(pres(F2), 5, node_budget=3)
+    f2 = search_program(pres(F2))
+    got = low_index_subgroups(f2, 5, node_budget=3)
     assert all(sc == SubgroupCount(0, 0, True) for sc in got.values())
-    single = low_index_single(pres(F2), 4, node_budget=3)
+    single = low_index_single(f2, 4, node_budget=3)
     assert single.budget_exceeded
     # each index has its own budget: Z into S_k tries one root per class of
     # S_k, 2 and 3 for S_2 and S_3, 5, 7 and 11 for S_4..S_6
-    got = low_index_subgroups(pres(Z), 6, node_budget=3)
+    got = low_index_subgroups(search_program(pres(Z)), 6, node_budget=3)
     assert got == {2: SubgroupCount(1, 1), 3: SubgroupCount(1, 1),
                    4: SubgroupCount(0, 0, True), 5: SubgroupCount(0, 0, True),
                    6: SubgroupCount(0, 0, True)}
@@ -325,11 +334,11 @@ def test_low_index_budget_flags_every_index():
 def test_low_index_single_matches_the_shared_result():
     # a low-index witness recheck reproduces the profile entry, flag included
     for text in (Z, Z2, F2, S3_PRES, TREFOIL):
-        p = pres(text)
+        program = search_program(pres(text))
         for budget in (1, 3, 10, 100, 1000, 10 ** 8):
-            got = low_index_subgroups(p, 5, budget)
+            got = low_index_subgroups(program, 5, budget)
             for k in range(2, 6):
-                assert low_index_single(p, k, budget) == got[k], (text, budget, k)
+                assert low_index_single(program, k, budget) == got[k], (text, budget, k)
 
 
 def test_low_index_against_coset_tables():
@@ -341,17 +350,18 @@ def test_low_index_against_coset_tables():
     rng = random.Random(2024)
     cases += [(random_presentation(rng, max_gens=2), 5) for _ in range(30)]
     for p, kmax in cases:
-        got = low_index_subgroups(p, kmax)
+        got = low_index_subgroups(search_program(p), kmax)
         assert {k: (sc.classes, sc.total) for k, sc in got.items()} \
             == coset_table_low_index(p, kmax), serialize_presentation(p)
 
 
 def test_low_index_rejects_indexes_outside_range():
+    z = search_program(pres(Z))
     with pytest.raises(ValueError):
-        low_index_subgroups(pres(Z), MAX_INDEX + 1)
+        low_index_subgroups(z, MAX_INDEX + 1)
     for k in (1, MAX_INDEX + 1):
         with pytest.raises(ValueError):
-            low_index_single(pres(Z), k)
+            low_index_single(z, k)
 
 
 def test_profile_compiles_the_search_once(monkeypatch):
@@ -363,7 +373,6 @@ def test_profile_compiles_the_search_once(monkeypatch):
         return compile_once(presentation)
 
     monkeypatch.setattr(quotients, "compile_hom_search", counting)
-    quotients._search_program.cache_clear()
     profile(load_corpus()["u1466"].presentation())
     assert len(calls) == 1
 
@@ -388,7 +397,6 @@ def test_profile_and_recheck_compile_before_the_first_search(monkeypatch, catalo
                 lambda p: recompute_entry(p, {"kind": "low_index", "index": 3},
                                           config, catalog)):
         events.clear()
-        quotients._search_program.cache_clear()
         run(pres(TREFOIL))
         assert events[0] == "compile_hom_search" and events.count("compile_hom_search") == 1
 
@@ -455,8 +463,8 @@ def test_compile_skips_seed_sets_missing_a_forced_seed(monkeypatch):
         return schedule(seqs, seeds)
 
     monkeypatch.setattr(quotients, "_closure_schedule", counting)
-    quotients._search_program.cache_clear()
-    assert count_homs(involutions(40), symmetric_group(3), node_budget=1000).budget_exceeded
+    assert count_homs(search_program(involutions(40)), symmetric_group(3),
+                      node_budget=1000).budget_exceeded
     assert len(calls) <= 820
 
 
@@ -465,7 +473,8 @@ def test_low_index_invariant_under_simplification():
     for _ in range(10):
         p = random_presentation(rng, max_gens=2, max_rels=2, max_len=4)
         q = tietze_simplify(p)
-        assert low_index_subgroups(p, 4) == low_index_subgroups(q, 4)
+        assert (low_index_subgroups(search_program(p), 4)
+                == low_index_subgroups(search_program(q), 4))
 
 
 def test_profile_of_z(catalog):
@@ -533,6 +542,26 @@ def test_distinguish_and_witness_replay():
     ok, message = verify_witness(tampered, left, right)
     assert not ok
     assert "recomputed" in message and "[2]" in message
+
+
+def test_count_witness_replay():
+    # trefoil and Z share H1 = Z; S3 is the first catalog group they tell apart
+    left, right = pres(TREFOIL), pres(Z)
+    verdict = distinguish(left, right)
+    witness = verdict.witness
+    assert (witness.invariant, witness.left, witness.right) == (
+        "hom_count:S3", {"total": 12, "surjective": 6}, {"total": 6, "surjective": 0})
+    doc = verdict.to_dict()
+    assert verify_witness(doc, left, right) == (True, "witness hom_count:S3 verified")
+    # an entry recorded equal in both profiles replays, but is no witness
+    left_values = {tuple(r.values()): c.value() for r, c in verdict.left_profile.entries()}
+    right_values = {tuple(r.values()): c.value() for r, c in verdict.right_profile.entries()}
+    for recheck in ({"kind": "hom_count", "group": "C2"}, {"kind": "low_index", "index": 2}):
+        key = tuple(recheck.values())
+        assert left_values[key] == right_values[key]
+        equal = dict(doc, witness={"invariant": "%s:%s" % key, "left": left_values[key],
+                                   "right": right_values[key], "recheck": recheck})
+        assert verify_witness(equal, left, right) == (False, "witness values do not differ")
 
 
 def test_distinguish_same_input_is_inconclusive():
