@@ -120,7 +120,10 @@ def cmd_gem_check(args):
 
 
 def cmd_verify_witness(args):
-    doc = json.loads(_read(args.verdict))
+    try:
+        doc = json.loads(_read(args.verdict))
+    except RecursionError as e:
+        raise ValueError("malformed verdict JSON: %s" % e) from None
     left = _load_presentation(args.file_a)
     right = _load_presentation(args.file_b)
     ok, message = verify_witness(doc, left, right, load_catalog(args.catalog))

@@ -72,7 +72,7 @@ def parse_diagram(text):
     """Parse a PD document into a LinkDiagram; raise on syntax or structure errors."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise DiagramSyntaxError("malformed JSON: %s" % e) from None
     if not isinstance(doc, dict):
         _schema_error("$", "document must be a JSON object")

@@ -68,7 +68,7 @@ class FourGraph:
 def parse_fourgraph(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise FourGraphError("malformed JSON: %s" % e) from None
     if not isinstance(doc, dict) or set(doc) - {"name", "vertices", "matchings"}:
         raise FourGraphError("expected an object with vertices and matchings")

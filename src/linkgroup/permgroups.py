@@ -11,6 +11,11 @@ import json
 from importlib import resources
 
 
+# a catalog group enters each search as its full multiplication table;
+# 7! is the order of S_7, the largest table --K 7 builds
+MAX_ORDER = 5040
+
+
 class CatalogError(ValueError):
     """A target-group catalog that fails validation."""
 
@@ -81,8 +86,7 @@ class FiniteGroup:
         self._elements = None
         self._tree = None
         self._tables = None
-        self._conj = None
-        self._centraliser_orbits = {}
+        self._orbit_tables = {}
 
     def elements(self):
         if self._elements is None:
@@ -122,46 +126,44 @@ class FiniteGroup:
             self._tables = (mul, inv, 0)
         return self._tables
 
-    def _conjugation_orbits(self, acting):
-        """(representatives, stabilisers, orbit of, conjugator), in one pass.
+    def _orbit_table(self, r):
+        """(orbits, stabilisers, orbit of, conjugator) of C(r) on the group.
 
-        The orbits of the group under conjugation by the elements acting, a
-        subgroup.  Per orbit: its smallest element index v and the elements
-        of acting that commute with v.  Per element y: its orbit number and
-        one g in acting with g * v * g^-1 = y.  The cost is the number of
-        orbits times len(acting) products.
+        C(r), the centraliser of element r, acts on the group by conjugation.
+        Per orbit: (v, orbit size) with v its smallest element index, in
+        ascending order of v, and the elements of C(r) that commute with v.
+        Per element y: its orbit number and one g in C(r) with
+        g * v * g^-1 = y.  C(identity) is the whole group, so its orbits are
+        the conjugacy classes and its stabilisers the centralisers of their
+        representatives.  One scan of C(r) per orbit, on first use for each
+        r; the table is kept.
         """
-        mul, inv, _ = self.tables()
-        n = self.order
-        reps = []
-        stabilisers = []
-        orbit_of = [-1] * n
-        conjugator = [0] * n
-        for v in range(n):
-            if orbit_of[v] >= 0:
-                continue
-            number = len(reps)
-            stabiliser = []
-            for g in acting:
-                y = mul[mul[g * n + v] * n + inv[g]]
-                if orbit_of[y] < 0:
-                    orbit_of[y] = number
-                    conjugator[y] = g
-                if y == v:
-                    stabiliser.append(g)
-            reps.append(v)
-            stabilisers.append(tuple(stabiliser))
-        return tuple(reps), tuple(stabilisers), orbit_of, conjugator
-
-    def _conjugacy(self):
-        """The conjugacy classes: _conjugation_orbits of the whole group.
-
-        Each stabiliser is the centraliser C(r) of its class representative r,
-        as ascending element indexes.
-        """
-        if self._conj is None:
-            self._conj = self._conjugation_orbits(range(self.order))
-        return self._conj
+        table = self._orbit_tables.get(r)
+        if table is None:
+            mul, inv, _ = self.tables()
+            n = self.order
+            cent = [g for g in range(n) if mul[g * n + r] == mul[r * n + g]]
+            orbits = []
+            stabilisers = []
+            orbit_of = [-1] * n
+            conjugator = [0] * n
+            for v in range(n):
+                if orbit_of[v] >= 0:
+                    continue
+                number = len(orbits)
+                stabiliser = []
+                for g in cent:
+                    y = mul[mul[g * n + v] * n + inv[g]]
+                    if orbit_of[y] < 0:
+                        orbit_of[y] = number
+                        conjugator[y] = g
+                    if y == v:
+                        stabiliser.append(g)
+                orbits.append((v, len(cent) // len(stabiliser)))
+                stabilisers.append(tuple(stabiliser))
+            table = (tuple(orbits), tuple(stabilisers), orbit_of, conjugator)
+            self._orbit_tables[r] = table
+        return table
 
     def conjugacy_solutions(self):
         """A function (q, t) -> list of all x with x * q * x^-1 = t.
@@ -173,7 +175,7 @@ class FiniteGroup:
         """
         mul, inv, _ = self.tables()
         n = self.order
-        _, cents, class_of, conjugator = self._conjugacy()
+        _, cents, class_of, conjugator = self._orbit_table(0)
 
         def solve(q, t):
             c = class_of[q]
@@ -187,21 +189,11 @@ class FiniteGroup:
     def centraliser_orbits(self, r):
         """((representative, orbit size), ...): the orbits of C(r) on the group.
 
-        C(r), the centraliser of element r, acts on the group by conjugation.
         Each representative is the smallest element index of its orbit, and
         the pairs come in ascending order of representative.  For the
-        identity, C(r) is the whole group and the orbits are the conjugacy
-        classes.  Built on first use for each r and kept.
+        identity, the orbits are the conjugacy classes.
         """
-        orbits = self._centraliser_orbits.get(r)
-        if orbits is None:
-            mul, _, _ = self.tables()
-            n = self.order
-            cent = [g for g in range(n) if mul[g * n + r] == mul[r * n + g]]
-            reps, stabilisers, _, _ = self._conjugation_orbits(cent)
-            orbits = tuple((v, len(cent) // len(s)) for v, s in zip(reps, stabilisers))
-            self._centraliser_orbits[r] = orbits
-        return orbits
+        return self._orbit_table(r)[0]
 
     def __repr__(self):
         return "FiniteGroup(%r, degree=%d)" % (self.name, self.degree)
@@ -238,7 +230,7 @@ class Catalog:
 def parse_catalog(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise CatalogError("malformed catalog JSON: %s" % e) from None
     if not isinstance(doc, dict) or not isinstance(doc.get("groups"), list):
         raise CatalogError("catalog must be an object with a groups list")
@@ -260,6 +252,8 @@ def parse_catalog(text):
             if type(value) is not int or value < 1:
                 raise CatalogError("group %s: %s must be a positive integer, not %r"
                                    % (name, key, value))
+        if order > MAX_ORDER:
+            raise CatalogError("group %s: order %d is above %d" % (name, order, MAX_ORDER))
         if (not isinstance(gens, list) or not gens
                 or not all(isinstance(g, list) and len(g) == degree
                            and all(type(x) is int for x in g) for g in gens)):

@@ -20,6 +20,15 @@ def pres(text):
     return parse_presentation(text)
 
 
+class CountingList(list):
+    """A list that counts its subscripts."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return load_catalog()

@@ -169,8 +169,11 @@ def with_group(**fields):
     with_group(generators=[3]),
     {"version": 1, "groups": [[1, 0]]},
     dict(CATALOG, version=True),
+    # S8 closes quickly, but a search into it would build a 40320^2 table
+    with_group(name="S8", degree=8, order=40320,
+               generators=[[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]),
 ], ids=["no-generators", "string-degree", "wrong-degree", "zero-order", "int-name",
-        "string-point", "int-generator", "list-entry", "bool-version"])
+        "string-point", "int-generator", "list-entry", "bool-version", "order-above-5040"])
 def test_malformed_catalog_is_an_input_error(tmp_path, capsys, doc):
     z2 = write(tmp_path, "z2.pres", Z2)
     catalog = write(tmp_path, "catalog.json", json.dumps(doc))
@@ -452,6 +455,25 @@ def test_huge_power_is_an_input_error(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("error: line 2, column 9: ") and err.count("\n") == 1
+
+
+# json.loads raises RecursionError, not JSONDecodeError, this deep
+DEEP = "[" * 200000
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["verify-witness", "deep", "z2", "z2"], ""),
+    (["gem-check", "deep"], ""),
+    (["profile", "z2", "--K", "2", "--catalog", "deep"], ""),
+    (["homology", "deep"], '{"components": [[['),
+    (["derive", "deep"], '{"components": [[['),
+], ids=["verdict", "fourgraph", "catalog", "diagram-homology", "diagram-derive"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv, prefix):
+    files = {"z2": write(tmp_path, "z2.pres", Z2),
+             "deep": write(tmp_path, "deep.json", prefix + DEEP)}
+    code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_readme_synopsis_lists_every_flag():

@@ -6,7 +6,7 @@ import pytest
 from linkgroup.permgroups import (Catalog, CatalogError, FiniteGroup, closure,
                                   identity_perm, inverse_perm, load_catalog,
                                   mult, parse_catalog, symmetric_group)
-from conftest import data_path
+from conftest import CountingList, data_path
 
 EXPECTED_NAMES = ["C2", "C3", "C4", "C5", "C6", "S3", "D4", "A4", "A5", "S4",
                   "S5", "PSL(2,7)", "A6", "2I"]
@@ -124,6 +124,25 @@ def test_centraliser_orbits_against_brute_force(catalog):
             assert list(orbits) == sorted({(min(m), len(m)) for m in members.values()})
 
 
+def test_identity_orbit_table_is_scanned_once(catalog):
+    # the class roots and the conjugation solver read the same table, so
+    # whichever comes second reads no product
+    for g in catalog.groups:
+        for solver_first in (True, False):
+            fresh = FiniteGroup(g.name, g.degree, g.generators, order=g.declared_order)
+            mul, inv, e = fresh.tables()
+            counted = (CountingList(mul), inv, e)
+            fresh.tables = lambda: counted
+            calls = [fresh.conjugacy_solutions, lambda: fresh.centraliser_orbits(0)]
+            if not solver_first:
+                calls.reverse()
+            calls[0]()
+            reads = counted[0].reads
+            assert reads > 0
+            calls[1]()
+            assert counted[0].reads == reads, (g.name, solver_first)
+
+
 def test_second_assign_node_counts(catalog):
     # a search opening with two assigns tries, below each class representative
     # r, one node per C(r)-orbit instead of one per element
@@ -161,6 +180,12 @@ def test_parse_catalog_errors():
     ]}
     with pytest.raises(CatalogError):
         parse_catalog(json.dumps(doc))
+    # S8 closes in a fraction of a second, but its multiplication table
+    # would hold 40320^2 cells
+    s8 = {"name": "S8", "degree": 8, "order": 40320,
+          "generators": [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]}
+    with pytest.raises(CatalogError, match="above 5040"):
+        parse_catalog(json.dumps({"version": 1, "groups": [s8]}))
 
 
 def test_catalog_type():

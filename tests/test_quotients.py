@@ -15,7 +15,7 @@ from linkgroup.quotients import (MAX_INDEX, HomCount, InvariantProfile,
                                  low_index_single, low_index_subgroups,
                                  presentation_hash, profile, recompute_entry,
                                  search_program, verify_witness)
-from conftest import pres
+from conftest import CountingList, pres
 from oracles import (coset_table_low_index, naive_hom_counts,
                      reference_compile_hom_search, reference_orbit_search,
                      reference_search, reference_subgroup_order)
@@ -206,15 +206,6 @@ def test_slot_search_matches_reference_orbit_search(catalog):
                 lambda budget: reference_orbit_search(program, g, classify, budget))), g.name
     assert {(), ("assign",), ("assign", "assign"), ("assign", "assign", "branch"),
             ("assign", "branch", "branch"), "deduce in a segment", "head"} <= kinds
-
-
-class CountingList(list):
-    """A list that counts its subscripts."""
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return list.__getitem__(self, i)
 
 
 class CountedGroup:
