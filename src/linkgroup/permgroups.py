@@ -37,38 +37,28 @@ def inverse_perm(p):
 
 def closure(generators, limit=None):
     """All products of the generators, in deterministic breadth-first order."""
-    return _closure_tree(generators, limit)[0]
+    return _orbit_tree(identity_perm(len(generators[0])), generators, mult, limit)[0]
 
 
-def _closure_tree(generators, limit=None):
-    """(elements, parent, via): closure with its breadth-first spanning tree.
+def _orbit_tree(start, generators, act, limit=None):
+    """(orbit, parent, via): the orbit of start under act(x, g), in
+    breadth-first order, with its spanning tree.
 
-    Every element j > 0 is elements[parent[j]] followed by generator via[j],
-    and parent[j] < j.
+    Every point j > 0 is act(orbit[parent[j]], generators[via[j]]), and
+    parent[j] < j.  An orbit of more than limit points raises CatalogError.
     """
-    degree = len(generators[0])
-    e = identity_perm(degree)
-    elements = [e]
-    parent = [0]
-    via = [0]
-    seen = {e}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            x = elements[i]
-            for s, g in enumerate(generators):
-                y = mult(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(len(elements))
-                    elements.append(y)
-                    parent.append(i)
-                    via.append(s)
-                    if limit is not None and len(elements) > limit:
-                        raise CatalogError("group closure exceeded %d elements" % limit)
-        frontier = nxt
-    return elements, parent, via
+    orbit, parent, via, seen = [start], [0], [0], {start}
+    for i, x in enumerate(orbit):   # also visits the points appended below
+        for s, g in enumerate(generators):
+            y = act(x, g)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+                parent.append(i)
+                via.append(s)
+                if limit is not None and len(orbit) > limit:
+                    raise CatalogError("group closure exceeded %d elements" % limit)
+    return orbit, parent, via
 
 
 class FiniteGroup:
@@ -83,20 +73,19 @@ class FiniteGroup:
             if sorted(g) != list(range(degree)):
                 raise CatalogError("generator of %s is not a permutation of 0..%d"
                                    % (name, degree - 1))
-        self._elements = None
         self._tree = None
         self._tables = None
         self._orbit_tables = {}
 
     def elements(self):
-        if self._elements is None:
-            elems, parent, via = _closure_tree(self.generators, limit=self.declared_order)
-            if self.declared_order is not None and len(elems) != self.declared_order:
+        if self._tree is None:
+            tree = _orbit_tree(identity_perm(self.degree), self.generators, mult,
+                               self.declared_order)
+            if self.declared_order is not None and len(tree[0]) != self.declared_order:
                 raise CatalogError("group %s has %d elements, catalog declares %d"
-                                   % (self.name, len(elems), self.declared_order))
-            self._elements = elems
-            self._tree = (parent, via)
-        return self._elements
+                                   % (self.name, len(tree[0]), self.declared_order))
+            self._tree = tree
+        return self._tree[0]
 
     @property
     def order(self):
@@ -110,8 +99,8 @@ class FiniteGroup:
         i * j is (i * parent) times that generator, one lookup per cell.
         """
         if self._tables is None:
-            elems = self.elements()
-            parent, via = self._tree
+            self.elements()
+            elems, parent, via = self._tree
             index = {p: i for i, p in enumerate(elems)}
             right = [[index[mult(p, g)] for p in elems] for g in self.generators]
             n = len(elems)
@@ -136,7 +125,8 @@ class FiniteGroup:
         g * v * g^-1 = y.  C(identity) is the whole group, so its orbits are
         the conjugacy classes and its stabilisers the centralisers of their
         representatives.  One scan of C(r) per orbit, on first use for each
-        r; the table is kept.
+        r.  The identity's table is kept whole, since conjugacy_solutions reads
+        it; for any other r it is kept, and returned, as its orbits alone.
         """
         table = self._orbit_tables.get(r)
         if table is None:
@@ -161,7 +151,7 @@ class FiniteGroup:
                         stabiliser.append(g)
                 orbits.append((v, len(cent) // len(stabiliser)))
                 stabilisers.append(tuple(stabiliser))
-            table = (tuple(orbits), tuple(stabilisers), orbit_of, conjugator)
+            table = (tuple(orbits), tuple(stabilisers), orbit_of, conjugator)[:1 if r else 4]
             self._orbit_tables[r] = table
         return table
 

@@ -219,7 +219,7 @@ def _shortening(rels, cyclic, matches, table):
     return None
 
 
-def tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
+def tietze_simplify(presentation, budget=10000):
     """Simplify a presentation without changing the group it defines.
 
     Phase 1 eliminates generators with defining relators g = w (shortest
@@ -251,8 +251,8 @@ def tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
     fixed, cyclic, matches = set(), {}, {}
     for _ in range(budget):
         definitions = [(1 + len(rhs), names[ord(lhs) >> 1], idx)
-                       for idx, (lhs, rhs) in enumerate(rels) if 1 in phases
-                       and len(lhs) == 1 and not ord(lhs) & 1 and not _uses((rhs,), lhs)]
+                       for idx, (lhs, rhs) in enumerate(rels)
+                       if len(lhs) == 1 and not ord(lhs) & 1 and not _uses((rhs,), lhs)]
         if definitions:
             _, g, idx = min(definitions)
             letter, w = rels.pop(idx)
@@ -261,14 +261,13 @@ def tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
                     if not all_reduced or _uses(r, letter) else r for r in rels]
             all_reduced = True
             continue
-        if 2 in phases:
-            kept = [r if r in fixed else (_reduce(r[0], not r[1]), _reduce(r[1])) for r in rels]
-            kept = [r for r in kept if r[0] != r[1]]
-            if kept != rels:
-                rels = kept
-                continue
-            fixed.update(rels)
-        shortening = _shortening(rels, cyclic, matches, table) if 3 in phases else None
+        kept = [r if r in fixed else (_reduce(r[0], not r[1]), _reduce(r[1])) for r in rels]
+        kept = [r for r in kept if r[0] != r[1]]
+        if kept != rels:
+            rels = kept
+            continue
+        fixed.update(rels)
+        shortening = _shortening(rels, cyclic, matches, table)
         if shortening is None:
             break
         rels[shortening[0]] = (shortening[1], "")

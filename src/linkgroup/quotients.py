@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .homology import first_homology
-from .permgroups import load_catalog, symmetric_group
+from .permgroups import _orbit_tree, load_catalog, symmetric_group
 from .presentations import _reduce_generators, serialize_presentation, tietze_simplify
 
 
@@ -308,16 +308,16 @@ def _lower(program):
 
 
 def search_program(presentation):
-    """The compiled search of the presented group, in slot form.
+    """(reduced, slots): the presented group's search program.
 
     count_homs, low_index_subgroups and low_index_single run it, so a caller
     compiles once and passes the program to every search on the presentation.
-    Each count depends only on the group, so the presentation is first
-    reduced by eliminating generators with a single occurrence in some
-    relator; the search then assigns images only to a seed set of generators
-    and deduces the rest.
+    reduced presents the same group with the generators eliminated that
+    occur once in some relator; slots, its compiled search in slot form,
+    assigns images to a seed set of its generators and deduces the rest.
     """
-    return _lower(compile_hom_search(_reduce_generators(presentation)))
+    reduced = _reduce_generators(presentation)
+    return reduced, _lower(compile_hom_search(reduced))
 
 
 def _search(program, group, node_budget):
@@ -428,7 +428,7 @@ def count_homs(program, group, node_budget=10 ** 8):
     mul, _, e = group.tables()
     order = group.order
     try:
-        found = _search(program, group, node_budget)
+        found = _search(program[1], group, node_budget)
     except BudgetExceeded:
         return HomCount(0, 0, True)
     return HomCount(sum(found.values()),
@@ -453,22 +453,15 @@ def _transitive_centraliser(images, perms):
     """
     gens = [perms[g] for g in images]
     k = len(perms[0])
-    points = [0]
-    tree = []
-    for x in points:
-        for g in gens:
-            y = g[x]
-            if y not in points:
-                points.append(y)
-                tree.append((x, g, y))
+    points, parent, via = _orbit_tree(0, gens, lambda x, g: g[x])
     if len(points) < k:
         return 0
     size = 0
     c = [0] * k
     for b in range(k):
         c[0] = b
-        for x, g, y in tree:
-            c[y] = g[c[x]]
+        for j in range(1, k):
+            c[points[j]] = gens[via[j]][c[points[parent[j]]]]
         size += all(c[g[x]] == g[c[x]] for g in gens for x in range(k))
     return size
 
@@ -489,7 +482,7 @@ def _low_index(program, k, node_budget):
     group = symmetric_group(k)
     perms = group.elements()
     try:
-        found = _search(program, group, node_budget)
+        found = _search(program[1], group, node_budget)
     except BudgetExceeded:
         return SubgroupCount(0, 0, True)
     sizes = [(_transitive_centraliser(images, perms), weight)
@@ -617,8 +610,8 @@ def profile(presentation, config=None, catalog=None, workers=1):
     config = config or ProfileConfig()
     catalog = catalog or load_catalog()
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
-    homology = tuple(first_homology(simplified))
     program = search_program(simplified)
+    homology = tuple(first_homology(program[0]))
     hom_counts = tuple(
         (g.name, count_homs(program, g, config.node_budget))
         for g in catalog.groups)
@@ -697,14 +690,11 @@ def distinguish(left, right, config=None, catalog=None, workers=1):
     return Verdict("Inconclusive", None, lp, rp)
 
 
-def recompute_entry(presentation, recheck, config, catalog):
-    """Recompute the single profile entry a witness points at.
-
-    A recheck that is not an object, names an unknown kind or a group outside
-    the catalog, or an index outside 2..config.max_index raises ValueError
-    before any work is done.  Homology, a group invariant, is read from the
-    presentation as given.  A search that exceeds the node budget raises
-    BudgetExceeded, since a flagged entry has no value to compare.
+def _recheck_label(recheck, config, catalog):
+    """homology, hom_count:<group> or low_index:<index>: the witness label of
+    the entry a recheck names.  A recheck that is not an object, names an
+    unknown kind or a group outside the catalog, or an index outside
+    2..config.max_index raises ValueError.
     """
     if not isinstance(recheck, dict):
         raise ValueError("witness recheck must be an object")
@@ -713,21 +703,36 @@ def recompute_entry(presentation, recheck, config, catalog):
         name = recheck.get("group")
         if name not in catalog.names:
             raise ValueError("recheck group %r is not in the catalog" % (name,))
-    elif kind == "low_index":
+        return "hom_count:%s" % name
+    if kind == "low_index":
         index = recheck.get("index")
         if type(index) is not int or not 2 <= index <= config.max_index:
             raise ValueError("recheck index %r is not an integer in 2..%d"
                              % (index, config.max_index))
-    elif kind == "homology":
+        return "low_index:%d" % index
+    if kind == "homology":
+        return kind
+    raise ValueError("unknown recheck kind %r" % (kind,))
+
+
+def recompute_entry(presentation, recheck, config, catalog):
+    """Recompute the single profile entry a witness points at.
+
+    A malformed recheck (see _recheck_label) raises ValueError before any
+    work is done.  Homology, a group invariant, is read from the
+    presentation as given.  A search that exceeds the node budget raises
+    BudgetExceeded, since a flagged entry has no value to compare.
+    """
+    _recheck_label(recheck, config, catalog)
+    kind = recheck["kind"]
+    if kind == "homology":
         return first_homology(presentation)
-    else:
-        raise ValueError("unknown recheck kind %r" % (kind,))
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
     program = search_program(simplified)
     if kind == "hom_count":
-        count = count_homs(program, catalog.by_name(name), config.node_budget)
+        count = count_homs(program, catalog.by_name(recheck["group"]), config.node_budget)
     else:
-        count = low_index_single(program, index, config.node_budget)
+        count = low_index_single(program, recheck["index"], config.node_budget)
     if count.budget_exceeded:
         raise BudgetExceeded
     return count.value()
@@ -738,8 +743,9 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
 
     Returns (ok, message).  The recorded config is honored; the witness entry is
     recomputed on both sides and must reproduce the recorded values and still
-    differ.  A document of the wrong shape raises ValueError.  ``workers`` is
-    accepted for existing callers and ignored.
+    differ.  A document of the wrong shape, or a witness whose invariant is
+    not the label of its recheck, raises ValueError.  ``workers`` is accepted
+    for existing callers and ignored.
     """
     catalog = catalog or load_catalog()
     if not isinstance(verdict_doc, dict):
@@ -758,16 +764,19 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
     if cfg.get("catalog", catalog.names) != catalog.names:
         return False, "catalog does not match the one recorded in the verdict"
     recheck = witness.get("recheck", {})
+    label = _recheck_label(recheck, config, catalog)
+    if witness.get("invariant") != label:
+        raise ValueError("witness invariant %r is not %r, the entry its recheck names"
+                         % (witness.get("invariant"), label))
     try:
         got_left = recompute_entry(left, recheck, config, catalog)
         got_right = recompute_entry(right, recheck, config, catalog)
     except BudgetExceeded:
-        return False, ("node budget exceeded recomputing %s"
-                       % (witness.get("invariant"),))
+        return False, "node budget exceeded recomputing %s" % label
     for side, got in (("left", got_left), ("right", got_right)):
         if got != witness.get(side):
             return False, ("%s value mismatch for %s: recomputed %r, recorded %r"
-                           % (side, witness.get("invariant"), got, witness.get(side)))
+                           % (side, label, got, witness.get(side)))
     if got_left == got_right:
         return False, "witness values do not differ"
-    return True, "witness %s verified" % (witness.get("invariant"),)
+    return True, "witness %s verified" % label

@@ -270,6 +270,10 @@ def test_missing_file_is_an_input_error(capsys):
 
 # a Distinguished verdict with a homology witness, as distinguish writes it
 VERDICT = distinguish(pres(Z2), pres(Z3)).to_dict()
+# a hom_count:S3 witness (trefoil against Z) relabelled as one for A5
+RELABELLED = distinguish(pres("gens: a, b\nrels: a*b*a = b*a*b\n"),
+                         pres("gens: a\n")).to_dict()
+RELABELLED["witness"]["invariant"] = "hom_count:A5"
 
 
 def malformed(edit):
@@ -284,8 +288,9 @@ def malformed(edit):
     malformed(lambda d: d["witness"]["recheck"].update(kind="low_index", index=7)),
     malformed(lambda d: d.update(witness="homology")),
     [VERDICT],
+    RELABELLED,
 ], ids=["null-max-index", "unknown-group", "index-above-max", "string-witness",
-        "list-document"])
+        "list-document", "relabelled-witness"])
 def test_verify_witness_rejects_malformed_verdicts(tmp_path, capsys, doc):
     z2 = write(tmp_path, "z2.pres", Z2)
     z3 = write(tmp_path, "z3.pres", Z3)

@@ -132,9 +132,10 @@ def test_serialize_dialects():
 
 
 def test_tietze_phase1_counts_on_corpus():
+    # phase 1 leaves these counts, and the later phases keep them
     for key in CORPUS_KEYS:
         p = parse_presentation(data_text(key + ".pres"))
-        q = tietze_simplify(p, phases=(1,))
+        q = tietze_simplify(p)
         assert len(q.generators) == 9
         assert len(q.relators) == 11
 
@@ -155,9 +156,10 @@ def test_tietze_rejects_a_budget_that_is_not_a_non_negative_int():
 
 def test_tietze_drops_trivial_relators():
     p = parse_presentation("gens: a, b\nrels: a*a^-1; b = b; a^2\n")
-    q = tietze_simplify(p, phases=(2,))
+    q = tietze_simplify(p)
     assert len(q.relators) == 1
     assert q.generators == ("a", "b")
+    assert serialize_presentation(q) == "gens: a, b\nrels: a*a\n"
 
 
 def test_tietze_kills_trivial_group_presentation():
@@ -169,7 +171,7 @@ def test_tietze_kills_trivial_group_presentation():
 
 def test_tietze_eliminates_defined_generator():
     p = parse_presentation("gens: a, b, c\nrels: c = a*b; c^2*a\n")
-    q = tietze_simplify(p, phases=(1,))
+    q = tietze_simplify(p)
     assert "c" not in q.generators
     assert all("c" not in r.generators() for r in q.relators)
     assert first_homology(q) == first_homology(p)
@@ -191,6 +193,20 @@ def test_reduce_generators_eliminates_and_preserves_homology():
         reduced = _reduce_generators(full)
         assert len(reduced.generators) <= 4
         assert first_homology(reduced) == first_homology(full) == []
+    # a profile reads H1 from the reduced form of the simplified presentation
+    rng = random.Random(1016)
+    groups = []
+    for _ in range(100):
+        raw = random_tietze_input(rng)
+        simplified = tietze_simplify(raw)
+        h1 = first_homology(raw)
+        assert (first_homology(_reduce_generators(simplified)) == first_homology(simplified)
+                == first_homology(_reduce_generators(raw)) == h1), serialize_presentation(raw)
+        groups.append(h1)
+    # free rank and torsion both occur, alone and together
+    assert any(0 in h1 and len(set(h1)) > 1 for h1 in groups)
+    assert any(h1 and 0 not in h1 for h1 in groups)
+    assert any(h1 and set(h1) == {0} for h1 in groups)
 
 
 def random_word_text(rng, names, max_len):
@@ -233,10 +249,9 @@ def test_tietze_matches_reference_implementation():
               + [random_tietze_input(rng) for _ in range(150)])
     for p in inputs:
         for budget in (0, 1, 2, 5, 10 ** 4):
-            for phases in ((1, 2, 3), (1,), (2,), (3,), (1, 3), (2, 3)):
-                got = serialize_presentation(tietze_simplify(p, budget, phases))
-                want = serialize_presentation(reference_tietze_simplify(p, budget, phases))
-                assert got == want, (serialize_presentation(p), budget, phases)
+            got = serialize_presentation(tietze_simplify(p, budget))
+            want = serialize_presentation(reference_tietze_simplify(p, budget))
+            assert got == want, (serialize_presentation(p), budget)
 
 
 def test_tietze_rewrites_only_touched_relators_and_matches_each_pair_once(monkeypatch):

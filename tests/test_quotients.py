@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 
@@ -84,7 +85,7 @@ def test_search_returns_weighted_image_tuples(catalog):
     # (C(r) = C3), 16 for each 5-cycle (C5) and 18 for a double transposition
     # (V4): 77 leaves, each one homomorphism keyed by its images (a, b)
     program = search_program(pres(F2))
-    found = quotients._search(program, catalog.by_name("A5"), 10 ** 8)
+    found = quotients._search(program[1], catalog.by_name("A5"), 10 ** 8)
     assert len(found) == 77
     assert all(len(images) == 2 for images in found)
     # the weights count homomorphisms: a == b in 60 of the 3600
@@ -346,6 +347,36 @@ def test_low_index_against_coset_tables():
             == coset_table_low_index(p, kmax), serialize_presentation(p)
 
 
+def brute_transitive_centraliser(gens, k):
+    """|C_{S_k}(<gens>)| from all k! permutations, 0 when 0's orbit is not all k points."""
+    orbit = {0}
+    while (grown := orbit | {g[x] for g in gens for x in orbit}) != orbit:
+        orbit = grown
+    if len(orbit) < k:
+        return 0
+    return sum(all(c[g[x]] == g[c[x]] for g in gens for x in range(k))
+               for c in itertools.permutations(range(k)))
+
+
+def test_transitive_centraliser_against_brute_force():
+    # every image tuple the searches into S_k find, transitive or not
+    rng = random.Random(4242)
+    inputs = [pres(F2), pres(TREFOIL), pres(S3_PRES)]
+    inputs += [random_presentation(rng, max_gens=2) for _ in range(30)]
+    sizes = set()
+    for k in range(2, 6):
+        group = symmetric_group(k)
+        perms = group.elements()
+        for p in inputs:
+            for images in quotients._search(search_program(p)[1], group, 10 ** 8):
+                want = brute_transitive_centraliser([perms[g] for g in images], k)
+                assert quotients._transitive_centraliser(images, perms) == want, \
+                    (serialize_presentation(p), k, images)
+                sizes.add(want)
+    # non-transitive tuples, and centralisers from trivial to regular
+    assert {0, 1, 2, 3, 4, 5} <= sizes
+
+
 def test_low_index_rejects_indexes_outside_range():
     z = search_program(pres(Z))
     with pytest.raises(ValueError):
@@ -544,6 +575,14 @@ def test_count_witness_replay():
         "hom_count:S3", {"total": 12, "surjective": 6}, {"total": 6, "surjective": 0})
     doc = verdict.to_dict()
     assert verify_witness(doc, left, right) == (True, "witness hom_count:S3 verified")
+    # read back from JSON, the recheck has its keys sorted, group before kind
+    stored = json.loads(verdict.to_json())
+    assert list(stored["witness"]["recheck"]) == ["group", "kind"]
+    assert verify_witness(stored, left, right) == (True, "witness hom_count:S3 verified")
+    # a witness labelled with an entry other than the one it rechecks
+    stored["witness"]["invariant"] = "hom_count:A5"
+    with pytest.raises(ValueError):
+        verify_witness(stored, left, right)
     # an entry recorded equal in both profiles replays, but is no witness
     left_values = {tuple(r.values()): c.value() for r, c in verdict.left_profile.entries()}
     right_values = {tuple(r.values()): c.value() for r, c in verdict.right_profile.entries()}
