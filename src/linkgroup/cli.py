@@ -10,13 +10,12 @@ import json
 import sys
 
 from .corpus import load_corpus
-from .diagrams import DiagramStructureError, DiagramSyntaxError, parse_diagram
-from .gems import FourGraphError, gem_report, parse_fourgraph
+from .diagrams import DiagramSyntaxError, parse_diagram
+from .gems import gem_report, parse_fourgraph
 from .homology import first_homology
-from .permgroups import CatalogError, load_catalog
-from .presentations import (PresentationSyntaxError, fundamental_group,
-                            parse_presentation, serialize_presentation,
-                            tietze_simplify)
+from .permgroups import load_catalog
+from .presentations import (fundamental_group, parse_presentation,
+                            serialize_presentation, tietze_simplify)
 from .quotients import (ProfileConfig, compare_profiles, distinguish,
                         json_text, profile, verify_witness)
 
@@ -38,9 +37,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_INPUT_ERRORS = (DiagramSyntaxError, DiagramStructureError,
-                 PresentationSyntaxError, FourGraphError, CatalogError,
-                 OSError, ValueError, UsageError)
+# every input-error class of the package is a ValueError
+_INPUT_ERRORS = (OSError, ValueError, UsageError)
 
 
 def _read(path):
@@ -154,17 +152,12 @@ def cmd_corpus(args):
                             "partner": entry.partner, "profile": profiles[key].to_dict()}
                       for key, entry in entries.items()}
     verdicts = {}
-    seen = set()
     for key, entry in entries.items():
-        pair = tuple(sorted((key, entry.partner)))
-        if pair in seen:
-            continue
-        seen.add(pair)
-        lp, rp = profiles[pair[0]], profiles[pair[1]]
-        witness = compare_profiles(lp, rp)
+        left, right = sorted((key, entry.partner))
+        witness = compare_profiles(profiles[left], profiles[right])
         verdicts[entry.family] = {
-            "left": pair[0],
-            "right": pair[1],
+            "left": left,
+            "right": right,
             "outcome": "Distinguished" if witness else "Inconclusive",
             "witness": None if witness is None else witness.to_dict(),
         }

@@ -42,12 +42,7 @@ class CorpusEntry:
 def load_corpus():
     """The bundled entries keyed by entry key, in shipped order."""
     doc = json.loads(_data("corpus.json"))
-    entries = {}
-    for row in doc["entries"]:
-        entries[row["key"]] = CorpusEntry(
-            key=row["key"], label=row["label"],
-            family=row["family"], partner=row["partner"])
-    return entries
+    return {row["key"]: CorpusEntry(**row) for row in doc["entries"]}
 
 
 def load_pins():

@@ -237,21 +237,14 @@ def blackboardize(diagram, targets):
         k = abs(delta)
         x = comp[0]
         follower = [j for j, c in enumerate(crossings) if c.under_in == x]
-        if not follower:
-            # crossingless circle: the chain of curls closes back onto x itself
-            new = _fresh_names(x, taken, k - 1)
-            chain = [x] + new + [x]
-            comp[1:1] = new
-            for a, b in zip(chain, chain[1:]):
-                crossings.append(Crossing(over=b, under_in=a, under_out=b, sign=sign))
-        else:
-            new = _fresh_names(x, taken, k)
-            chain = [x] + new
-            comp[1:1] = new
-            j = follower[0]
-            crossings[j] = replace(crossings[j], under_in=new[-1])
-            for a, b in zip(chain, chain[1:]):
-                crossings.append(Crossing(over=b, under_in=a, under_out=b, sign=sign))
+        # a crossingless circle has no follower: its chain closes back onto x
+        new = _fresh_names(x, taken, k if follower else k - 1)
+        chain = [x] + new + ([] if follower else [x])
+        comp[1:1] = new
+        for j in follower:
+            crossings[j] = replace(crossings[j], under_in=chain[-1])
+        for a, b in zip(chain, chain[1:]):
+            crossings.append(Crossing(over=b, under_in=a, under_out=b, sign=sign))
     if not changed:
         return diagram
     result = LinkDiagram(tuple(tuple(c) for c in components), tuple(crossings), diagram.name)

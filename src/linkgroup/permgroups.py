@@ -11,8 +11,9 @@ import json
 from importlib import resources
 
 
-# a catalog group enters each search as its full multiplication table;
-# 7! is the order of S_7, the largest table --K 7 builds
+# every group enters a search as its full multiplication table of order^2
+# cells: 25.4M for 7! = 5040, 1.6G for S_8.  Catalog groups, and the S_k of
+# the low-index search, are held to this order.
 MAX_ORDER = 5040
 
 
@@ -79,11 +80,16 @@ class FiniteGroup:
 
     def elements(self):
         if self._tree is None:
-            tree = _orbit_tree(identity_perm(self.degree), self.generators, mult,
-                               self.declared_order)
-            if self.declared_order is not None and len(tree[0]) != self.declared_order:
-                raise CatalogError("group %s has %d elements, catalog declares %d"
-                                   % (self.name, len(tree[0]), self.declared_order))
+            declared = self.declared_order
+            try:
+                tree = _orbit_tree(identity_perm(self.degree), self.generators, mult,
+                                   declared)
+                found = len(tree[0])
+            except CatalogError:
+                found = "more than %d" % declared
+            if declared is not None and found != declared:
+                raise CatalogError("group %s has %s elements, catalog declares %d"
+                                   % (self.name, found, declared))
             self._tree = tree
         return self._tree[0]
 
@@ -125,10 +131,16 @@ class FiniteGroup:
         g * v * g^-1 = y.  C(identity) is the whole group, so its orbits are
         the conjugacy classes and its stabilisers the centralisers of their
         representatives.  One scan of C(r) per orbit, on first use for each
-        r.  The identity's table is kept whole, since conjugacy_solutions reads
-        it; for any other r it is kept, and returned, as its orbits alone.
+        r, except for a central r: C(r) is then the whole group, so it shares
+        the identity's orbits.  The identity's table is kept whole, since
+        conjugacy_solutions reads it; for any other r it is kept, and
+        returned, as its orbits alone.
         """
         table = self._orbit_tables.get(r)
+        if table is None and r:
+            classes, _, class_of, _ = self._orbit_table(0)
+            if classes[class_of[r]][1] == 1:
+                table = self._orbit_tables[r] = (classes,)
         if table is None:
             mul, inv, _ = self.tables()
             n = self.order

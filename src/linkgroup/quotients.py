@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .homology import first_homology
-from .permgroups import _orbit_tree, load_catalog, symmetric_group
+from .permgroups import MAX_ORDER, _orbit_tree, load_catalog, symmetric_group
 from .presentations import _reduce_generators, serialize_presentation, tietze_simplify
 
 
@@ -152,9 +152,8 @@ def compile_hom_search(presentation):
 
     A generator becomes known without being a seed only by a deduce (it
     occurs exactly once in a relator) or a branch (exactly twice, with
-    opposite exponents).  One that can do neither is in every covering seed
-    set, so only the sets holding all of them are tried, in the same order;
-    with more than 4 of them no set of size up to 4 is tried at all.
+    opposite exponents).  One that can do neither is forced: it is in every
+    covering seed set, so a set that lacks one is skipped unscheduled.
     """
     seqs = _relator_sequences(presentation)
     n_gens = len(presentation.generators)
@@ -168,16 +167,13 @@ def compile_hom_search(presentation):
         deducible.update(g for g, es in exponents.items()
                          if len(es) == 1 or (len(es) == 2 and es[0] == -es[1]))
     candidates = sorted(range(n_gens), key=lambda g: (-occurrences[g], g))
-    rank = {g: i for i, g in enumerate(candidates)}
-    forced = [g for g in candidates if g not in deducible]
-    free = [g for g in candidates if g in deducible]
+    forced = set(range(n_gens)) - deducible
     for k in range(len(forced), min(n_gens, 4) + 1):
-        # the sets holding every forced seed, in combinations(candidates, k) order
-        for extra in itertools.combinations(free, k - len(forced)):
-            seeds = tuple(sorted(forced + list(extra), key=rank.__getitem__))
-            program, known = _closure_schedule(seqs, seeds)
-            if len(known) == n_gens:
-                return program + (n_gens,)
+        for seeds in itertools.combinations(candidates, k):
+            if forced.issubset(seeds):
+                program, known = _closure_schedule(seqs, seeds)
+                if len(known) == n_gens:
+                    return program + (n_gens,)
     seeds = ()
     while True:
         (program, known), seeds = max(
@@ -369,10 +365,10 @@ def _search(program, group, node_budget):
             q = word(*mid)
             t = inv[word(*sufpre)]
             candidates = zip(solve(q, t) if eps == 1 else solve(t, q), unit)
-        elif d == 0:
-            candidates = group.centraliser_orbits(e)
-        elif d == 1 and segments[0][0] == "assign":
-            # C(r) fixes the root r and every image deduced from it
+        elif d < 2 and segments[0][0] == "assign":
+            # C(r) fixes the root r and every image deduced from it; until
+            # segment 0 assigns r its slot holds the identity, whose C(e)
+            # orbits are the conjugacy classes
             candidates = group.centraliser_orbits(vals[segments[0][1]])
         else:
             candidates = zip(range(order), unit)
@@ -438,9 +434,8 @@ def count_homs(program, group, node_budget=10 ** 8):
 
 # --- low-index subgroups ------------------------------------------------------
 
-# S_k enters the search as its full multiplication table of (k!)^2 cells:
-# 25.4M for S_7, 1.6G for S_8
-MAX_INDEX = 7
+# the largest k whose S_k, of order k!, is within MAX_ORDER
+MAX_INDEX = next(k for k in itertools.count(1) if math.factorial(k + 1) > MAX_ORDER)
 
 
 def _transitive_centraliser(images, perms):
@@ -466,7 +461,7 @@ def _transitive_centraliser(images, perms):
     return size
 
 
-def _low_index(program, k, node_budget):
+def _low_index(program, k, node_budget=10 ** 8):
     """Subgroups of index k, counted as transitive actions on k points.
 
     Each subgroup of index k is the stabiliser of point 0 in exactly (k-1)!
@@ -511,9 +506,9 @@ def low_index_subgroups(program, max_index, node_budget=10 ** 8):
             for k in range(2, max_index + 1)}
 
 
-def low_index_single(program, k, node_budget=10 ** 8):
-    """The counts at one index k, equal to low_index_subgroups(...)[k]."""
-    return _low_index(program, k, node_budget)
+# the counts at one index k, equal to low_index_subgroups(...)[k]; a name of
+# its own, so that a tracer wrapping it does not count low_index_subgroups' calls
+low_index_single = _low_index
 
 
 # --- profiles and verdicts ----------------------------------------------------

@@ -10,6 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linkgroup import cli, quotients
+from linkgroup.diagrams import DiagramStructureError, DiagramSyntaxError
+from linkgroup.gems import FourGraphError
+from linkgroup.permgroups import CatalogError
+from linkgroup.presentations import PresentationSyntaxError
 from linkgroup.quotients import distinguish
 from conftest import data_path, data_text, pres
 
@@ -260,6 +264,13 @@ def test_corpus_listing(capsys):
     assert byname["u1466"]["partner"] == "u1563"
     assert byname["u2165"]["family"] == "9_199"
     assert byname["u2125"]["label"] == "U[2125]"
+
+
+def test_input_error_classes_are_value_errors():
+    # cli._INPUT_ERRORS names ValueError alone for all of them
+    for error in (DiagramSyntaxError, DiagramStructureError, PresentationSyntaxError,
+                  FourGraphError, CatalogError):
+        assert issubclass(error, ValueError), error
 
 
 def test_missing_file_is_an_input_error(capsys):

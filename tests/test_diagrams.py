@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -124,6 +125,42 @@ def test_blackboardize_two_components():
     d2 = blackboardize(d, targets)
     assert [self_writhe(d2, 0), self_writhe(d2, 1)] == targets
     assert validate(d2) == []
+
+
+# a crossingless circle x at target t: curls x -> xw1 -> ... -> x, each
+# (over, under_in, under_out) with over = under_out and sign that of t
+CIRCLE_CURLS = {
+    1: [("x", "x", "x")],
+    2: [("xw1", "x", "xw1"), ("x", "xw1", "x")],
+    3: [("xw1", "x", "xw1"), ("xw2", "xw1", "xw2"), ("x", "xw2", "x")],
+}
+
+
+@pytest.mark.parametrize("target", [1, -1, 2, -2, 3, -3])
+def test_blackboardize_crossingless_circle_bytes(target):
+    curls = CIRCLE_CURLS[abs(target)]
+    sign = 1 if target > 0 else -1
+    expected = {
+        "components": [["x"] + ["xw%d" % i for i in range(1, abs(target))]],
+        "crossings": [{"over": over, "under_in": under_in, "under_out": under_out,
+                       "sign": sign} for over, under_in, under_out in curls],
+    }
+    circle = parse_diagram('{"components": [["x"]], "crossings": []}')
+    text = serialize_diagram(blackboardize(circle, [target]))
+    assert text == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("text, targets, digest", [
+    # the curls go after the first arc; the crossing a -> b now enters from
+    # the last curl's arc
+    (TREFOIL, [0], "5a4a8bc86724b2d6c4a7e0f3d0f662d5227692602172483043a4894e56cc2608"),
+    (TREFOIL, [5], "bff2fbdc030589494d7629a8483c3e07b100c5c6e2fa3ecc8bf6d4f944ea937a"),
+    (data_text("u2125.pd.json"), [5, -1],
+     "c5c7960ae9200b43473996e814a29d00079e9ae3b046ffb7a17671bd06e8a553"),
+])
+def test_blackboardize_with_follower_crossing_bytes(text, targets, digest):
+    framed = serialize_diagram(blackboardize(parse_diagram(text), targets))
+    assert hashlib.sha256(framed.encode()).hexdigest() == digest
 
 
 def test_blackboardize_target_count_mismatch():

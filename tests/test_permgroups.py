@@ -143,6 +143,24 @@ def test_identity_orbit_table_is_scanned_once(catalog):
             assert counted[0].reads == reads, (g.name, solver_first)
 
 
+def test_central_roots_share_the_class_table():
+    # in an abelian group every root is central, so C(r) is the whole group
+    # and every root's orbits are the conjugacy classes: building them all
+    # reads only the identity table's products
+    for n in (6, 60):
+        cyclic = FiniteGroup("C%d" % n, n, [tuple(range(1, n)) + (0,)])
+        mul, inv, e = cyclic.tables()
+        counted = (CountingList(mul), inv, e)
+        cyclic.tables = lambda: counted
+        classes = cyclic.centraliser_orbits(e)
+        reads = counted[0].reads
+        assert reads == 2 * n + 2 * n * n
+        for r, size in classes:
+            assert size == 1
+            assert cyclic.centraliser_orbits(r) == classes
+        assert counted[0].reads == reads, n
+
+
 def test_second_assign_node_counts(catalog):
     # a search opening with two assigns tries, below each class representative
     # r, one node per C(r)-orbit instead of one per element
@@ -163,7 +181,12 @@ def test_finite_group_rejects_non_permutation():
 
 def test_declared_order_is_checked():
     g = FiniteGroup("C3", 3, [(1, 2, 0)], order=4)
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError, match="group C3 has 3 elements, catalog declares 4"):
+        g.elements()
+    # a closure that outgrows the declared order stops there
+    g = FiniteGroup("X", 3, [(1, 0, 2), (1, 2, 0)], order=5)
+    with pytest.raises(CatalogError, match="group X has more than 5 elements, "
+                                           "catalog declares 5"):
         g.elements()
 
 
