@@ -325,145 +325,121 @@ def _reduce_generators(presentation):
 
 # --- text grammar -----------------------------------------------------------
 
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|-?\d+|[\^*=;:,]")
+# A token, or (group 2) a character that starts none.  finditer steps over
+# whitespace in one pass; a leading \s* would rescan trailing whitespace
+# from each of its positions.
+_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*|-?\d+|[\^*=;:,])|(\S)")
+
+
+def _error(tokens, i, message):
+    """The syntax error at token i, or after the last token when i is past the end."""
+    after = i >= len(tokens)
+    _, lineno, col = tokens[-1 if after else i]
+    return PresentationSyntaxError("line %d, column %d: %s%s" % (
+        lineno, col, message, " after this" if after else ""))
 
 
 def _tokenize(line, lineno):
     tokens = []
-    pos = 0
-    while pos < len(line):
-        if line[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(line, pos)
-        if not m:
-            raise PresentationSyntaxError(
-                "line %d, column %d: unexpected character %r" % (lineno, pos + 1, line[pos]))
-        tokens.append((m.group(), lineno, pos + 1))
-        pos = m.end()
+    for m in _TOKEN.finditer(line):
+        tokens.append((m.group(), lineno, m.start() + 1))
+        if m.group(2):
+            raise _error(tokens, len(tokens) - 1, "unexpected character %r" % m.group())
     return tokens
 
 
-class _WordParser:
-    """Parses relators over the known generators, counting the letters of
-    their expansion so far."""
+def _relator(tokens, known, letters):
+    """The relator spelled by one ;-separated token group, lhs [= rhs] with
+    each side 1 or name[^int]*name[^int]..., and letters plus the number of
+    letters its powers expand to."""
+    def peek(i):
+        return tokens[i][0] if i < len(tokens) else None
 
-    def __init__(self, known):
-        self.known = known
-        self.letters = 0
-
-    def relator(self, tokens):
-        self.tokens, self.i = tokens, 0
-        lhs, rhs = self.word(), Word()
-        if self.peek() == "=":
-            self.take()
-            rhs = self.word()
-        if self.peek() is not None:
-            self.fail("unexpected token")
-        return Relator(lhs, rhs)
-
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def fail(self, message):
-        at_end = self.i >= len(self.tokens)
-        _, lineno, col = self.tokens[-1 if at_end else self.i]
-        raise PresentationSyntaxError("line %d, column %d: %s%s" % (
-            lineno, col, message, " after this" if at_end else ""))
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def word(self):
-        if self.peek() == "1":
-            self.take()
-            return Word()
-        syllables = [self.term()]
-        while self.peek() == "*":
-            self.take()
-            syllables.append(self.term())
-        return Word.from_syllables(syllables)
-
-    def term(self):
-        tok = self.peek()
-        if tok is None or not GEN_NAME.match(tok):
-            self.fail("expected a generator name")
-        name, lineno, col = self.take()
-        if name not in self.known:
-            raise PresentationSyntaxError(
-                "line %d, column %d: unknown generator %r" % (lineno, col, name))
-        exp = 1
-        if self.peek() == "^":
-            self.take()
-            tok = self.peek()
-            if tok is None or not re.fullmatch(r"-?\d+", tok):
-                self.fail("expected an integer exponent")
-            _, lineno, col = self.take()
-            # int() reads at most one digit more than MAX_LETTERS has: enough to pass it
-            digits = tok.lstrip("-").lstrip("0")[:len(str(MAX_LETTERS)) + 1] or "0"
-            exp = -int(digits) if tok[0] == "-" else int(digits)
-            if exp == 0:
-                self.fail("zero exponent")
-        self.letters += abs(exp)
-        if self.letters > MAX_LETTERS:
-            raise PresentationSyntaxError("line %d, column %d: the relators expand to more "
-                                          "than %d letters" % (lineno, col, MAX_LETTERS))
-        return (name, exp)
+    sides, syllables, i = [], [], 0
+    while True:
+        if not syllables and peek(i) == "1":
+            i += 1
+        else:
+            name = peek(i)
+            if name is None or not GEN_NAME.match(name):
+                raise _error(tokens, i, "expected a generator name")
+            if name not in known:
+                raise _error(tokens, i, "unknown generator %r" % name)
+            at, exp, i = i, 1, i + 1
+            if peek(i) == "^":
+                at, tok, i = i + 1, peek(i + 1), i + 2
+                if tok is None or not re.fullmatch(r"-?\d+", tok):
+                    raise _error(tokens, at, "expected an integer exponent")
+                # int() reads at most one digit more than MAX_LETTERS has: enough to pass it
+                digits = tok.lstrip("-").lstrip("0")[:len(str(MAX_LETTERS)) + 1] or "0"
+                exp = -int(digits) if tok[0] == "-" else int(digits)
+                if exp == 0:
+                    raise _error(tokens, at, "zero exponent")
+            letters += abs(exp)
+            if letters > MAX_LETTERS:
+                raise _error(tokens, at, "the relators expand to more than %d letters"
+                             % MAX_LETTERS)
+            syllables.append((name, exp))
+            if peek(i) == "*":
+                i += 1
+                continue
+        sides.append(Word.from_syllables(syllables))
+        syllables = []
+        if len(sides) == 2 or peek(i) != "=":
+            break
+        i += 1
+    if i < len(tokens):
+        raise _error(tokens, i, "unexpected token")
+    return Relator(*sides), letters
 
 
 def parse_presentation(text):
     """Parse presentation text: a gens: line plus rels: lines of ;-separated
     relators, whose powers may expand to at most MAX_LETTERS letters in all."""
     gens = None
-    relator_token_groups = []
+    groups = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
         tokens = _tokenize(line, lineno)
-        head = tokens[0][0] if tokens else ""
-        if head == "gens":
-            if len(tokens) < 2 or tokens[1][0] != ":":
-                raise PresentationSyntaxError("line %d: expected 'gens:'" % lineno)
-            if gens is not None:
-                raise PresentationSyntaxError("line %d: duplicate gens: line" % lineno)
-            rest = tokens[2:]
-            for k, (tok, ln, col) in enumerate(rest):
-                if k % 2 == 0 and not GEN_NAME.match(tok):
-                    raise PresentationSyntaxError(
-                        "line %d, column %d: bad generator name %r" % (ln, col, tok))
-                if k % 2 and tok != ",":
-                    raise PresentationSyntaxError(
-                        "line %d, column %d: expected ',' between generator names" % (ln, col))
-            if rest and len(rest) % 2 == 0:
-                raise PresentationSyntaxError("line %d: trailing comma in gens: line" % lineno)
-            gens = [tok for tok, _, _ in rest[::2]]
-        elif head == "rels":
-            if len(tokens) < 2 or tokens[1][0] != ":":
-                raise PresentationSyntaxError("line %d: expected 'rels:'" % lineno)
-            relator_token_groups.append([])
-            for tok in tokens[2:]:
-                if tok[0] == ";":
-                    relator_token_groups.append([])
-                else:
-                    relator_token_groups[-1].append(tok)
-        else:
+        head = tokens[0][0]
+        if head not in ("gens", "rels"):
             raise PresentationSyntaxError(
                 "line %d: expected a 'gens:' or 'rels:' line" % lineno)
+        if len(tokens) < 2 or tokens[1][0] != ":":
+            raise PresentationSyntaxError("line %d: expected '%s:'" % (lineno, head))
+        if head == "gens":
+            if gens is not None:
+                raise PresentationSyntaxError("line %d: duplicate gens: line" % lineno)
+            for k, (tok, _, _) in enumerate(tokens[2:], start=2):
+                if k % 2 == 0 and not GEN_NAME.match(tok):
+                    raise _error(tokens, k, "bad generator name %r" % tok)
+                if k % 2 and tok != ",":
+                    raise _error(tokens, k, "expected ',' between generator names")
+            if len(tokens) > 2 and len(tokens) % 2 == 0:
+                raise PresentationSyntaxError("line %d: trailing comma in gens: line" % lineno)
+            gens = [tok for tok, _, _ in tokens[2::2]]
+        else:
+            groups.append([])
+            for tok in tokens[2:]:
+                if tok[0] == ";":
+                    groups.append([])
+                else:
+                    groups[-1].append(tok)
     if gens is None:
         raise PresentationSyntaxError("missing gens: line")
 
-    parser = _WordParser(set(gens))
-    relators = tuple(parser.relator(group) for group in relator_token_groups if group)
-    return GroupPresentation(tuple(gens), relators)
+    known, relators, letters = set(gens), [], 0
+    for group in groups:
+        if group:
+            relator, letters = _relator(group, known, letters)
+            relators.append(relator)
+    return GroupPresentation(tuple(gens), tuple(relators))
 
 
-def _word_text(word, sep="*"):
-    if not word.letters:
-        return "1"
-    return sep.join(name if exp == 1 else "%s^-1" % name for name, exp in word.letters)
+def _word_text(word):
+    return "*".join(name if exp == 1 else "%s^-1" % name for name, exp in word.letters) or "1"
 
 
 def _relator_text(r):
@@ -473,7 +449,11 @@ def _relator_text(r):
 
 
 def serialize_presentation(presentation, dialect="native"):
-    """Render a presentation in the native grammar, or for export as gap or plain."""
+    """Render a presentation in the native grammar, or for export as gap or plain.
+
+    The gap snippet writes each relator over F.1, F.2, ..., so any generator
+    name (F, E, end, ...) is safe; the names only label FreeGroup's generators.
+    """
     if dialect == "native":
         lines = ["gens: " + ", ".join(presentation.generators)]
         if presentation.relators:
@@ -483,17 +463,14 @@ def serialize_presentation(presentation, dialect="native"):
         inner = "; ".join(_relator_text(r) for r in presentation.relators)
         return "< %s | %s >\n" % (", ".join(presentation.generators), inner)
     if dialect == "gap":
-        names = ", ".join('"%s"' % g for g in presentation.generators)
-        lines = ["F := FreeGroup( %s );;" % names if presentation.generators
-                 else "F := FreeGroup( 0 );;"]
-        if presentation.generators:
-            lines.append("AssignGeneratorVariables( F );;")
-        rel_words = []
-        for r in presentation.relators:
-            w = r.word
-            rel_words.append(_word_text(w) if w.letters else "One( F )")
-        lines.append("rels := [ %s ];;" % ", ".join(rel_words))
-        lines.append("G := F / rels;;")
-        lines.append('Print( AbelianInvariants( G ), "\\n" );')
-        return "\n".join(lines) + "\n"
+        gens = presentation.generators
+        index = {g: "F.%d" % i for i, g in enumerate(gens, start=1)}
+        words = [Word(tuple((index[g], e) for g, e in r.word.letters))
+                 for r in presentation.relators]
+        return "\n".join([
+            "F := FreeGroup( %s );;" % (", ".join('"%s"' % g for g in gens) or "0"),
+            "rels := [ %s ];;" % ", ".join(_word_text(w) if w.letters else "One( F )"
+                                           for w in words),
+            "G := F / rels;;",
+            'Print( AbelianInvariants( G ), "\\n" );']) + "\n"
     raise ValueError("unknown dialect %r" % dialect)

@@ -9,13 +9,16 @@ The Tietze simplifier, the generator reduction behind the search compiler,
 the search compiler itself, the search it compiles to (before and after
 centraliser orbits, both walking relators letter by letter), the subgroup
 closure, the Smith normal form with its certificate, the surgery
-presentation of a diagram and the gem report are checked against verbatim
-copies of their earlier implementations, at the end of this file.
+presentation of a diagram, the gem report and the presentation text parser
+are checked against verbatim copies of their earlier implementations, at the
+end of this file.  The search compiler's oracle reads relators with its own
+reducer, not the package's.
 """
 
 import functools
 import itertools
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -23,9 +26,10 @@ import numpy as np
 from linkgroup.diagrams import under_walk
 from linkgroup.gems import is_bipartite, residues
 from linkgroup.homology import IntegerMatrix
-from linkgroup.presentations import (GroupPresentation, Relator, transition_name,
+from linkgroup.presentations import (GEN_NAME, MAX_LETTERS, GroupPresentation,
+                                     PresentationSyntaxError, Relator, transition_name,
                                      wirtinger)
-from linkgroup.quotients import BudgetExceeded, _relator_sequences
+from linkgroup.quotients import BudgetExceeded
 from linkgroup.words import Word
 
 
@@ -532,6 +536,23 @@ def _ref_choose_seeds(seqs, n_gens):
     return tuple(seeds)
 
 
+def _ref_relator_sequences(presentation):
+    """Each relator lhs * rhs^-1, freely reduced, as (generator index, exponent)
+    letters; relators that reduce to the empty word are dropped."""
+    index = {g: i for i, g in enumerate(presentation.generators)}
+    seqs = []
+    for r in presentation.relators:
+        letters = []
+        for name, exp in r.lhs.letters + tuple((n, -e) for n, e in reversed(r.rhs.letters)):
+            if letters and letters[-1] == (index[name], -exp):
+                letters.pop()
+            else:
+                letters.append((index[name], exp))
+        if letters:
+            seqs.append(tuple(letters))
+    return seqs
+
+
 def reference_compile_hom_search(presentation):
     """The deterministic search program: leading ops plus enumeration segments.
 
@@ -539,7 +560,7 @@ def reference_compile_hom_search(presentation):
     (loop over the solutions of a conjugation equation) and carries the ops
     that follow it.
     """
-    seqs = _relator_sequences(presentation)
+    seqs = _ref_relator_sequences(presentation)
     n_gens = len(presentation.generators)
     seeds = _ref_choose_seeds(seqs, n_gens)
     ops, known = _ref_closure_schedule(seqs, n_gens, seeds)
@@ -1042,3 +1063,140 @@ def reference_gem_report(graph):
         "is_gem": bipartite and all_spherical,
         "spheres": spheres,
     }
+
+
+# --- the presentation text parser before its tokenizer became one regex -------
+
+_REF_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|-?\d+|[\^*=;:,]")
+
+
+def _ref_tokenize(line, lineno):
+    tokens = []
+    pos = 0
+    while pos < len(line):
+        if line[pos].isspace():
+            pos += 1
+            continue
+        m = _REF_TOKEN.match(line, pos)
+        if not m:
+            raise PresentationSyntaxError(
+                "line %d, column %d: unexpected character %r" % (lineno, pos + 1, line[pos]))
+        tokens.append((m.group(), lineno, pos + 1))
+        pos = m.end()
+    return tokens
+
+
+class _RefWordParser:
+    """Parses relators over the known generators, counting the letters of
+    their expansion so far."""
+
+    def __init__(self, known):
+        self.known = known
+        self.letters = 0
+
+    def relator(self, tokens):
+        self.tokens, self.i = tokens, 0
+        lhs, rhs = self.word(), Word()
+        if self.peek() == "=":
+            self.take()
+            rhs = self.word()
+        if self.peek() is not None:
+            self.fail("unexpected token")
+        return Relator(lhs, rhs)
+
+    def peek(self):
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def fail(self, message):
+        at_end = self.i >= len(self.tokens)
+        _, lineno, col = self.tokens[-1 if at_end else self.i]
+        raise PresentationSyntaxError("line %d, column %d: %s%s" % (
+            lineno, col, message, " after this" if at_end else ""))
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def word(self):
+        if self.peek() == "1":
+            self.take()
+            return Word()
+        syllables = [self.term()]
+        while self.peek() == "*":
+            self.take()
+            syllables.append(self.term())
+        return Word.from_syllables(syllables)
+
+    def term(self):
+        tok = self.peek()
+        if tok is None or not GEN_NAME.match(tok):
+            self.fail("expected a generator name")
+        name, lineno, col = self.take()
+        if name not in self.known:
+            raise PresentationSyntaxError(
+                "line %d, column %d: unknown generator %r" % (lineno, col, name))
+        exp = 1
+        if self.peek() == "^":
+            self.take()
+            tok = self.peek()
+            if tok is None or not re.fullmatch(r"-?\d+", tok):
+                self.fail("expected an integer exponent")
+            _, lineno, col = self.take()
+            # int() reads at most one digit more than MAX_LETTERS has: enough to pass it
+            digits = tok.lstrip("-").lstrip("0")[:len(str(MAX_LETTERS)) + 1] or "0"
+            exp = -int(digits) if tok[0] == "-" else int(digits)
+            if exp == 0:
+                self.fail("zero exponent")
+        self.letters += abs(exp)
+        if self.letters > MAX_LETTERS:
+            raise PresentationSyntaxError("line %d, column %d: the relators expand to more "
+                                          "than %d letters" % (lineno, col, MAX_LETTERS))
+        return (name, exp)
+
+
+def reference_parse_presentation(text):
+    """Parse presentation text: a gens: line plus rels: lines of ;-separated
+    relators, whose powers may expand to at most MAX_LETTERS letters in all."""
+    gens = None
+    relator_token_groups = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        tokens = _ref_tokenize(line, lineno)
+        head = tokens[0][0] if tokens else ""
+        if head == "gens":
+            if len(tokens) < 2 or tokens[1][0] != ":":
+                raise PresentationSyntaxError("line %d: expected 'gens:'" % lineno)
+            if gens is not None:
+                raise PresentationSyntaxError("line %d: duplicate gens: line" % lineno)
+            rest = tokens[2:]
+            for k, (tok, ln, col) in enumerate(rest):
+                if k % 2 == 0 and not GEN_NAME.match(tok):
+                    raise PresentationSyntaxError(
+                        "line %d, column %d: bad generator name %r" % (ln, col, tok))
+                if k % 2 and tok != ",":
+                    raise PresentationSyntaxError(
+                        "line %d, column %d: expected ',' between generator names" % (ln, col))
+            if rest and len(rest) % 2 == 0:
+                raise PresentationSyntaxError("line %d: trailing comma in gens: line" % lineno)
+            gens = [tok for tok, _, _ in rest[::2]]
+        elif head == "rels":
+            if len(tokens) < 2 or tokens[1][0] != ":":
+                raise PresentationSyntaxError("line %d: expected 'rels:'" % lineno)
+            relator_token_groups.append([])
+            for tok in tokens[2:]:
+                if tok[0] == ";":
+                    relator_token_groups.append([])
+                else:
+                    relator_token_groups[-1].append(tok)
+        else:
+            raise PresentationSyntaxError(
+                "line %d: expected a 'gens:' or 'rels:' line" % lineno)
+    if gens is None:
+        raise PresentationSyntaxError("missing gens: line")
+
+    parser = _RefWordParser(set(gens))
+    relators = tuple(parser.relator(group) for group in relator_token_groups if group)
+    return GroupPresentation(tuple(gens), relators)

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 
 import pytest
 
@@ -14,7 +16,8 @@ from linkgroup.homology import first_homology
 from linkgroup.words import Word
 from conftest import CORPUS_KEYS, data_text
 from oracles import (_ref_cyclic_match, reference_fundamental_group,
-                     reference_reduce_generators, reference_tietze_simplify)
+                     reference_parse_presentation, reference_reduce_generators,
+                     reference_tietze_simplify)
 from test_diagrams import TREFOIL, UNKNOT0
 
 
@@ -125,10 +128,108 @@ def test_serialize_dialects():
     assert serialize_presentation(p, dialect="plain") == "< a, b | a*b = b*a; a*a >\n"
     gap = serialize_presentation(p, dialect="gap")
     assert 'F := FreeGroup( "a", "b" );;' in gap
-    assert "a*b*a^-1*b^-1" in gap
+    assert "F.1*F.2*F.1^-1*F.2^-1" in gap
     assert gap.endswith('Print( AbelianInvariants( G ), "\\n" );\n')
     with pytest.raises(ValueError):
         serialize_presentation(p, dialect="latex")
+
+
+def test_gap_export_writes_relators_over_generator_indices():
+    # F would overwrite the free group, end is a GAP keyword, E is read-only
+    p = parse_presentation("gens: F, E, end, rels\nrels: F*E = E*F; end^2; rels^-1; 1\n")
+    assert serialize_presentation(p, dialect="gap") == (
+        'F := FreeGroup( "F", "E", "end", "rels" );;\n'
+        "rels := [ F.1*F.2*F.1^-1*F.2^-1, F.3*F.3, F.4^-1, One( F ) ];;\n"
+        "G := F / rels;;\n"
+        'Print( AbelianInvariants( G ), "\\n" );\n')
+    assert serialize_presentation(parse_presentation("gens:\n"), dialect="gap").startswith(
+        "F := FreeGroup( 0 );;\nrels := [  ];;\n")
+
+
+PARSE_ERRORS = (
+    ("gens: a\nrels: a$b", "line 2, column 8: unexpected character '$'"),
+    ("gens a", "line 1: expected 'gens:'"),
+    ("gens: a\nrels a", "line 2: expected 'rels:'"),
+    ("gens: a\ngens: b", "line 2: duplicate gens: line"),
+    ("gens: a, 1", "line 1, column 10: bad generator name '1'"),
+    ("gens: a b", "line 1, column 9: expected ',' between generator names"),
+    ("gens: a,", "line 1: trailing comma in gens: line"),
+    ("  rel: a", "line 1: expected a 'gens:' or 'rels:' line"),
+    ("rels: a", "missing gens: line"),
+    ("gens: a\nrels: a*", "line 2, column 8: expected a generator name after this"),
+    ("gens: a\nrels: a*^2", "line 2, column 9: expected a generator name"),
+    ("gens: a\nrels: b", "line 2, column 7: unknown generator 'b'"),
+    ("gens: a\nrels: a^", "line 2, column 8: expected an integer exponent after this"),
+    ("gens: a\nrels: a^b", "line 2, column 9: expected an integer exponent"),
+    ("gens: a, b\nrels: a^0*b", "line 2, column 9: zero exponent"),
+    ("gens: a\nrels: a^0", "line 2, column 9: zero exponent"),
+    ("gens: a\nrels: a^-00 = a", "line 2, column 9: zero exponent"),
+    ("gens: a\nrels: a a", "line 2, column 9: unexpected token"),
+    ("gens: a\nrels: a = a = a", "line 2, column 13: unexpected token"),
+    ("gens: a\nrels: a^9999999", "line 2, column 9: the relators expand to more than "
+                                  "1000000 letters"),
+)
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_messages(text, message):
+    with pytest.raises(PresentationSyntaxError) as info:
+        parse_presentation(text)
+    assert str(info.value) == message
+
+
+def test_trailing_whitespace_is_skipped_in_linear_time():
+    # a regex that skips whitespace before each token rescans a trailing run
+    # once per position: 20,000 spaces took seconds that way
+    start = time.perf_counter()
+    assert parse_presentation("gens: a" + " " * 20000 + "\nrels: a^2" + "\t" * 20000).relators
+    assert time.perf_counter() - start < 1
+
+
+# \x1c splits lines like \n; \u0663 and \u0660 are digits to \d and int()
+FRAGMENTS = ("^0", "^-0", "^00", "^", "*", "=", ";", "#", ",", ":", "1", "-", " ", "\n",
+             "\nrels: ", "\x1c", "\u00e9", "\u03a9", "\u0663", "\u0660", "$", "!", "a", "b^2")
+
+
+def mutate(rng, text):
+    """text with one to three fragments inserted or short spans deleted."""
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(text))
+        if rng.random() < 0.6:
+            text = text[:pos] + rng.choice(FRAGMENTS) + text[pos:]
+        else:
+            text = text[:pos] + text[pos + rng.randint(1, 3):]
+    return text
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return str(e)
+
+
+def test_parser_matches_reference_on_mutated_texts():
+    rng = random.Random(18)
+    corpus = [data_text(key + ".pres") for key in CORPUS_KEYS + ("trefoil",)]
+    zero_exponents = 0
+    for n in range(20000):
+        base = rng.choice(corpus) if n % 20 == 0 else random_tietze_text(rng)
+        text = base if n % 10 == 1 else mutate(rng, base)
+        got = parse_outcome(parse_presentation, text)
+        want = parse_outcome(reference_parse_presentation, text)
+        if isinstance(want, str) and want.endswith(("zero exponent", "zero exponent after this")):
+            # the reference points one token past the exponent; this parser at it
+            zero_exponents += 1
+            m = re.fullmatch(r"line (\d+), column (\d+): zero exponent", got)
+            assert m and want.startswith("line %s, " % m[1]), (text, got, want)
+            line = text.splitlines()[int(m[1]) - 1]
+            col = int(m[2]) - 1
+            assert line[:col].rstrip().endswith("^"), (text, got)
+            assert int(re.match(r"-?\d+", line[col:])[0]) == 0, (text, got)
+        else:
+            assert got == want, text
+    assert zero_exponents > 100
 
 
 def test_tietze_phase1_counts_on_corpus():
@@ -217,6 +318,11 @@ def random_word_text(rng, names, max_len):
 
 def random_tietze_input(rng):
     """A presentation mixing definitions g = w, equations and bare relators."""
+    return parse_presentation(random_tietze_text(rng))
+
+
+def random_tietze_text(rng):
+    """The text of a random_tietze_input presentation."""
     names = ("a", "b", "c", "d", "e")[:rng.randint(1, 5)]
     rels = []
     for _ in range(rng.randint(0, 6)):
@@ -228,7 +334,7 @@ def random_tietze_input(rng):
                                      random_word_text(rng, names, 3)))
         else:
             rels.append(random_word_text(rng, names, 9))
-    return parse_presentation("gens: %s\nrels: %s\n" % (", ".join(names), "; ".join(rels)))
+    return "gens: %s\nrels: %s\n" % (", ".join(names), "; ".join(rels))
 
 
 # Relators that lack the first eliminated generator and are not freely
