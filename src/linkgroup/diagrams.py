@@ -161,10 +161,11 @@ def validate(diagram):
     for c in diagram.crossings:
         by_pair.setdefault((c.under_in, c.under_out), []).append(c)
     used_pairs = set()
+    # the checks above returned unless every understrand stays in one known component
+    incident = {seen[c.under_in] for c in diagram.crossings}
     for i, comp in enumerate(diagram.components):
         m = len(comp)
-        incident = [c for c in diagram.crossings if c.under_in in comp or c.under_out in comp]
-        if m == 1 and not incident:
+        if m == 1 and i not in incident:
             continue
         for j, arc in enumerate(comp):
             pair = (arc, comp[(j + 1) % m])

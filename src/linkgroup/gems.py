@@ -136,12 +136,18 @@ def gem_report(graph):
     pair_cycles = {pair: residues(graph, pair) for pair in combinations(range(4), 2)}
     for dropped in range(4):
         components = residues(graph, [c for c in range(4) if c != dropped])
-        for component in components:
-            members = set(component)
+        component_of = [0] * graph.vertices
+        for k, component in enumerate(components):
+            for x in component:
+                component_of[x] = k
+        counts = [0] * len(components)
+        for pair, cycles in pair_cycles.items():
+            if dropped not in pair:
+                for cyc in cycles:
+                    counts[component_of[cyc[0]]] += 1
+        for component, bigons in zip(components, counts):
             v = len(component)
             e = 3 * v // 2
-            bigons = sum(1 for pair, cycles in pair_cycles.items() if dropped not in pair
-                         for cyc in cycles if cyc[0] in members)
             euler = v - e + bigons
             if euler != 2:
                 all_spherical = False

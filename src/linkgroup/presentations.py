@@ -125,7 +125,7 @@ def _encoder(generators):
     index = {g: 2 * i for i, g in enumerate(generators)}
     letters = [(g, e) for g in generators for e in (1, -1)]
     return (lambda word: "".join([chr(index[g] + (e < 0)) for g, e in word.letters]),
-            lambda s: Word(tuple([letters[ord(c)] for c in s])),
+            lambda s: Word._of(tuple([letters[ord(c)] for c in s])),
             "".join(chr(c ^ 1) for c in range(len(letters))))
 
 
@@ -140,11 +140,6 @@ def _reduce(s, cyclic=False):
     while cyclic and len(out) >= 2 and ord(out[0]) ^ ord(out[-1]) == 1:
         out = out[1:-1]
     return "".join(out)
-
-
-def _uses(relator, letter):
-    both = "".join(relator)
-    return letter in both or chr(ord(letter) ^ 1) in both
 
 
 def _substitute_relator(relator, letter, replacement, table):
@@ -192,30 +187,44 @@ def _cyclic_match(target, source, table):
         return _reduce(remainder[::-1].translate(table) + doubled[start + floor:start + n], True)
 
 
+def _pairs(w):
+    """The cyclic two-letter subwords of w."""
+    return {a + b for a, b in zip(w, w[1:] + w[:1])}
+
+
 def _shortening(rels, cyclic, matches, table):
     """The first phase-3 rewrite: (target index, shortened word), or None.
 
     Sources are tried shortest first (ties by index), and for each source the
     targets in the same order, skipping targets shorter than the source.
-    cyclic maps a relator to its cyclically reduced word, and matches a
-    (target, source) pair of such words to its _cyclic_match result, so each
-    is computed once per tietze_simplify call.
+    cyclic maps a relator to its cyclically reduced word, that word's cyclic
+    two-letter subwords, and those together with its inverse's.  A match
+    overlaps more than half the source, so a source of two or more letters
+    shares a cyclic two-letter subword, in itself or its inverse, with the
+    target: a pair that shares none cannot match and is skipped.  matches
+    maps each other (target, source) pair of words to its _cyclic_match
+    result, so each is computed once per tietze_simplify call.
     """
-    words = []
+    entries = []
     for r in rels:
         if r not in cyclic:
-            cyclic[r] = _reduce(r[0] + r[1][::-1].translate(table), True)
-        words.append(cyclic[r])
+            w = _reduce(r[0] + r[1][::-1].translate(table), True)
+            pairs = _pairs(w)
+            cyclic[r] = w, pairs, pairs | _pairs(w[::-1].translate(table))
+        entries.append(cyclic[r])
     order = sorted(range(len(rels)), key=lambda i: (len(rels[i][0]) + len(rels[i][1]), i))
     for si in order:
-        source = words[si]
+        source, _, both = entries[si]
+        m = len(source)
         for ti in order:
-            if source and ti != si and len(words[ti]) >= len(source):
-                key = (words[ti], source)
-                if key not in matches:
-                    matches[key] = _cyclic_match(words[ti], source, table)
-                if matches[key] is not None:
-                    return ti, matches[key]
+            target, pairs, _ = entries[ti]
+            if ti == si or len(target) < m or m > 1 and both.isdisjoint(pairs):
+                continue
+            key = (target, source)
+            if key not in matches:
+                matches[key] = _cyclic_match(target, source, table)
+            if matches[key] is not None:
+                return ti, matches[key]
     return None
 
 
@@ -235,8 +244,9 @@ def tietze_simplify(presentation, budget=10000):
     Each side of a relator is an encoded word, and the work is incremental:
     an elimination rewrites only the relators that contain the eliminated
     generator, phase 2 reduces only relators it has not yet found fixed, and
-    phase 3 matches each (target, source) pair at most once per call.  A
-    budget that is not a non-negative integer raises ValueError.
+    phase 3 matches each (target, source) pair at most once per call, and
+    never a pair that shares no cyclic two-letter subword (see _shortening).
+    A budget that is not a non-negative integer raises ValueError.
     """
     if type(budget) is not int or budget < 0:
         raise ValueError("simplify budget must be a non-negative integer, not %r" % (budget,))
@@ -252,13 +262,16 @@ def tietze_simplify(presentation, budget=10000):
     for _ in range(budget):
         definitions = [(1 + len(rhs), names[ord(lhs) >> 1], idx)
                        for idx, (lhs, rhs) in enumerate(rels)
-                       if len(lhs) == 1 and not ord(lhs) & 1 and not _uses((rhs,), lhs)]
+                       if len(lhs) == 1 and not ord(lhs) & 1
+                       and lhs not in rhs and chr(ord(lhs) ^ 1) not in rhs]
         if definitions:
             _, g, idx = min(definitions)
             letter, w = rels.pop(idx)
+            other = chr(ord(letter) ^ 1)
             gens.remove(g)
             rels = [_substitute_relator(r, letter, w, table)
-                    if not all_reduced or _uses(r, letter) else r for r in rels]
+                    if not all_reduced or letter in r[0] or other in r[0]
+                    or letter in r[1] or other in r[1] else r for r in rels]
             all_reduced = True
             continue
         kept = [r if r in fixed else (_reduce(r[0], not r[1]), _reduce(r[1])) for r in rels]

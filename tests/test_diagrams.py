@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -81,6 +82,25 @@ def test_missing_crossing_is_an_arc_degree_violation():
     assert any(v.invariant == "arc-degree" and v.element == "x" for v in problems)
     with pytest.raises(DiagramStructureError):
         parse_diagram(serialize_diagram(d))
+
+
+def torus_closure(n):
+    """PD text of the closure of the 2-strand braid sigma^n, the (2, n) torus
+    link: crossing k passes a_{k-2} under a_{k-1} into a_k."""
+    arcs = ["a%d" % k for k in range(n)]
+    crossings = [{"over": arcs[k - 1], "under_in": arcs[k - 2], "under_out": arcs[k], "sign": 1}
+                 for k in range(n)]
+    components = ([arcs[0::2], arcs[1::2]] if n % 2 == 0
+                  else [[arcs[2 * j % n] for j in range(n)]])
+    return json.dumps({"components": components, "crossings": crossings})
+
+
+def test_validate_is_linear_in_crossings():
+    # a per-component scan of every crossing tuple took 8 s at 20,000 crossings
+    assert len(parse_diagram(torus_closure(3)).components) == 1
+    start = time.perf_counter()
+    assert len(parse_diagram(torus_closure(20000)).components) == 2
+    assert time.perf_counter() - start < 3
 
 
 def test_duplicate_arc_violation():

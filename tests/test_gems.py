@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -158,6 +159,19 @@ def test_gem_report_matches_reference_implementation():
     assert {g.vertices for g in graphs} == set(range(2, 25, 2))
     assert any(r["is_gem"] for r in reports) and not all(r["is_gem"] for r in reports)
     assert any(r["bipartite"] and not r["residues_spherical"] for r in reports)
+
+
+def test_gem_report_is_linear_in_vertices():
+    # a thickened cycle: dropping color 3 leaves 20,000 two-vertex residues,
+    # and rescanning every bicolored cycle for each of them took 47 s
+    v = 40000
+    a = [[2 * i, 2 * i + 1] for i in range(v // 2)]
+    b = [[2 * i + 1, (2 * i + 2) % v] for i in range(v // 2)]
+    graph = FourGraph.from_matchings(v, [a, a, a, b])
+    start = time.perf_counter()
+    report = gem_report(graph)
+    assert time.perf_counter() - start < 5
+    assert report["is_gem"] and len(report["spheres"]) == v // 2 + 3
 
 
 def test_gem_report_computes_each_residue_once(monkeypatch):

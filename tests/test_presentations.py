@@ -352,7 +352,8 @@ def test_tietze_matches_reference_implementation():
     inputs = (raw + [tietze_simplify(p) for p in raw]
               + [parse_presentation(data_text("trefoil.pres"))]
               + [parse_presentation(text) for text in UNREDUCED_INPUTS]
-              + [random_tietze_input(rng) for _ in range(150)])
+              + [random_tietze_input(rng) for _ in range(150)]
+              + [fundamental_group(d) for d in framed_diagrams()])
     for p in inputs:
         for budget in (0, 1, 2, 5, 10 ** 4):
             got = serialize_presentation(tietze_simplify(p, budget))
@@ -380,10 +381,19 @@ def test_tietze_rewrites_only_touched_relators_and_matches_each_pair_once(monkey
     later_substitutions = 0
     for text in (data_text("u1466.pres"),
                  "gens: a, b\nrels: b^-2; a^2*b^-1; a*b*a^2*b*a*b*a*b^-1; b^-2*a^-1\n"):
+        p = parse_presentation(text)
+        # with one two-letter subword shared by every word, the pair filter
+        # lets through, and so counts, each pair that reaches it
+        with monkeypatch.context() as m:
+            m.setattr(presentations, "_pairs", lambda w: {"shared"})
+            matched.clear()
+            unfiltered = tietze_simplify(p)
+            reached = set(matched)
+        assert len(reached) > 20 and len(reached) == len(matched), text
         matched.clear()
         substituted.clear()
-        tietze_simplify(parse_presentation(text))
-        assert len(matched) > 20 and len(set(matched)) == len(matched), text
+        assert tietze_simplify(p) == unfiltered
+        assert set(matched) < reached and len(set(matched)) == len(matched), text
         first = substituted[0][0]
         later = [hit for name, hit in substituted if name != first]
         assert all(later), text
@@ -426,7 +436,7 @@ def test_cyclic_match_matches_reference_on_random_pairs():
     names = ("a", "b", "c")
     encode, decode, table = presentations._encoder(names)
     rng = random.Random(29)
-    both_directions = several_starts = matched = 0
+    both_directions = several_starts = matched = skipped = 0
     for _ in range(4000):
         sub = names[:rng.randint(1, 3)]
         target, source = random_cyclic_word(rng, sub, 12), random_cyclic_word(rng, sub, 8)
@@ -435,13 +445,20 @@ def test_cyclic_match_matches_reference_on_random_pairs():
         want = _ref_cyclic_match(target, source)
         got = presentations._cyclic_match(encode(target), encode(source), table)
         assert (None if got is None else decode(got)) == want, (target, source)
+        # the phase-3 filter: a source of two or more letters sharing no cyclic
+        # two-letter subword with the target, in itself or its inverse
+        shared = (presentations._pairs(encode(source))
+                  | presentations._pairs(encode(source.inverse())))
+        if len(source) > 1 and shared.isdisjoint(presentations._pairs(encode(target))):
+            assert want is None, (target, source)
+            skipped += 1
         best = longest_overlaps(target, source) if len(target) >= 2 else []
         matched += want is not None
         both_directions += len({direction for direction, _, _ in best}) == 2
         rotations = [(direction, rot) for direction, rot, _ in best]
         several_starts += len(set(rotations)) < len(rotations)
-    assert matched > 1000 and both_directions > 50 and several_starts > 500, (
-        matched, both_directions, several_starts)
+    assert (matched > 1000 and both_directions > 50 and several_starts > 500
+            and skipped > 1000), (matched, both_directions, several_starts, skipped)
 
 
 def test_reduce_generators_matches_reference_implementation():
