@@ -183,21 +183,33 @@ def validate(diagram):
     return out
 
 
-def under_walk(diagram, component_index):
-    """The crossings under which a component passes, in the component's cyclic arc order."""
-    comp = diagram.components[component_index]
+def under_walks(diagram):
+    """Per component, the crossings under which it passes, in its cyclic arc order."""
     by_pair = {(c.under_in, c.under_out): c for c in diagram.crossings}
-    m = len(comp)
-    if m == 1 and (comp[0], comp[0]) not in by_pair:
-        return []
-    return [by_pair[(comp[j], comp[(j + 1) % m])] for j in range(m)]
+    walks = []
+    for comp in diagram.components:
+        m = len(comp)
+        if m == 1 and (comp[0], comp[0]) not in by_pair:
+            walks.append([])
+        else:
+            walks.append([by_pair[(comp[j], comp[(j + 1) % m])] for j in range(m)])
+    return walks
+
+
+def self_writhes(diagram):
+    """Per component, the signed count of the crossings where it crosses itself."""
+    component_of = {arc: i for i, comp in enumerate(diagram.components) for arc in comp}
+    writhes = [0] * len(diagram.components)
+    for c in diagram.crossings:
+        i = component_of.get(c.over)
+        if i is not None and component_of.get(c.under_in) == i == component_of.get(c.under_out):
+            writhes[i] += c.sign
+    return writhes
 
 
 def self_writhe(diagram, component_index):
     """Signed count of the crossings where the component crosses itself."""
-    comp = set(diagram.components[component_index])
-    return sum(c.sign for c in diagram.crossings
-               if c.over in comp and c.under_in in comp and c.under_out in comp)
+    return self_writhes(diagram)[component_index]
 
 
 def _fresh_names(base, taken, count):
@@ -226,18 +238,22 @@ def blackboardize(diagram, targets):
     components = [list(comp) for comp in diagram.components]
     crossings = list(diagram.crossings)
     taken = set(diagram.arcs)
+    # curls, and the one renamed follower crossing, stay inside their own
+    # component, so each self-writhe and follower is read from the input diagram
+    writhes = self_writhes(diagram)
+    followers = {}
+    for j, c in enumerate(crossings):
+        followers.setdefault(c.under_in, []).append(j)
     changed = False
     for i, comp in enumerate(components):
-        # curls, and the one renamed follower crossing, stay inside their own
-        # component, so each self-writhe is read from the input diagram
-        delta = targets[i] - self_writhe(diagram, i)
+        delta = targets[i] - writhes[i]
         if delta == 0:
             continue
         changed = True
         sign = 1 if delta > 0 else -1
         k = abs(delta)
         x = comp[0]
-        follower = [j for j, c in enumerate(crossings) if c.under_in == x]
+        follower = followers.get(x, [])
         # a crossingless circle has no follower: its chain closes back onto x
         new = _fresh_names(x, taken, k if follower else k - 1)
         chain = [x] + new + ([] if follower else [x])
@@ -250,7 +266,7 @@ def blackboardize(diagram, targets):
         return diagram
     result = LinkDiagram(tuple(tuple(c) for c in components), tuple(crossings), diagram.name)
     problems = validate(result)
-    if problems or [self_writhe(result, i) for i in range(len(targets))] != targets:
+    if problems or self_writhes(result) != targets:
         raise AssertionError("curl insertion produced an inconsistent diagram: %s"
                              % "; ".join(map(str, problems)))
     return result

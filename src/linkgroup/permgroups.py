@@ -213,6 +213,22 @@ def symmetric_group(k):
     return FiniteGroup("S%d" % k, k, [transposition, cycle])
 
 
+@functools.lru_cache(maxsize=None)
+def alternating_group(k):
+    """A_k on points 0..k-1, for k >= 3, generated by the 3-cycles (0 1 i).
+
+    Built on first use and kept; the low-index search maps into it instead of
+    S_k when the presented group has no subgroup of index 2.  It is not a
+    catalog group.
+    """
+    three_cycles = []
+    for i in range(2, k):
+        p = list(range(k))
+        p[0], p[1], p[i] = 1, i, 0
+        three_cycles.append(p)
+    return FiniteGroup("A%d" % k, k, three_cycles)
+
+
 class Catalog:
     def __init__(self, version, groups):
         self.version = version

@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .diagrams import under_walk
+from .diagrams import under_walks
 from .words import Word
 
 GEN_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -100,8 +100,8 @@ def fundamental_group(diagram):
     a crossing contributes none.
     """
     names, definitions, fillings = [], [], []
-    for i in range(len(diagram.components)):
-        walk = [(transition_name(c.under_in, c.under_out), c) for c in under_walk(diagram, i)]
+    for crossings in under_walks(diagram):
+        walk = [(transition_name(c.under_in, c.under_out), c) for c in crossings]
         for t, c in walk:
             names.append(t)
             definitions.append(Relator(Word(((t, 1),)), Word(((c.over, c.sign),))))

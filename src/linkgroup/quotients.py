@@ -2,12 +2,13 @@
 invariant profiles built from them.
 
 One search engine serves both: a presentation is compiled once into a search
-program, which runs into each catalog group for the hom counts and into the
-symmetric groups S_2..S_k for the low-index counts, an index-k subgroup being
-the point stabiliser of a transitive action on k points.  Every search is
-exact, serial and deterministic: identical inputs give identical counts and
-byte-identical profile JSON.  A search that would exceed its node budget
-reports an explicit flag instead of a count.
+program, which runs into each catalog group for the hom counts and, for the
+low-index counts, into S_2 and then into S_3..S_k, or into A_3..A_k when the
+group has no subgroup of index 2; an index-k subgroup is the point stabiliser
+of a transitive action on k points.  Every search is exact, serial and
+deterministic: identical inputs give identical counts and byte-identical
+profile JSON.  A search that would exceed its node budget reports an
+explicit flag instead of a count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .homology import first_homology
-from .permgroups import MAX_ORDER, _orbit_tree, load_catalog, symmetric_group
+from .permgroups import (MAX_ORDER, _orbit_tree, alternating_group, load_catalog,
+                         symmetric_group)
 from .presentations import _reduce_generators, serialize_presentation, tietze_simplify
 
 
@@ -461,7 +463,7 @@ def _transitive_centraliser(images, perms):
     return size
 
 
-def _low_index(program, k, node_budget=10 ** 8):
+def _low_index(program, k, node_budget, index2=None):
     """Subgroups of index k, counted as transitive actions on k points.
 
     Each subgroup of index k is the stabiliser of point 0 in exactly (k-1)!
@@ -471,10 +473,15 @@ def _low_index(program, k, node_budget=10 ** 8):
     representatives stand for their orbits: the transitive count is the
     weight of the image tuples with a nonzero centraliser and the
     centraliser sum is the sum of centraliser times weight.
+
+    index2 is the group's SubgroupCount at index 2, or None.  When it is
+    zero and not flagged, the group has no surjection onto S_2, so sign composed
+    with any homomorphism to S_k is trivial and every image lies in A_k: the
+    search then runs in A_k, whose tally stands for the same homomorphisms,
+    with the same centralisers, and gives the same counts.
     """
-    if not 2 <= k <= MAX_INDEX:
-        raise ValueError("subgroup index %d is outside 2..%d" % (k, MAX_INDEX))
-    group = symmetric_group(k)
+    in_alternating = k > 2 and index2 == SubgroupCount(0, 0)
+    group = alternating_group(k) if in_alternating else symmetric_group(k)
     perms = group.elements()
     try:
         found = _search(program[1], group, node_budget)
@@ -496,19 +503,31 @@ def _low_index(program, k, node_budget=10 ** 8):
 def low_index_subgroups(program, max_index, node_budget=10 ** 8):
     """Subgroup counts by exact index, from 2 up to max_index inclusive.
 
-    Each index k is counted by its own search of Hom(G, S_k) on program, the
-    group's search_program, with its own node budget and its own budget
-    flag.  max_index may be at most MAX_INDEX.
+    Each index k is counted by its own search on program, the group's
+    search_program, with its own node budget and its own budget flag.  The
+    index-2 count decides the target of the others: A_k when it is exactly
+    zero, S_k otherwise (see _low_index).  max_index may be at most
+    MAX_INDEX.
     """
     if max_index > MAX_INDEX:
         raise ValueError("max_index %d is above %d" % (max_index, MAX_INDEX))
-    return {k: _low_index(program, k, node_budget)
-            for k in range(2, max_index + 1)}
+    counts = {}
+    for k in range(2, max_index + 1):
+        counts[k] = _low_index(program, k, node_budget, counts.get(2))
+    return counts
 
 
-# the counts at one index k, equal to low_index_subgroups(...)[k]; a name of
-# its own, so that a tracer wrapping it does not count low_index_subgroups' calls
-low_index_single = _low_index
+def low_index_single(program, k, node_budget=10 ** 8):
+    """The counts at one index k, equal to low_index_subgroups(...)[k].
+
+    Above index 2 the index-2 count is searched first, under the same node
+    budget, so that the index-k search runs in the group that
+    low_index_subgroups chooses and charges the same nodes.
+    """
+    if not 2 <= k <= MAX_INDEX:
+        raise ValueError("subgroup index %d is outside 2..%d" % (k, MAX_INDEX))
+    index2 = _low_index(program, 2, node_budget)
+    return index2 if k == 2 else _low_index(program, k, node_budget, index2)
 
 
 # --- profiles and verdicts ----------------------------------------------------

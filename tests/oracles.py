@@ -23,7 +23,6 @@ from itertools import combinations
 
 import numpy as np
 
-from linkgroup.diagrams import under_walk
 from linkgroup.gems import is_bipartite, residues
 from linkgroup.homology import IntegerMatrix
 from linkgroup.presentations import (GEN_NAME, MAX_LETTERS, GroupPresentation,
@@ -976,6 +975,16 @@ def reference_log_transforms(ops, m, n):
 # and another for the filling relators, and each two-colour residue computed
 # once for every dropped colour that leaves it.
 
+def _ref_under_walk(diagram, component_index):
+    """The crossings under which a component passes, in the component's cyclic arc order."""
+    comp = diagram.components[component_index]
+    by_pair = {(c.under_in, c.under_out): c for c in diagram.crossings}
+    m = len(comp)
+    if m == 1 and (comp[0], comp[0]) not in by_pair:
+        return []
+    return [by_pair[(comp[j], comp[(j + 1) % m])] for j in range(m)]
+
+
 def _ref_transition_generators(diagram):
     """Transition generator names and their defining equations, in walk order.
 
@@ -985,7 +994,7 @@ def _ref_transition_generators(diagram):
     """
     names, definitions = [], []
     for i in range(len(diagram.components)):
-        for c in under_walk(diagram, i):
+        for c in _ref_under_walk(diagram, i):
             t = transition_name(c.under_in, c.under_out)
             names.append(t)
             definitions.append(Relator(Word(((t, 1),)), Word(((c.over, c.sign),))))
@@ -999,7 +1008,7 @@ def _ref_filling_relators(diagram):
     """
     out = []
     for i in range(len(diagram.components)):
-        walk = under_walk(diagram, i)
+        walk = _ref_under_walk(diagram, i)
         if not walk:
             continue
         letters = tuple((transition_name(c.under_in, c.under_out), 1) for c in walk)

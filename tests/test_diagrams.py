@@ -6,8 +6,8 @@ import pytest
 
 from linkgroup.diagrams import (Crossing, DiagramStructureError,
                                 DiagramSyntaxError, LinkDiagram, blackboardize,
-                                parse_diagram, self_writhe, serialize_diagram,
-                                under_walk, validate)
+                                parse_diagram, self_writhe, self_writhes,
+                                serialize_diagram, under_walks, validate)
 from conftest import data_text
 
 UNKNOT0 = '{"components": [["a"]], "crossings": []}'
@@ -28,7 +28,7 @@ def test_crossingless_unknot():
     assert d.arcs == frozenset({"a"})
     assert d.crossings == ()
     assert validate(d) == []
-    assert under_walk(d, 0) == []
+    assert under_walks(d) == [[]]
     assert self_writhe(d, 0) == 0
 
 
@@ -40,7 +40,7 @@ def test_trefoil_structure():
     assert len(d.crossings) == 3
     assert validate(d) == []
     assert self_writhe(d, 0) == 3
-    walk = under_walk(d, 0)
+    walk, = under_walks(d)
     assert [(c.under_in, c.under_out) for c in walk] == [("a", "b"), ("b", "c"), ("c", "a")]
 
 
@@ -141,9 +141,10 @@ def test_blackboardize_multiple_negative_curls():
 def test_blackboardize_two_components():
     d = parse_diagram(data_text("u2125.pd.json"))
     before = [self_writhe(d, 0), self_writhe(d, 1)]
+    assert self_writhes(d) == before
     targets = [before[0] + 2, before[1] - 1]
     d2 = blackboardize(d, targets)
-    assert [self_writhe(d2, 0), self_writhe(d2, 1)] == targets
+    assert [self_writhe(d2, 0), self_writhe(d2, 1)] == self_writhes(d2) == targets
     assert validate(d2) == []
 
 

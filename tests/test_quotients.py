@@ -7,6 +7,7 @@ import pytest
 
 from linkgroup import quotients
 from linkgroup.corpus import load_corpus
+from linkgroup.homology import first_homology
 from linkgroup.permgroups import symmetric_group
 from linkgroup.presentations import (_reduce_generators, parse_presentation,
                                      serialize_presentation, tietze_simplify)
@@ -27,6 +28,10 @@ Z3 = "gens: a\nrels: a^3\n"
 F2 = "gens: a, b\nrels:\n"
 S3_PRES = "gens: a, b\nrels: a^2; b^3; a*b*a*b\n"
 TREFOIL = "gens: a, b\nrels: a*b*a = b*a*b\n"
+A4_PRES = "gens: a, b\nrels: a^2; b^3; " + "*".join(["a*b"] * 3) + "\n"
+A5_PRES = "gens: a, b\nrels: a^2; b^3; " + "*".join(["a*b"] * 5) + "\n"
+# the binary icosahedral group, perfect of order 120
+TWO_I = "gens: a, b\nrels: a^2 = b^3; b^3 = a*b*a*b*a*b*a*b*a*b\n"
 
 
 def random_presentation(rng, max_gens=3, max_rels=4, max_len=6):
@@ -325,7 +330,7 @@ def test_low_index_budget_flags_every_index():
 
 def test_low_index_single_matches_the_shared_result():
     # a low-index witness recheck reproduces the profile entry, flag included
-    for text in (Z, Z2, F2, S3_PRES, TREFOIL):
+    for text in (Z, Z2, Z3, F2, S3_PRES, TREFOIL, TWO_I):
         program = search_program(pres(text))
         for budget in (1, 3, 10, 100, 1000, 10 ** 8):
             got = low_index_subgroups(program, 5, budget)
@@ -335,9 +340,8 @@ def test_low_index_single_matches_the_shared_result():
 
 def test_low_index_against_coset_tables():
     nonabelian = (S3_PRES, TREFOIL,
-                  "gens: a, b\nrels: a^2; b^3; " + "*".join(["a*b"] * 3) + "\n",  # A4
-                  "gens: a, b\nrels: a^2; b^3; " + "*".join(["a*b"] * 5) + "\n",  # A5
-                  "gens: a, b\nrels: a^2; b^5; a*b*a*b\n")                       # D5
+                  A4_PRES, A5_PRES,
+                  "gens: a, b\nrels: a^2; b^5; a*b*a*b\n")  # D5
     cases = [(pres(Z), 6), (pres(F2), 5)] + [(pres(t), 6) for t in nonabelian]
     rng = random.Random(2024)
     cases += [(random_presentation(rng, max_gens=2), 5) for _ in range(30)]
@@ -345,6 +349,76 @@ def test_low_index_against_coset_tables():
         got = low_index_subgroups(search_program(p), kmax)
         assert {k: (sc.classes, sc.total) for k, sc in got.items()} \
             == coset_table_low_index(p, kmax), serialize_presentation(p)
+
+
+def test_low_index_without_index_2_runs_in_alternating_groups(monkeypatch):
+    # no index-2 subgroup: every homomorphism to S_k lands in A_k, so the
+    # searches above index 2 run there, with the same counts; S_k is asked
+    # for at index 2 alone
+    asked = []
+
+    def watched(k):
+        asked.append(k)
+        return symmetric_group(k)
+
+    monkeypatch.setattr(quotients, "symmetric_group", watched)
+    inputs = [pres(t) for t in (Z3, A4_PRES, A5_PRES, TWO_I)]
+    # random quotients of Z3 * Z3, Z3 * Z5 and Z5 * Z5: H1 is a quotient of
+    # the odd-order group Z_p + Z_q, so it has no Z/2 (and no Z) factor
+    rng = random.Random(2025)
+    for _ in range(25):
+        words = ["*".join("%s^%d" % (rng.choice("ab"), rng.choice((1, -1)))
+                          for _ in range(rng.randint(2, 8)))
+                 for _ in range(rng.randint(1, 2))]
+        inputs.append(pres("gens: a, b\nrels: a^%d; b^%d; %s\n" % (
+            rng.choice((3, 5)), rng.choice((3, 5)), "; ".join(words))))
+    nonzero = 0
+    for p in inputs:
+        assert all(factor % 2 for factor in first_homology(p))    # 0 stands for Z
+        program = search_program(p)
+        got = low_index_subgroups(program, 6)
+        assert got[2] == SubgroupCount(0, 0), serialize_presentation(p)
+        assert {k: (sc.classes, sc.total) for k, sc in got.items()} \
+            == coset_table_low_index(p, 6), serialize_presentation(p)
+        assert low_index_single(program, 6) == got[6]
+        nonzero += any(sc.total for sc in got.values())
+    assert set(asked) == {2}
+    # the A_k tallies found subgroups, not only zeros
+    assert nonzero >= 15
+    # a flagged index-2 count decides nothing: Z, whose index-4 subgroup is
+    # the stabiliser of an odd 4-cycle, is then searched in S_4
+    flagged = SubgroupCount(0, 0, True)
+    assert quotients._low_index(search_program(pres(Z)), 4, 10 ** 8, flagged) \
+        == SubgroupCount(1, 1)
+    assert asked[-1] == 4
+
+
+def u2165_program():
+    entry = load_corpus()["u2165"]
+    config = ProfileConfig()
+    return search_program(tietze_simplify(entry.presentation(),
+                                          budget=config.simplify_budget))
+
+
+def test_low_index_budget_counts_nodes_in_the_alternating_group():
+    # u2165 is perfect, so index 6 searches A6: 3,419 nodes, against 9,957 in S6
+    program = u2165_program()
+    exact = low_index_single(program, 6)
+    assert exact == SubgroupCount(3, 18)
+    assert low_index_single(program, 6, node_budget=3419) == exact
+    assert low_index_single(program, 6, node_budget=3418).budget_exceeded
+    assert low_index_subgroups(program, 6, node_budget=3419)[6] == exact
+    assert low_index_subgroups(program, 6, node_budget=3418)[6].budget_exceeded
+    with pytest.raises(quotients.BudgetExceeded):
+        quotients._search(program[1], symmetric_group(6), 3419)
+    # node counts are not monotone under the change: A5 at index 3 takes 10
+    # nodes in S3 but 12 in A3, so budgets 10 and 11 now flag the entry
+    a5 = search_program(pres(A5_PRES))
+    assert quotients._search(a5[1], symmetric_group(3), 10)
+    for budget in (10, 11):
+        assert low_index_single(a5, 3, budget).budget_exceeded
+        assert low_index_subgroups(a5, 3, budget)[3].budget_exceeded
+    assert low_index_single(a5, 3, 12) == SubgroupCount(0, 0)
 
 
 def brute_transitive_centraliser(gens, k):
