@@ -393,16 +393,10 @@ def test_low_index_without_index_2_runs_in_alternating_groups(monkeypatch):
     assert asked[-1] == 4
 
 
-def u2165_program():
-    entry = load_corpus()["u2165"]
-    config = ProfileConfig()
-    return search_program(tietze_simplify(entry.presentation(),
-                                          budget=config.simplify_budget))
-
-
 def test_low_index_budget_counts_nodes_in_the_alternating_group():
     # u2165 is perfect, so index 6 searches A6: 3,419 nodes, against 9,957 in S6
-    program = u2165_program()
+    program = search_program(tietze_simplify(load_corpus()["u2165"].presentation(),
+                                             budget=ProfileConfig().simplify_budget))
     exact = low_index_single(program, 6)
     assert exact == SubgroupCount(3, 18)
     assert low_index_single(program, 6, node_budget=3419) == exact
