@@ -19,7 +19,7 @@ from .diagrams import (
     LinkDiagram,
     blackboardize,
     parse_diagram,
-    self_writhe,
+    self_writhes,
     serialize_diagram,
     validate,
 )
@@ -38,7 +38,6 @@ from .homology import (
     SmithDecomposition,
     abelianization_matrix,
     first_homology,
-    is_perfect,
     smith_normal_form,
 )
 from .permgroups import Catalog, FiniteGroup, load_catalog, parse_catalog
@@ -62,7 +61,6 @@ from .gems import (
     FourGraph,
     FourGraphError,
     gem_report,
-    is_gem,
     parse_fourgraph,
     residues,
     serialize_fourgraph,
@@ -74,19 +72,19 @@ __version__ = "1.0.0"
 __all__ = [
     "Word",
     "Crossing", "DiagramStructureError", "DiagramSyntaxError",
-    "LinkDiagram", "blackboardize", "parse_diagram", "self_writhe",
+    "LinkDiagram", "blackboardize", "parse_diagram", "self_writhes",
     "serialize_diagram", "validate",
     "GroupPresentation", "PresentationSyntaxError",
     "Relator", "fundamental_group", "parse_presentation",
     "serialize_presentation", "tietze_simplify", "wirtinger",
     "IntegerMatrix", "SmithDecomposition", "abelianization_matrix",
-    "first_homology", "is_perfect", "smith_normal_form",
+    "first_homology", "smith_normal_form",
     "Catalog", "FiniteGroup", "load_catalog", "parse_catalog",
     "HomCount", "InvariantProfile", "ProfileConfig", "SubgroupCount",
     "Verdict", "Witness", "compare_profiles", "count_homs", "distinguish",
     "low_index_single", "low_index_subgroups", "profile", "search_program",
     "verify_witness",
-    "FourGraph", "FourGraphError", "gem_report", "is_gem", "parse_fourgraph",
+    "FourGraph", "FourGraphError", "gem_report", "parse_fourgraph",
     "residues", "serialize_fourgraph",
     "CorpusEntry", "load_corpus",
     "__version__",

@@ -57,12 +57,6 @@ class LinkDiagram:
     def arcs(self):
         return frozenset(arc for comp in self.components for arc in comp)
 
-    def component_of(self, arc):
-        for i, comp in enumerate(self.components):
-            if arc in comp:
-                return i
-        raise KeyError(arc)
-
 
 def _schema_error(path, detail):
     raise DiagramSyntaxError("%s: %s" % (path, detail))
@@ -205,11 +199,6 @@ def self_writhes(diagram):
         if i is not None and component_of.get(c.under_in) == i == component_of.get(c.under_out):
             writhes[i] += c.sign
     return writhes
-
-
-def self_writhe(diagram, component_index):
-    """Signed count of the crossings where the component crosses itself."""
-    return self_writhes(diagram)[component_index]
 
 
 def _fresh_names(base, taken, count):

@@ -167,7 +167,3 @@ def gem_report(graph):
         "is_gem": bipartite and all_spherical,
         "spheres": spheres,
     }
-
-
-def is_gem(graph):
-    return gem_report(graph)["is_gem"]

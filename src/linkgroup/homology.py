@@ -44,14 +44,6 @@ class IntegerMatrix:
             cols = len(rows[0])
         return cls(tuple(rows), cols)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)), cols)
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -215,8 +207,3 @@ def first_homology(presentation):
     matrix = abelianization_matrix(presentation)
     factors = smith_normal_form(matrix).invariant_factors
     return [x for x in factors if x > 1] + [0] * (matrix.cols - len(factors))
-
-
-def is_perfect(presentation):
-    """True when the abelianization is trivial."""
-    return first_homology(presentation) == []

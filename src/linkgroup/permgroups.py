@@ -36,11 +36,6 @@ def inverse_perm(p):
     return tuple(out)
 
 
-def closure(generators, limit=None):
-    """All products of the generators, in deterministic breadth-first order."""
-    return _orbit_tree(identity_perm(len(generators[0])), generators, mult, limit)[0]
-
-
 def _orbit_tree(start, generators, act, limit=None):
     """(orbit, parent, via): the orbit of start under act(x, g), in
     breadth-first order, with its spanning tree.

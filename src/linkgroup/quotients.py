@@ -590,14 +590,11 @@ class InvariantProfile:
     def to_json(self):
         return json_text(self.to_dict())
 
-    def comparable_dict(self):
+    def comparable_json(self):
         """The profile without presentation identity: the part verdicts compare."""
         d = self.to_dict()
         del d["presentation"]
-        return d
-
-    def comparable_json(self):
-        return json_text(self.comparable_dict())
+        return json_text(d)
 
     def entries(self):
         """(recheck, count) for each hom count, then each low-index count."""
@@ -775,7 +772,8 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
         return False, "verdict has no witness to verify"
     if not isinstance(witness, dict):
         raise ValueError("verdict witness must be an object")
-    if cfg.get("catalog", catalog.names) != catalog.names:
+    if (cfg.get("catalog", catalog.names) != catalog.names
+            or cfg.get("catalog_version", catalog.version) != catalog.version):
         return False, "catalog does not match the one recorded in the verdict"
     recheck = witness.get("recheck", {})
     label = _recheck_label(recheck, config, catalog)

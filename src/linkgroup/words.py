@@ -70,9 +70,6 @@ class Word:
             letters = letters[1:-1]
         return Word._of(tuple(letters))
 
-    def exponent_sum(self, name):
-        return sum(exp for n, exp in self.letters if n == name)
-
     def generators(self):
         return {name for name, _ in self.letters}
 

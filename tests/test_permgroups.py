@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from linkgroup.permgroups import (Catalog, CatalogError, FiniteGroup, closure,
+from linkgroup.permgroups import (Catalog, CatalogError, FiniteGroup,
                                   identity_perm, inverse_perm, load_catalog,
                                   mult, parse_catalog, symmetric_group)
 from conftest import CountingList, data_path
@@ -26,11 +26,11 @@ def test_perm_primitives():
 
 
 def test_closure_s3():
-    elems = closure([(1, 0, 2), (1, 2, 0)])
+    elems = FiniteGroup("S3", 3, [(1, 0, 2), (1, 2, 0)], 6).elements()
     assert len(elems) == 6
     assert elems[0] == identity_perm(3)
     with pytest.raises(CatalogError):
-        closure([(1, 2, 0)], limit=2)
+        FiniteGroup("C3", 3, [(1, 2, 0)], 2).elements()
 
 
 def test_catalog_contents(catalog):

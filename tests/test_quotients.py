@@ -8,7 +8,7 @@ import pytest
 from linkgroup import quotients
 from linkgroup.corpus import load_corpus
 from linkgroup.homology import first_homology
-from linkgroup.permgroups import symmetric_group
+from linkgroup.permgroups import parse_catalog, symmetric_group
 from linkgroup.presentations import (_reduce_generators, parse_presentation,
                                      serialize_presentation, tietze_simplify)
 from linkgroup.quotients import (MAX_INDEX, HomCount, InvariantProfile,
@@ -17,7 +17,7 @@ from linkgroup.quotients import (MAX_INDEX, HomCount, InvariantProfile,
                                  low_index_single, low_index_subgroups,
                                  presentation_hash, profile, recompute_entry,
                                  search_program, verify_witness)
-from conftest import CountingList, pres
+from conftest import CountingList, data_text, pres
 from oracles import (coset_table_low_index, naive_hom_counts,
                      reference_compile_hom_search, reference_orbit_search,
                      reference_search, reference_subgroup_order)
@@ -678,6 +678,22 @@ def test_verify_witness_rejects_witnessless_and_bad_catalog():
     doc["config"]["catalog"] = ["C2"]
     ok, message = verify_witness(doc, pres(Z2), pres(Z3))
     assert not ok and "catalog" in message
+
+
+def test_verify_witness_rejects_another_catalog_version():
+    # the same groups under another version number are another catalog
+    left, right = pres(TREFOIL), pres(Z)
+    doc = distinguish(left, right).to_dict()
+    assert doc["config"]["catalog_version"] == 1
+    raw = json.loads(data_text("catalog.json"))
+    raw["version"] = 2
+    other = parse_catalog(json.dumps(raw))
+    assert other.names == doc["config"]["catalog"]
+    assert verify_witness(doc, left, right, other) == (
+        False, "catalog does not match the one recorded in the verdict")
+    # a verdict that records no version is checked against the names alone
+    del doc["config"]["catalog_version"]
+    assert verify_witness(doc, left, right, other) == (True, "witness hom_count:S3 verified")
 
 
 def test_verify_witness_rejects_a_budget_flagged_recomputation():

@@ -11,7 +11,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from linkgroup.permgroups import closure, identity_perm, inverse_perm, mult
+from linkgroup.permgroups import FiniteGroup, mult
 
 
 def cycle_perm(degree, *cycles):
@@ -66,8 +66,8 @@ def build():
     groups = []
 
     def add(name, degree, generators, order, checks=()):
-        elements = closure([tuple(g) for g in generators])
-        assert len(elements) == order, (name, len(elements), order)
+        # raises CatalogError unless the generators close to exactly `order` elements
+        elements = FiniteGroup(name, degree, generators, order).elements()
         for check in checks:
             assert check(elements), name
         groups.append({
