@@ -92,6 +92,10 @@ class FiniteGroup:
     def order(self):
         return len(self.elements())
 
+    @functools.cached_property
+    def _element_set(self):
+        return frozenset(self.elements())
+
     def tables(self):
         """(flat multiplication table, inverse table, identity index).
 

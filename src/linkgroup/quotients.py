@@ -5,10 +5,10 @@ One search engine serves both: a presentation is compiled once into a search
 program, which runs into each catalog group for the hom counts and, for the
 low-index counts, into S_2 and then into S_3..S_k, or into A_3..A_k when the
 group has no subgroup of index 2; an index-k subgroup is the point stabiliser
-of a transitive action on k points.  Every search is exact, serial and
-deterministic: identical inputs give identical counts and byte-identical
-profile JSON.  A search that would exceed its node budget reports an
-explicit flag instead of a count.
+of a transitive action on k points.  The program keeps each search's tally, so
+a permutation group met twice (the catalog's A6 and A_6) is searched once.
+Every search is exact, serial and deterministic, and one that would exceed
+its node budget reports an explicit flag instead of a count.
 """
 
 from __future__ import annotations
@@ -306,16 +306,17 @@ def _lower(program):
 
 
 def search_program(presentation):
-    """(reduced, slots): the presented group's search program.
+    """(reduced, slots, tallies): the presented group's search program.
 
     count_homs, low_index_subgroups and low_index_single run it, so a caller
     compiles once and passes the program to every search on the presentation.
     reduced presents the same group with the generators eliminated that
     occur once in some relator; slots, its compiled search in slot form,
     assigns images to a seed set of its generators and deduces the rest.
+    tallies, empty at first, holds the searches run so far (see _tally).
     """
     reduced = _reduce_generators(presentation)
-    return reduced, _lower(compile_hom_search(reduced))
+    return reduced, _lower(compile_hom_search(reduced)), {}
 
 
 def _search(program, group, node_budget):
@@ -411,24 +412,36 @@ def _search(program, group, node_budget):
     return found
 
 
+def _tally(program, group, node_budget):
+    """(searched group, {images: weight}) for group's element set, or None
+    past node_budget.  Each element set is searched once per program and
+    budget, into the first group asked for it, whose numbering the images
+    use; every numbering of one set visits as many nodes, so flags agree.
+    """
+    key = (group._element_set, node_budget)
+    if key not in program[2]:
+        try:
+            program[2][key] = group, _search(program[1], group, node_budget)
+        except BudgetExceeded:
+            program[2][key] = None
+    return program[2][key]
+
+
 def count_homs(program, group, node_budget=10 ** 8):
     """Count all and surjective homomorphisms from the group whose
     search_program is program.
 
     Whether a homomorphism is onto is unchanged by conjugation in the
-    target, so the search may take class roots and C(r)-orbit
-    representatives: the total is the summed weight of the tally and the
-    surjective count that of the image tuples generating the whole group.
-    Every candidate tried at any depth, class roots and orbit
-    representatives included, is one node charged to the single node budget
-    of the whole search.
+    target, so the count reads group's tally (see _tally): the total is its
+    summed weight and the surjective count that of the image tuples
+    generating the whole group.  node_budget bounds the whole search.
     """
+    found = _tally(program, group, node_budget)
+    if found is None:
+        return HomCount(0, 0, True)
+    group, found = found
     mul, _, e = group.tables()
     order = group.order
-    try:
-        found = _search(program[1], group, node_budget)
-    except BudgetExceeded:
-        return HomCount(0, 0, True)
     return HomCount(sum(found.values()),
                     sum(weight for images, weight in found.items()
                         if _subgroup_order(images, mul, e, order) == order))
@@ -463,7 +476,7 @@ def _transitive_centraliser(images, perms):
     return size
 
 
-def _low_index(program, k, node_budget, index2=None):
+def _low_index(program, k, node_budget):
     """Subgroups of index k, counted as transitive actions on k points.
 
     Each subgroup of index k is the stabiliser of point 0 in exactly (k-1)!
@@ -474,19 +487,19 @@ def _low_index(program, k, node_budget, index2=None):
     weight of the image tuples with a nonzero centraliser and the
     centraliser sum is the sum of centraliser times weight.
 
-    index2 is the group's SubgroupCount at index 2, or None.  When it is
-    zero and not flagged, the group has no surjection onto S_2, so sign composed
-    with any homomorphism to S_k is trivial and every image lies in A_k: the
+    Above index 2 the index-2 count decides the group.  When it is zero and
+    not flagged, the group has no surjection onto S_2, so sign composed with
+    any homomorphism to S_k is trivial and every image lies in A_k: the
     search then runs in A_k, whose tally stands for the same homomorphisms,
     with the same centralisers, and gives the same counts.
     """
-    in_alternating = k > 2 and index2 == SubgroupCount(0, 0)
-    group = alternating_group(k) if in_alternating else symmetric_group(k)
-    perms = group.elements()
-    try:
-        found = _search(program[1], group, node_budget)
-    except BudgetExceeded:
+    in_alternating = k > 2 and _low_index(program, 2, node_budget) == SubgroupCount(0, 0)
+    found = _tally(program, alternating_group(k) if in_alternating else symmetric_group(k),
+                   node_budget)
+    if found is None:
         return SubgroupCount(0, 0, True)
+    group, found = found
+    perms = group.elements()
     sizes = [(_transitive_centraliser(images, perms), weight)
              for images, weight in found.items()]
     transitive = sum(weight for size, weight in sizes if size)
@@ -503,31 +516,20 @@ def _low_index(program, k, node_budget, index2=None):
 def low_index_subgroups(program, max_index, node_budget=10 ** 8):
     """Subgroup counts by exact index, from 2 up to max_index inclusive.
 
-    Each index k is counted by its own search on program, the group's
-    search_program, with its own node budget and its own budget flag.  The
-    index-2 count decides the target of the others: A_k when it is exactly
-    zero, S_k otherwise (see _low_index).  max_index may be at most
-    MAX_INDEX.
+    Each index k has its own node budget and budget flag, and reads the
+    program's tally of S_k, or of A_k when the index-2 count is exactly zero
+    (see _low_index).  max_index may be at most MAX_INDEX.
     """
     if max_index > MAX_INDEX:
         raise ValueError("max_index %d is above %d" % (max_index, MAX_INDEX))
-    counts = {}
-    for k in range(2, max_index + 1):
-        counts[k] = _low_index(program, k, node_budget, counts.get(2))
-    return counts
+    return {k: _low_index(program, k, node_budget) for k in range(2, max_index + 1)}
 
 
 def low_index_single(program, k, node_budget=10 ** 8):
-    """The counts at one index k, equal to low_index_subgroups(...)[k].
-
-    Above index 2 the index-2 count is searched first, under the same node
-    budget, so that the index-k search runs in the group that
-    low_index_subgroups chooses and charges the same nodes.
-    """
+    """The counts at one index k, equal to low_index_subgroups(...)[k]."""
     if not 2 <= k <= MAX_INDEX:
         raise ValueError("subgroup index %d is outside 2..%d" % (k, MAX_INDEX))
-    index2 = _low_index(program, 2, node_budget)
-    return index2 if k == 2 else _low_index(program, k, node_budget, index2)
+    return _low_index(program, k, node_budget)
 
 
 # --- profiles and verdicts ----------------------------------------------------

@@ -8,11 +8,10 @@ import pytest
 from linkgroup import quotients
 from linkgroup.corpus import load_corpus
 from linkgroup.homology import first_homology
-from linkgroup.permgroups import parse_catalog, symmetric_group
+from linkgroup.permgroups import alternating_group, parse_catalog, symmetric_group
 from linkgroup.presentations import (_reduce_generators, parse_presentation,
                                      serialize_presentation, tietze_simplify)
-from linkgroup.quotients import (MAX_INDEX, HomCount, InvariantProfile,
-                                 ProfileConfig, SubgroupCount, Verdict, Witness,
+from linkgroup.quotients import (MAX_INDEX, HomCount, ProfileConfig, SubgroupCount,
                                  compare_profiles, count_homs, distinguish,
                                  low_index_single, low_index_subgroups,
                                  presentation_hash, profile, recompute_entry,
@@ -351,6 +350,19 @@ def test_low_index_against_coset_tables():
             == coset_table_low_index(p, kmax), serialize_presentation(p)
 
 
+def odd_free_product_quotients(rng, count):
+    """Random quotients of Z3 * Z3, Z3 * Z5 and Z5 * Z5: H1 is a quotient of
+    the odd-order group Z_p + Z_q, so it has no Z/2 (and no Z) factor."""
+    inputs = []
+    for _ in range(count):
+        words = ["*".join("%s^%d" % (rng.choice("ab"), rng.choice((1, -1)))
+                          for _ in range(rng.randint(2, 8)))
+                 for _ in range(rng.randint(1, 2))]
+        inputs.append(pres("gens: a, b\nrels: a^%d; b^%d; %s\n" % (
+            rng.choice((3, 5)), rng.choice((3, 5)), "; ".join(words))))
+    return inputs
+
+
 def test_low_index_without_index_2_runs_in_alternating_groups(monkeypatch):
     # no index-2 subgroup: every homomorphism to S_k lands in A_k, so the
     # searches above index 2 run there, with the same counts; S_k is asked
@@ -363,15 +375,7 @@ def test_low_index_without_index_2_runs_in_alternating_groups(monkeypatch):
 
     monkeypatch.setattr(quotients, "symmetric_group", watched)
     inputs = [pres(t) for t in (Z3, A4_PRES, A5_PRES, TWO_I)]
-    # random quotients of Z3 * Z3, Z3 * Z5 and Z5 * Z5: H1 is a quotient of
-    # the odd-order group Z_p + Z_q, so it has no Z/2 (and no Z) factor
-    rng = random.Random(2025)
-    for _ in range(25):
-        words = ["*".join("%s^%d" % (rng.choice("ab"), rng.choice((1, -1)))
-                          for _ in range(rng.randint(2, 8)))
-                 for _ in range(rng.randint(1, 2))]
-        inputs.append(pres("gens: a, b\nrels: a^%d; b^%d; %s\n" % (
-            rng.choice((3, 5)), rng.choice((3, 5)), "; ".join(words))))
+    inputs += odd_free_product_quotients(random.Random(2025), 25)
     nonzero = 0
     for p in inputs:
         assert all(factor % 2 for factor in first_homology(p))    # 0 stands for Z
@@ -385,11 +389,10 @@ def test_low_index_without_index_2_runs_in_alternating_groups(monkeypatch):
     assert set(asked) == {2}
     # the A_k tallies found subgroups, not only zeros
     assert nonzero >= 15
-    # a flagged index-2 count decides nothing: Z, whose index-4 subgroup is
-    # the stabiliser of an odd 4-cycle, is then searched in S_4
-    flagged = SubgroupCount(0, 0, True)
-    assert quotients._low_index(search_program(pres(Z)), 4, 10 ** 8, flagged) \
-        == SubgroupCount(1, 1)
+    # a flagged index-2 count decides nothing: under a budget of one node,
+    # fewer than S_2's two class roots, Z's index-4 entry is asked of S_4
+    # (and flagged there too, at five roots)
+    assert quotients._low_index(search_program(pres(Z)), 4, 1) == SubgroupCount(0, 0, True)
     assert asked[-1] == 4
 
 
@@ -413,6 +416,79 @@ def test_low_index_budget_counts_nodes_in_the_alternating_group():
         assert low_index_single(a5, 3, budget).budget_exceeded
         assert low_index_subgroups(a5, 3, budget)[3].budget_exceeded
     assert low_index_single(a5, 3, 12) == SubgroupCount(0, 0)
+
+
+def counted_searches(monkeypatch):
+    """The group of every _search call made from now on, in call order."""
+    searched = []
+    search = quotients._search
+
+    def counting(slots, group, node_budget):
+        searched.append(group)
+        return search(slots, group, node_budget)
+
+    monkeypatch.setattr(quotients, "_search", counting)
+    return searched
+
+
+def test_one_search_per_element_set(monkeypatch):
+    # A6 twice, under two generating sets and so two numberings: one search
+    # serves both hom counts
+    doubled = parse_catalog(json.dumps({"version": 1, "groups": [
+        {"name": "A6", "degree": 6, "order": 360,
+         "generators": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]},
+        {"name": "A6x", "degree": 6, "order": 360,
+         "generators": [[1, 2, 3, 4, 0, 5], [1, 5, 2, 3, 4, 0]]}]}))
+    first, second = doubled.groups
+    assert first.elements() != second.elements()
+    u2165 = load_corpus()["u2165"].presentation()
+    program = search_program(tietze_simplify(u2165, budget=ProfileConfig().simplify_budget))
+    searched = counted_searches(monkeypatch)
+    assert count_homs(program, first) == count_homs(program, second) == HomCount(2881, 1440)
+    assert searched == [first]
+    # and the index-6 count reads the same tally: u2165 is perfect, so A_6
+    assert low_index_single(program, 6) == SubgroupCount(3, 18)
+    assert searched == [first, symmetric_group(2)]
+    # the bundled catalog: S_2, A_3..A_6 are the catalog's C2, C3, A4, A5 and
+    # A6, and so are S_3..S_5 for the trefoil, whose S_6 is the one extra search
+    for presentation, searches in ((u2165, 14), (pres(TREFOIL), 15)):
+        searched.clear()
+        profile(presentation)
+        assert len(searched) == searches
+        assert len({g._element_set for g in searched}) == searches
+
+
+def test_low_index_reads_the_catalog_tallies(catalog):
+    # the same counts from tallies the catalog hom counts left as from a
+    # fresh program and from coset tables, on groups with and without an
+    # index-2 subgroup
+    rng = random.Random(2026)
+    inputs = odd_free_product_quotients(rng, 20)
+    inputs += [random_presentation(rng, max_gens=2) for _ in range(12)]
+    built = [symmetric_group(k) for k in range(2, 7)] + [alternating_group(k)
+                                                         for k in range(3, 7)]
+    pairs = [(g, h) for g in catalog.groups for h in built if g._element_set == h._element_set]
+    assert {(g.name, h.name) for g, h in pairs} == {
+        ("C2", "S2"), ("C3", "A3"), ("S3", "S3"), ("A4", "A4"), ("S4", "S4"),
+        ("A5", "A5"), ("S5", "S5"), ("A6", "A6")}
+    found = {True: 0, False: 0}     # by whether index 2 has a subgroup
+    for p in inputs:
+        warm = search_program(p)
+        for g in catalog.groups:
+            count_homs(warm, g)
+        got = low_index_subgroups(warm, 6)
+        assert got == low_index_subgroups(search_program(p), 6), serialize_presentation(p)
+        assert {k: (sc.classes, sc.total) for k, sc in got.items()} \
+            == coset_table_low_index(p, 6), serialize_presentation(p)
+        found[got[2].total > 0] += any(got[k].total for k in range(3, 7))
+        # the catalog group and the built one, in another numbering, need the
+        # same node budget: both complete at it and both raise one node below
+        for g, h in pairs:
+            _, used = metered_search(lambda budget: quotients._search(warm[1], g, budget))
+            assert metered_search(
+                lambda budget: quotients._search(warm[1], h, budget))[1] == used, g.name
+    # the S_k and the A_k tallies read above index 2 found subgroups
+    assert found[True] >= 5 and found[False] >= 10
 
 
 def brute_transitive_centraliser(gens, k):
