@@ -8,6 +8,7 @@ Exit codes: 0 success (or Distinguished), 10 Inconclusive, 1 input error
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .corpus import load_corpus
 from .diagrams import DiagramSyntaxError, parse_diagram
@@ -133,14 +134,7 @@ def cmd_verify_witness(args):
 def cmd_corpus(args):
     entries = load_corpus()
     if not args.report:
-        doc = {
-            "schema_version": 1,
-            "entries": [
-                {"key": e.key, "label": e.label, "family": e.family,
-                 "partner": e.partner}
-                for e in entries.values()
-            ],
-        }
+        doc = {"schema_version": 1, "entries": [asdict(e) for e in entries.values()]}
         _emit(json_text(doc), args.out)
         return EXIT_OK
 
@@ -151,11 +145,11 @@ def cmd_corpus(args):
     report_entries = {key: {"label": entry.label, "family": entry.family,
                             "partner": entry.partner, "profile": profiles[key].to_dict()}
                       for key, entry in entries.items()}
+    pairs = {entry.family: sorted((key, entry.partner)) for key, entry in entries.items()}
     verdicts = {}
-    for key, entry in entries.items():
-        left, right = sorted((key, entry.partner))
+    for family, (left, right) in pairs.items():
         witness = compare_profiles(profiles[left], profiles[right])
-        verdicts[entry.family] = {
+        verdicts[family] = {
             "left": left,
             "right": right,
             "outcome": "Distinguished" if witness else "Inconclusive",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 ARC_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
@@ -108,15 +108,12 @@ def parse_diagram(text):
 
 
 def serialize_diagram(diagram):
-    """Canonical PD document: fixed key order, arrays in stored order."""
+    """Canonical PD document: fixed key order (Crossing's fields), arrays in stored order."""
     doc = {}
     if diagram.name is not None:
         doc["name"] = diagram.name
     doc["components"] = [list(comp) for comp in diagram.components]
-    doc["crossings"] = [
-        {"over": c.over, "under_in": c.under_in, "under_out": c.under_out, "sign": c.sign}
-        for c in diagram.crossings
-    ]
+    doc["crossings"] = [asdict(c) for c in diagram.crossings]
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 

@@ -41,7 +41,8 @@ def _orbit_tree(start, generators, act, limit=None):
     breadth-first order, with its spanning tree.
 
     Every point j > 0 is act(orbit[parent[j]], generators[via[j]]), and
-    parent[j] < j.  An orbit of more than limit points raises CatalogError.
+    parent[j] < j.  The walk returns as soon as the orbit holds more than
+    limit points.
     """
     orbit, parent, via, seen = [start], [0], [0], {start}
     for i, x in enumerate(orbit):   # also visits the points appended below
@@ -53,7 +54,7 @@ def _orbit_tree(start, generators, act, limit=None):
                 parent.append(i)
                 via.append(s)
                 if limit is not None and len(orbit) > limit:
-                    raise CatalogError("group closure exceeded %d elements" % limit)
+                    return orbit, parent, via
     return orbit, parent, via
 
 
@@ -76,15 +77,13 @@ class FiniteGroup:
     def elements(self):
         if self._tree is None:
             declared = self.declared_order
-            try:
-                tree = _orbit_tree(identity_perm(self.degree), self.generators, mult,
-                                   declared)
-                found = len(tree[0])
-            except CatalogError:
-                found = "more than %d" % declared
+            tree = _orbit_tree(identity_perm(self.degree), self.generators, mult,
+                               declared)
+            found = len(tree[0])
             if declared is not None and found != declared:
+                has = found if found < declared else "more than %d" % declared
                 raise CatalogError("group %s has %s elements, catalog declares %d"
-                                   % (self.name, found, declared))
+                                   % (self.name, has, declared))
             self._tree = tree
         return self._tree[0]
 
@@ -285,16 +284,15 @@ def parse_catalog(text):
     return Catalog(version, groups)
 
 
-_bundled = None
+@functools.lru_cache(maxsize=None)
+def _bundled_catalog():
+    return parse_catalog(
+        resources.files("linkgroup.data").joinpath("catalog.json").read_text("utf-8"))
 
 
 def load_catalog(path=None):
-    """The bundled catalog, or one read from an explicit path."""
-    global _bundled
-    if path is not None:
-        with open(path, encoding="utf-8") as f:
-            return parse_catalog(f.read())
-    if _bundled is None:
-        text = resources.files("linkgroup.data").joinpath("catalog.json").read_text("utf-8")
-        _bundled = parse_catalog(text)
-    return _bundled
+    """The bundled catalog, built once, or one read afresh from an explicit path."""
+    if path is None:
+        return _bundled_catalog()
+    with open(path, encoding="utf-8") as f:
+        return parse_catalog(f.read())

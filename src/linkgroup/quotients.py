@@ -703,11 +703,12 @@ def distinguish(left, right, config=None, catalog=None, workers=1):
     return Verdict("Inconclusive", None, lp, rp)
 
 
-def _recheck_label(recheck, config, catalog):
-    """homology, hom_count:<group> or low_index:<index>: the witness label of
-    the entry a recheck names.  A recheck that is not an object, names an
-    unknown kind or a group outside the catalog, or an index outside
-    2..config.max_index raises ValueError.
+def _recheck(recheck, config, catalog):
+    """(label, search) for the entry a recheck names: label is homology,
+    hom_count:<group> or low_index:<index>, the witness label, and search
+    maps a search program to the entry's count, or is None for homology.  A
+    recheck that is not an object, names an unknown kind or a group outside
+    the catalog, or an index outside 2..config.max_index raises ValueError.
     """
     if not isinstance(recheck, dict):
         raise ValueError("witness recheck must be an object")
@@ -716,36 +717,33 @@ def _recheck_label(recheck, config, catalog):
         name = recheck.get("group")
         if name not in catalog.names:
             raise ValueError("recheck group %r is not in the catalog" % (name,))
-        return "hom_count:%s" % name
+        return "hom_count:%s" % name, lambda program: count_homs(
+            program, catalog.by_name(name), config.node_budget)
     if kind == "low_index":
         index = recheck.get("index")
         if type(index) is not int or not 2 <= index <= config.max_index:
             raise ValueError("recheck index %r is not an integer in 2..%d"
                              % (index, config.max_index))
-        return "low_index:%d" % index
+        return "low_index:%d" % index, lambda program: low_index_single(
+            program, index, config.node_budget)
     if kind == "homology":
-        return kind
+        return kind, None
     raise ValueError("unknown recheck kind %r" % (kind,))
 
 
 def recompute_entry(presentation, recheck, config, catalog):
     """Recompute the single profile entry a witness points at.
 
-    A malformed recheck (see _recheck_label) raises ValueError before any
-    work is done.  Homology, a group invariant, is read from the
-    presentation as given.  A search that exceeds the node budget raises
-    BudgetExceeded, since a flagged entry has no value to compare.
+    A malformed recheck (see _recheck) raises ValueError before any work is
+    done.  Homology, a group invariant, is read from the presentation as
+    given.  A search that exceeds the node budget raises BudgetExceeded,
+    since a flagged entry has no value to compare.
     """
-    _recheck_label(recheck, config, catalog)
-    kind = recheck["kind"]
-    if kind == "homology":
+    _, search = _recheck(recheck, config, catalog)
+    if search is None:
         return first_homology(presentation)
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
-    program = search_program(simplified)
-    if kind == "hom_count":
-        count = count_homs(program, catalog.by_name(recheck["group"]), config.node_budget)
-    else:
-        count = low_index_single(program, recheck["index"], config.node_budget)
+    count = search(search_program(simplified))
     if count.budget_exceeded:
         raise BudgetExceeded
     return count.value()
@@ -778,7 +776,7 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
             or cfg.get("catalog_version", catalog.version) != catalog.version):
         return False, "catalog does not match the one recorded in the verdict"
     recheck = witness.get("recheck", {})
-    label = _recheck_label(recheck, config, catalog)
+    label, _ = _recheck(recheck, config, catalog)
     if witness.get("invariant") != label:
         raise ValueError("witness invariant %r is not %r, the entry its recheck names"
                          % (witness.get("invariant"), label))

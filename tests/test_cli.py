@@ -264,6 +264,24 @@ def test_corpus_listing(capsys):
     assert byname["u1466"]["partner"] == "u1563"
     assert byname["u2165"]["family"] == "9_199"
     assert byname["u2125"]["label"] == "U[2125]"
+    # every field of every entry, as shipped
+    assert doc["entries"] == json.loads(data_text("corpus.json"))["entries"]
+
+
+def test_corpus_report_compares_each_family_once(capsys, monkeypatch):
+    calls = []
+    real = cli.compare_profiles
+
+    def counting(left, right):
+        calls.append((left, right))
+        return real(left, right)
+
+    monkeypatch.setattr(cli, "compare_profiles", counting)
+    code, out, _ = run(capsys, ["corpus", "--report"])
+    assert code == 0
+    assert len(calls) == 2
+    with open(data_path("report.json"), "rb") as f:
+        assert out.encode() == f.read()
 
 
 def test_input_error_classes_are_value_errors():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from linkgroup import permgroups
 from linkgroup.permgroups import (Catalog, CatalogError, FiniteGroup,
                                   identity_perm, inverse_perm, load_catalog,
                                   mult, parse_catalog, symmetric_group)
@@ -188,6 +189,25 @@ def test_declared_order_is_checked():
     with pytest.raises(CatalogError, match="group X has more than 5 elements, "
                                            "catalog declares 5"):
         g.elements()
+
+
+def test_closure_stops_at_the_declared_order(monkeypatch):
+    # S12 has 12! elements; the closure must give up after its eleventh,
+    # having multiplied at most the first eleven by each of two generators
+    products = []
+
+    def counting(p, q):
+        products.append(None)
+        return mult(p, q)
+
+    monkeypatch.setattr(permgroups, "mult", counting)
+    transposition = (1, 0) + tuple(range(2, 12))
+    cycle = tuple(range(1, 12)) + (0,)
+    g = FiniteGroup("S12", 12, [transposition, cycle], order=10)
+    with pytest.raises(CatalogError) as caught:
+        g.elements()
+    assert str(caught.value) == "group S12 has more than 10 elements, catalog declares 10"
+    assert 0 < len(products) <= 2 * 11
 
 
 def test_parse_catalog_errors():

@@ -795,12 +795,27 @@ def test_recompute_entry_kinds(catalog):
     assert got == {"total": 4, "surjective": 0}
     got = recompute_entry(p, {"kind": "low_index", "index": 2}, config, catalog)
     assert got == {"classes": 1, "total": 1}
-    for bad in ({"kind": "volume"}, ["homology"],
-                {"kind": "hom_count", "group": "Q8"},
-                {"kind": "low_index", "index": 7},
-                {"kind": "low_index", "index": "2"}):
-        with pytest.raises(ValueError):
-            recompute_entry(p, bad, config, catalog)
+
+
+@pytest.mark.parametrize("recheck, message", [
+    (["homology"], "witness recheck must be an object"),
+    ({"kind": "volume"}, "unknown recheck kind 'volume'"),
+    ({"kind": "hom_count", "group": "Q8"}, "recheck group 'Q8' is not in the catalog"),
+    ({"kind": "low_index", "index": "2"}, "recheck index '2' is not an integer in 2..6"),
+    ({"kind": "low_index", "index": 7}, "recheck index 7 is not an integer in 2..6"),
+])
+def test_malformed_recheck_error_texts(recheck, message, catalog):
+    # the command line prints these as its one-line errors
+    config = ProfileConfig(max_index=6)
+    with pytest.raises(ValueError) as caught:
+        recompute_entry(pres(Z2), recheck, config, catalog)
+    assert str(caught.value) == message
+    doc = {"outcome": "Distinguished", "config": {"max_index": 6},
+           "witness": {"invariant": "homology", "left": [2], "right": [3],
+                       "recheck": recheck}}
+    with pytest.raises(ValueError) as caught:
+        verify_witness(doc, pres(Z2), pres(Z3))
+    assert str(caught.value) == message
 
 
 def test_homology_recheck_reads_the_presentation_as_given(monkeypatch, catalog):
