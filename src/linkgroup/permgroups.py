@@ -11,9 +11,9 @@ import json
 from importlib import resources
 
 
-# every group enters a search as its full multiplication table of order^2
-# cells: 25.4M for 7! = 5040, 1.6G for S_8.  Catalog groups, and the S_k of
-# the low-index search, are held to this order.
+# every group enters a search as its full multiplication table: order rows of
+# order cells, 25.4M for 7! = 5040, 1.6G for S_8.  Catalog groups, and the S_k
+# of the low-index search, are held to this order.
 MAX_ORDER = 5040
 
 
@@ -96,11 +96,13 @@ class FiniteGroup:
         return frozenset(self.elements())
 
     def tables(self):
-        """(flat multiplication table, inverse table, identity index).
+        """(multiplication table, inverse table, identity index).
 
-        The identity is element 0.  Row i is filled along the closure's
-        spanning tree: element j is its parent times one generator, so
-        i * j is (i * parent) times that generator, one lookup per cell.
+        The identity is element 0.  The table is a list of rows: mul[i][j]
+        is i * j, so a product costs two subscripts and no index arithmetic,
+        and builds no int.  Row i is filled along the closure's spanning
+        tree: element j is its parent times one generator, so i * j is
+        (i * parent) times that generator, one lookup per cell.
         """
         if self._tables is None:
             self.elements()
@@ -115,7 +117,7 @@ class FiniteGroup:
                 for j in range(1, n):
                     row[j] = right[via[j]][row[parent[j]]]
                 inv[i] = row.index(0)
-                mul.extend(row)
+                mul.append(row)
             self._tables = (mul, inv, 0)
         return self._tables
 
@@ -142,7 +144,7 @@ class FiniteGroup:
         if table is None:
             mul, inv, _ = self.tables()
             n = self.order
-            cent = [g for g in range(n) if mul[g * n + r] == mul[r * n + g]]
+            cent = [g for g in range(n) if mul[g][r] == mul[r][g]]
             orbits = []
             stabilisers = []
             orbit_of = [-1] * n
@@ -153,7 +155,7 @@ class FiniteGroup:
                 number = len(orbits)
                 stabiliser = []
                 for g in cent:
-                    y = mul[mul[g * n + v] * n + inv[g]]
+                    y = mul[mul[g][v]][inv[g]]
                     if orbit_of[y] < 0:
                         orbit_of[y] = number
                         conjugator[y] = g
@@ -174,16 +176,15 @@ class FiniteGroup:
         of each representative and one conjugator per element are stored.
         """
         mul, inv, _ = self.tables()
-        n = self.order
         _, cents, class_of, conjugator = self._orbit_table(0)
 
         def solve(q, t):
             c = class_of[q]
             if class_of[t] != c:
                 return []
-            left = conjugator[t] * n
+            left = mul[conjugator[t]]
             right = inv[conjugator[q]]
-            return [mul[mul[left + z] * n + right] for z in cents[c]]
+            return [mul[left[z]][right] for z in cents[c]]
         return solve
 
     def centraliser_orbits(self, r):

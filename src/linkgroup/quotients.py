@@ -197,9 +197,9 @@ def _subgroup_order(images, mul, e, order):
     while frontier:
         nxt = []
         for x in frontier:
-            base = x * order
+            row = mul[x]
             for g in images:
-                y = mul[base + g]
+                y = row[g]
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -349,7 +349,7 @@ def _search(program, group, node_budget):
     def word(first, rest):
         x = vals[first]
         for s in rest:
-            x = mul[x * order + vals[s]]
+            x = mul[x][vals[s]]
         return x
 
     found = {}      # images -> weight
@@ -391,7 +391,7 @@ def _search(program, group, node_budget):
                     ready += 1
                 x = vals[first]
                 for s in rest:
-                    x = mul[x * order + vals[s]]
+                    x = mul[x][vals[s]]
                 if target < 0:
                     if x != e:
                         break

@@ -597,7 +597,7 @@ def _ref_conjugacy_classes(group):
     seen = set()
     for v in range(n):
         if v not in seen:
-            members = {mul[mul[g * n + v] * n + inv[g]] for g in range(n)}
+            members = {mul[mul[g][v]][inv[g]] for g in range(n)}
             seen |= members
             classes.append((v, len(members)))
     return tuple(classes)
@@ -635,7 +635,7 @@ def reference_search(program, group, classify, node_budget):
             q = _eval_seq(mid, images, mul, inv, e, order)
             a = _eval_seq(pre, images, mul, inv, e, order)
             c = _eval_seq(suf, images, mul, inv, e, order)
-            t = inv[mul[c * order + a]]
+            t = inv[mul[c][a]]
             candidates = solve(q, t) if eps == 1 else solve(t, q)
         for v in candidates:
             nodes += 1
@@ -677,7 +677,7 @@ def _eval_seq(seq, images, mul, inv, e, order):
         y = images[g]
         if s < 0:
             y = inv[y]
-        x = mul[x * order + y]
+        x = mul[x][y]
     return x
 
 
@@ -687,7 +687,7 @@ def _run_ops(ops, images, mul, inv, e, order):
             _, g, pre, suf, eps = op
             p = _eval_seq(pre, images, mul, inv, e, order)
             s = _eval_seq(suf, images, mul, inv, e, order)
-            v = inv[mul[s * order + p]]
+            v = inv[mul[s][p]]
             images[g] = v if eps == 1 else inv[v]
         else:
             if _eval_seq(op[1], images, mul, inv, e, order) != e:
@@ -701,9 +701,8 @@ def reference_subgroup_order(key, mul, e, order):
     while frontier:
         nxt = []
         for x in frontier:
-            base = x * order
             for g in key:
-                y = mul[base + g]
+                y = mul[x][g]
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -750,7 +749,7 @@ def reference_orbit_search(program, group, classify, node_budget):
             q = _eval_seq(mid, images, mul, inv, e, order)
             a = _eval_seq(pre, images, mul, inv, e, order)
             c = _eval_seq(suf, images, mul, inv, e, order)
-            t = inv[mul[c * order + a]]
+            t = inv[mul[c][a]]
             candidates = zip(solve(q, t) if eps == 1 else solve(t, q), unit)
         elif d == 0:
             candidates = group.centraliser_orbits(e)

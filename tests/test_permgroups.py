@@ -5,8 +5,9 @@ import pytest
 
 from linkgroup import permgroups
 from linkgroup.permgroups import (Catalog, CatalogError, FiniteGroup,
-                                  identity_perm, inverse_perm, load_catalog,
-                                  mult, parse_catalog, symmetric_group)
+                                  alternating_group, identity_perm, inverse_perm,
+                                  load_catalog, mult, parse_catalog,
+                                  symmetric_group)
 from conftest import CountingList, data_path
 
 EXPECTED_NAMES = ["C2", "C3", "C4", "C5", "C6", "S3", "D4", "A4", "A5", "S4",
@@ -57,19 +58,23 @@ def test_tables_are_consistent(catalog):
         mul, inv, e = g.tables()
         n = g.order
         for i in range(n):
-            assert mul[i * n + inv[i]] == e
-            assert mul[inv[i] * n + i] == e
-            assert mul[i * n + e] == i
-            assert mul[e * n + i] == i
+            assert mul[i][inv[i]] == e
+            assert mul[inv[i]][i] == e
+            assert mul[i][e] == i
+            assert mul[e][i] == i
 
 
 def test_tables_match_permutation_products(catalog):
-    for g in catalog.groups:
+    # the catalog and the low-index searches' S_k and A_k
+    groups = (catalog.groups + [symmetric_group(k) for k in range(2, 7)]
+              + [alternating_group(k) for k in range(3, 7)])
+    for g in groups:
         elems = g.elements()
         index = {p: i for i, p in enumerate(elems)}
         mul, inv, e = g.tables()
         n = g.order
-        assert mul == [index[mult(p, q)] for p in elems for q in elems], g.name
+        assert len(mul) == n and all(len(row) == n for row in mul), g.name
+        assert mul == [[index[mult(p, q)] for q in elems] for p in elems], g.name
         assert inv == [index[inverse_perm(p)] for p in elems], g.name
         assert e == index[identity_perm(g.degree)]
 
@@ -93,7 +98,7 @@ def test_conjugacy_solutions_against_brute_force(catalog):
         for q in range(n):
             brute = {}
             for x in range(n):
-                brute.setdefault(mul[mul[x * n + q] * n + inv[x]], []).append(x)
+                brute.setdefault(mul[mul[x][q]][inv[x]], []).append(x)
             for t in range(n):
                 assert sorted(solve(q, t)) == brute.get(t, []), (g.name, q, t)
 
@@ -105,7 +110,7 @@ def test_centraliser_orbits_against_brute_force(catalog):
         solve = g.conjugacy_solutions()
 
         def centraliser(x):
-            return {c for c in range(n) if mul[c * n + x] == mul[x * n + c]}
+            return {c for c in range(n) if mul[c][x] == mul[x][c]}
 
         # the identity's orbits are the conjugacy classes, read off the solver
         classes = {min(t for t in range(n) if solve(v, t)) for v in range(n)}
@@ -115,7 +120,7 @@ def test_centraliser_orbits_against_brute_force(catalog):
         for r, _ in classes:
             cent = centraliser(r)
             orbits = g.centraliser_orbits(r)
-            members = {v: {mul[mul[c * n + v] * n + inv[c]] for c in cent}
+            members = {v: {mul[mul[c][v]][inv[c]] for c in cent}
                        for v in range(n)}
             assert sorted(orbits) == list(orbits)
             assert sorted(x for v, _ in orbits for x in members[v]) == list(range(n))
