@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from importlib import resources
 
 
@@ -100,25 +101,23 @@ class FiniteGroup:
 
         The identity is element 0.  The table is a list of rows: mul[i][j]
         is i * j, so a product costs two subscripts and no index arithmetic,
-        and builds no int.  Row i is filled along the closure's spanning
-        tree: element j is its parent times one generator, so i * j is
-        (i * parent) times that generator, one lookup per cell.
+        and builds no int.  Element i is its spanning-tree parent times one
+        generator g, so i * j = parent * (g * j): row i is the parent's row
+        gathered through g's left action, one C-level gather per row.
         """
         if self._tables is None:
             self.elements()
             elems, parent, via = self._tree
             index = {p: i for i, p in enumerate(elems)}
-            right = [[index[mult(p, g)] for p in elems] for g in self.generators]
+            left = [operator.itemgetter(*[index[mult(g, p)] for p in elems])
+                    for g in self.generators]
             n = len(elems)
             mul = []
-            inv = [0] * n
             for i in range(n):
-                row = [i] * n
-                for j in range(1, n):
-                    row[j] = right[via[j]][row[parent[j]]]
-                inv[i] = row.index(0)
+                row = [0] * n   # exact size: list() rounds an odd length up
+                row[:] = left[via[i]](mul[parent[i]]) if i else range(n)
                 mul.append(row)
-            self._tables = (mul, inv, 0)
+            self._tables = (mul, [row.index(0) for row in mul], 0)
         return self._tables
 
     def _orbit_table(self, r):

@@ -753,7 +753,7 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
     """Replay a stored verdict's witness against the two presentations.
 
     Returns (ok, message).  The recorded config is honored; the witness entry is
-    recomputed on both sides and must reproduce the recorded values and still
+    recomputed on both sides, must equal the recorded values as JSON and still
     differ.  A document of the wrong shape, or a witness whose invariant is
     not the label of its recheck, raises ValueError.  ``workers`` is accepted
     for existing callers and ignored.
@@ -772,8 +772,8 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
         return False, "verdict has no witness to verify"
     if not isinstance(witness, dict):
         raise ValueError("verdict witness must be an object")
-    if (cfg.get("catalog", catalog.names) != catalog.names
-            or cfg.get("catalog_version", catalog.version) != catalog.version):
+    version = json_text(cfg.get("catalog_version", catalog.version))
+    if cfg.get("catalog", catalog.names) != catalog.names or version != json_text(catalog.version):
         return False, "catalog does not match the one recorded in the verdict"
     recheck = witness.get("recheck", {})
     label, _ = _recheck(recheck, config, catalog)
@@ -786,7 +786,7 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
     except BudgetExceeded:
         return False, "node budget exceeded recomputing %s" % label
     for side, got in (("left", got_left), ("right", got_right)):
-        if got != witness.get(side):
+        if json_text(got) != json_text(witness.get(side)):
             return False, ("%s value mismatch for %s: recomputed %r, recorded %r"
                            % (side, label, got, witness.get(side)))
     if got_left == got_right:

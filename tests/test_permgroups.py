@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -65,15 +66,23 @@ def test_tables_are_consistent(catalog):
 
 
 def test_tables_match_permutation_products(catalog):
-    # the catalog and the low-index searches' S_k and A_k
+    # the catalog and the low-index searches' S_k and A_k, then generating
+    # sets whose spanning tree skips a generator: the trivial group, an
+    # identity generator, a repeated generator, C2 moving 2 of 4 points
     groups = (catalog.groups + [symmetric_group(k) for k in range(2, 7)]
-              + [alternating_group(k) for k in range(3, 7)])
+              + [alternating_group(k) for k in range(3, 7)]
+              + [FiniteGroup("1", 1, [(0,)]),
+                 FiniteGroup("C3 and 1", 3, [(0, 1, 2), (1, 2, 0)]),
+                 FiniteGroup("C4 twice", 4, [(1, 2, 3, 0), (1, 2, 3, 0)]),
+                 FiniteGroup("C2 on 4", 4, [(1, 0, 2, 3)])])
     for g in groups:
         elems = g.elements()
         index = {p: i for i, p in enumerate(elems)}
         mul, inv, e = g.tables()
         n = g.order
         assert len(mul) == n and all(len(row) == n for row in mul), g.name
+        # rows are allocated to their exact length, odd orders included
+        assert all(sys.getsizeof(row) == sys.getsizeof([0] * n) for row in mul), g.name
         assert mul == [[index[mult(p, q)] for q in elems] for p in elems], g.name
         assert inv == [index[inverse_perm(p)] for p in elems], g.name
         assert e == index[identity_perm(g.degree)]

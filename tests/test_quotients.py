@@ -772,6 +772,35 @@ def test_verify_witness_rejects_another_catalog_version():
     assert verify_witness(doc, left, right, other) == (True, "witness hom_count:S3 verified")
 
 
+def test_homology_witness_replay_compares_json():
+    # H1 = Z records [0]; false equals 0 in Python but not in JSON
+    left, right = pres(Z), pres(Z2)
+    doc = json.loads(distinguish(left, right).to_json())
+    assert doc["witness"]["left"] == [0]
+    doc["witness"]["left"] = [False]
+    assert verify_witness(doc, left, right) == (
+        False, "left value mismatch for homology: recomputed [0], recorded [False]")
+
+
+def test_count_witness_replay_compares_json():
+    left, right = pres(TREFOIL), pres(Z)
+    doc = json.loads(distinguish(left, right).to_json())
+    doc["witness"]["left"] = {"total": 12.0, "surjective": 6.0}
+    ok, message = verify_witness(doc, left, right)
+    assert not ok
+    assert message.startswith("left value mismatch for hom_count:S3: recomputed")
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_verify_witness_compares_the_catalog_version_as_json(version):
+    # the bundled catalog is version 1, which true and 1.0 only equal in Python
+    left, right = pres(TREFOIL), pres(Z)
+    doc = json.loads(distinguish(left, right).to_json())
+    doc["config"]["catalog_version"] = version
+    assert verify_witness(doc, left, right) == (
+        False, "catalog does not match the one recorded in the verdict")
+
+
 def test_verify_witness_rejects_a_budget_flagged_recomputation():
     # at node_budget 2 the hom search on Z into S3 is flagged (3 class roots),
     # while a = e leaves no search at all; a flagged side has no value to match
