@@ -5,8 +5,11 @@ One search engine serves both: a presentation is compiled once into a search
 program, which runs into each catalog group for the hom counts and, for the
 low-index counts, into S_2 and then into S_3..S_k, or into A_3..A_k when the
 group has no subgroup of index 2; an index-k subgroup is the point stabiliser
-of a transitive action on k points.  The program keeps each search's tally, so
-a permutation group met twice (the catalog's A6 and A_6) is searched once.
+of a transitive action on k points.  The program's search is generated as
+Python source, one nested loop per enumeration segment and one expression per
+relator word, and compiled once per program, so no interpreter loop runs per
+letter.  The program keeps each search's tally, so a permutation group met
+twice (the catalog's A6 and A_6) is searched once.
 Every search is exact, serial and deterministic, and one that would exceed
 its node budget reports an explicit flag instead of a count.
 """
@@ -210,15 +213,15 @@ def _subgroup_order(images, mul, e, order):
 
 
 def _lower(program):
-    """The search program in slot form: the form _search walks.
+    """The search program in slot form: the form _emit writes as Python.
 
-    Every value lives in one list of slots.  For n generators, slot 2g
-    holds generator g's image and slot 2g + 1 its inverse, both written when
-    g is assigned or deduced, so a letter is one slot read.  Slot 2n holds
-    the identity.  The slots above hold constant runs: maximal runs of two
-    or more letters in a segment's ops whose generators were all known
-    before the segment opened, so that a run's value is fixed for the
-    segment's whole candidate loop.
+    Every value lives in a numbered slot, a local of the generated search.
+    For n generators, slot 2g holds generator g's image and slot 2g + 1 its
+    inverse, both written when g is assigned or deduced, so a letter is one
+    slot read.  Slot 2n holds the identity.  The slots above hold constant
+    runs: maximal runs of two or more letters in a segment's ops whose
+    generators were all known before the segment opened, so that a run's
+    value is fixed for the segment's whole candidate loop.
 
     A word is (first slot, rest slots) and its value starts from the first
     slot's.  An op is (runs needed, target, first, rest).  A check has target
@@ -231,7 +234,7 @@ def _lower(program):
 
     The head is not lowered: its ops run before any generator is assigned,
     so each deduce gives the identity, which every slot starts with, and
-    each check holds.  Returns (slot count, segments, n).  A segment is
+    each check holds.  Returns (segments, n).  A segment is
     (kind, image slot, branch, ops, runs): branch is (mid, suf + pre, eps)
     as words for a branch and None for an assign, and each run is (slot,
     first, rest).
@@ -302,113 +305,195 @@ def _lower(program):
         out.append((kind, 2 * g, branch, ops, runs))
         known.add(g)
         known.update(op[1] for op in post if op[0] == "deduce")
-    return slot_count, tuple(out), n_gens
+    return tuple(out), n_gens
+
+
+# CPython nests at most 20 blocks in one function and 200 brackets in one
+# expression, so a generated function holds at most this many segment loops
+# and a generated product statement at most this many letters
+_LOOPS_PER_FUNCTION = 16
+_LETTERS_PER_STATEMENT = 32
+
+
+def _emit(program):
+    """Python source of the search functions of a program in slot form.
+
+    The source defines part0, part1, ..., each taking (mul, inv, e, order,
+    solutions, orbits, budget, found, nodes, weight) and then the slots it
+    reads from earlier parts, and each returning the node count; _search
+    calls part0.  Each segment is one for loop nested in the one before, so
+    a parent node is one pass of the enclosing loop's body, and past every
+    _LOOPS_PER_FUNCTION segments the next loop opens the next part, which
+    each part reaches as its last default argument.  A part with a branch
+    segment reads conjugacy_solutions once, as solutions().  Slot N is the
+    local sN, and a slot that nothing writes, the identity's or that of a
+    generator the head deduces, is e.  A word is one nested expression,
+    mul[mul[s0][s1]][s2] for three letters, split into statements
+    x = mul[...] of at most _LETTERS_PER_STATEMENT letters; a write that no
+    word or image tuple reads is left out.  A segment's constant runs are
+    evaluated under `if rD < k:`, k the op's runs needed, so once per parent
+    and only when the first candidate reaches an op that reads them.  The
+    source holds slot and segment numbers and fixed names only, never a
+    generator name.
+    """
+    segments, n_gens = program
+    images = range(0, 2 * n_gens, 2)
+    # C(r)-orbits at depth d < 2 when the search opens with assigns (see _search)
+    orbit_depths = [d for d in range(min(2, len(segments)))
+                    if segments[0][0] == segments[d][0] == "assign"]
+    parts = [range(start, min(start + _LOOPS_PER_FUNCTION, len(segments)))
+             for start in range(0, len(segments), _LOOPS_PER_FUNCTION)] or [range(0)]
+    reads = [set() for _ in parts]
+    writes = [set() for _ in parts]
+    reads[-1].update(images)
+    for k, part in enumerate(parts):
+        for d in part:
+            _, slot, branch, ops, runs = segments[d]
+            # a word is the last two fields of a run or an op
+            for first, rest in (branch[:2] if branch else ()) + tuple(
+                    item[-2:] for item in runs + ops):
+                reads[k].update((first,) + rest)
+            writes[k].update((slot, slot + 1))
+            writes[k].update(t ^ pair for _, t, _, _ in ops if t >= 0 for pair in (0, 1))
+            writes[k].update(run for run, _, _ in runs)
+    read = set().union(*reads)
+    written = set().union(*writes) & read
+    # part k takes the slots that it or a later part reads and an earlier one writes
+    takes = [sorted(set().union(*writes[:k]) & set().union(*reads[k:]))
+             for k in range(len(parts))]
+    lines = []
+
+    def put(depth, line):
+        lines.append("    " * depth + line)
+
+    def name(slot):
+        return "s%d" % slot if slot in written else "e"
+
+    def word(first, rest, depth):
+        expr = name(first)
+        for i, s in enumerate(rest, 1):
+            if i % _LETTERS_PER_STATEMENT == 0:
+                put(depth, "x = " + expr)
+                expr = "x"
+            expr = "mul[%s][%s]" % (expr, name(s))
+        return expr
+
+    def store(depth, slot, expr):
+        # slot takes expr's value and its paired slot the inverse
+        if slot in read:
+            put(depth, "s%d = %s" % (slot, expr))
+            expr = "s%d" % slot
+        if slot ^ 1 in read:
+            put(depth, "s%d = inv[%s]" % (slot ^ 1, expr))
+
+    def slot_list(slots):
+        return "".join(", s%d" % s for s in slots)
+
+    common = "mul, inv, e, order, solutions, orbits, budget, found, nodes"
+    for k in reversed(range(len(parts))):
+        later = ", part%d=part%d" % (k + 1, k + 1) if k + 1 < len(parts) else ""
+        put(0, "def part%d(%s, weight%s%s):" % (k, common, slot_list(takes[k]), later))
+        if any(segments[d][0] == "branch" for d in parts[k]):
+            put(1, "solve = solutions()")
+        depth = 1
+        for d in parts[k]:
+            kind, slot, branch, ops, runs = segments[d]
+            if runs:
+                put(depth, "r%d = 0" % d)
+            if kind == "branch":
+                mid, sufpre, eps = branch
+                put(depth, "q = " + word(*mid, depth))
+                t = "inv[%s]" % word(*sufpre, depth)
+                pair = ("q", t) if eps == 1 else (t, "q")
+                put(depth, "for s%d in solve(%s, %s):" % ((slot,) + pair))
+            elif d in orbit_depths:
+                # C(r) fixes the root r and every image deduced from it; at
+                # the root the C(e) orbits are the conjugacy classes
+                root = "s%d" % segments[0][1] if d else "e"
+                put(depth, "for s%d, w%d in orbits(%s):" % (slot, d, root))
+            else:
+                put(depth, "for s%d in range(order):" % slot)
+            depth += 1
+            put(depth, "nodes += 1")
+            put(depth, "if nodes > budget: raise BudgetExceeded")
+            if slot + 1 in read:
+                put(depth, "s%d = inv[s%d]" % (slot + 1, slot))
+            ready = 0
+            for need, target, first, rest in ops:
+                if ready < need:
+                    put(depth, "if r%d < %d:" % (d, need))
+                    for run, run_first, run_rest in runs[ready:need]:
+                        put(depth + 1, "s%d = %s" % (run, word(run_first, run_rest, depth + 1)))
+                    put(depth + 1, "r%d = %d" % (d, need))
+                    ready = need
+                expr = word(first, rest, depth)
+                if target < 0:
+                    put(depth, "if %s != e: continue" % expr)
+                else:
+                    store(depth, target, expr)
+        # orbit sizes weigh the leaves below them; part0 is called with weight 1
+        weight = " * ".join("w%d" % d for d in orbit_depths) if k == 0 and orbit_depths \
+            else "weight"
+        if k + 1 < len(parts):
+            put(depth, "nodes = part%d(%s, %s%s)"
+                % (k + 1, common, weight, slot_list(takes[k + 1])))
+        else:
+            leaf = [name(s) for s in images]
+            put(depth, "found[(%s%s)] = %s" % (", ".join(leaf), "," * (len(leaf) == 1), weight))
+        put(1, "return nodes")
+    return "\n".join(lines) + "\n"
+
+
+def _compile_search(program):
+    """The part0 function of a program in slot form (see _emit), compiled.
+
+    It is built for each program anew and kept by the program alone.  It is
+    taken out of the namespace its definition ran in, whose globals hold
+    BudgetExceeded only, so no reference cycle keeps the code alive.
+    """
+    functions = {}
+    exec(compile(_emit(program), "<search program>", "exec"),
+         {"BudgetExceeded": BudgetExceeded}, functions)
+    return functions["part0"]
 
 
 def search_program(presentation):
-    """(reduced, slots, tallies): the presented group's search program.
+    """(reduced, search, tallies): the presented group's search program.
 
     count_homs, low_index_subgroups and low_index_single run it, so a caller
     compiles once and passes the program to every search on the presentation.
     reduced presents the same group with the generators eliminated that
-    occur once in some relator; slots, its compiled search in slot form,
-    assigns images to a seed set of its generators and deduces the rest.
-    tallies, empty at first, holds the searches run so far (see _tally).
+    occur once in some relator; search, its compiled search (_lower, then
+    _emit and compile once per call, never cached), assigns images to a seed
+    set of its generators and deduces the rest.  tallies, empty at first,
+    holds the searches run so far (see _tally).
     """
     reduced = _reduce_generators(presentation)
-    return reduced, _lower(compile_hom_search(reduced)), {}
+    return reduced, _compile_search(_lower(compile_hom_search(reduced))), {}
 
 
-def _search(program, group, node_budget):
-    """Run a search program in slot form into group; return {images: weight}.
+def _search(search, group, node_budget):
+    """Run a compiled search into group; return {images: weight}.
 
-    The program comes from _lower.  images holds the reduced presentation's
-    generator images under one homomorphism found, and weight counts the
-    homomorphisms it stands for, so a reader may use only what conjugation
-    in group leaves unchanged.  When the search opens with an assign, its
-    generator takes one representative r per conjugacy class, weighted by
-    the class size.  When the second segment is an assign as well, its
-    generator takes one representative v per orbit of the centraliser C(r)
-    acting by conjugation, weighted by the orbit size: conjugating by c in
-    C(r) fixes r and everything deduced from it and sends v to c * v * c^-1.
-    Every other candidate weighs 1.  Every candidate tried at any depth,
-    roots and orbit representatives included, is one node charged to
-    node_budget; the search raises BudgetExceeded past it.
-
-    Each call of walk is one parent node of its segment.  It evaluates the
-    segment's constant runs once, and only when the first of its candidates
-    reaches an op that reads them, so a parent whose candidates all fail
-    earlier, or that has none, pays nothing for them.
+    search comes from _compile_search.  images holds the reduced
+    presentation's generator images under one homomorphism found, and
+    weight counts the homomorphisms it stands for, so a reader may use only
+    what conjugation in group leaves unchanged.  When the search opens with
+    an assign, its generator takes one representative r per conjugacy
+    class, weighted by the class size.  When the second segment is an
+    assign as well, its generator takes one representative v per orbit of
+    the centraliser C(r) acting by conjugation, weighted by the orbit size:
+    conjugating by c in C(r) fixes r and everything deduced from it and
+    sends v to c * v * c^-1.  Every other candidate weighs 1.  Every
+    candidate tried at any depth, roots and orbit representatives included,
+    is one node charged to node_budget; the search raises BudgetExceeded
+    past it.  Each image tuple is found in the order of the loops that
+    _emit writes, so the tally's order is that of the segments' candidates.
     """
-    slot_count, segments, n_gens = program
     mul, inv, e = group.tables()
-    order = group.order
-    vals = [e] * slot_count
-    images = 2 * n_gens
-
-    def word(first, rest):
-        x = vals[first]
-        for s in rest:
-            x = mul[x][vals[s]]
-        return x
-
-    found = {}      # images -> weight
-    solve = None
-    if any(kind == "branch" for kind, _, _, _, _ in segments):
-        solve = group.conjugacy_solutions()
-    depth = len(segments)
-    unit = itertools.repeat(1)
-    nodes = 0
-
-    def walk(d, weight):
-        nonlocal nodes
-        kind, slot, branch, ops, runs = segments[d]
-        if kind == "branch":
-            mid, sufpre, eps = branch
-            q = word(*mid)
-            t = inv[word(*sufpre)]
-            candidates = zip(solve(q, t) if eps == 1 else solve(t, q), unit)
-        elif d < 2 and segments[0][0] == "assign":
-            # C(r) fixes the root r and every image deduced from it; until
-            # segment 0 assigns r its slot holds the identity, whose C(e)
-            # orbits are the conjugacy classes
-            candidates = group.centraliser_orbits(vals[segments[0][1]])
-        else:
-            candidates = zip(range(order), unit)
-        last = d + 1 == depth
-        ready = 0
-        for v, size in candidates:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded
-            vals[slot] = v
-            vals[slot + 1] = inv[v]
-            # word is inlined here, where it runs once per candidate and op
-            for need, target, first, rest in ops:
-                while ready < need:
-                    run, run_first, run_rest = runs[ready]
-                    vals[run] = word(run_first, run_rest)
-                    ready += 1
-                x = vals[first]
-                for s in rest:
-                    x = mul[x][vals[s]]
-                if target < 0:
-                    if x != e:
-                        break
-                else:
-                    vals[target] = x
-                    vals[target ^ 1] = inv[x]
-            else:
-                if last:
-                    found[tuple(vals[:images:2])] = weight * size
-                else:
-                    walk(d + 1, weight * size)
-
-    if segments:
-        walk(0, 1)
-    else:
-        # every generator deduced from relators: a single candidate to try
-        found[tuple(vals[:images:2])] = 1
+    found = {}
+    search(mul, inv, e, group.order, group.conjugacy_solutions, group.centraliser_orbits,
+           node_budget, found, 0, 1)
     return found
 
 

@@ -1,21 +1,29 @@
 import functools
+import gc
+import io
 import itertools
 import json
 import random
+import re
+import tokenize
+import weakref
 
 import pytest
 
 from linkgroup import quotients
 from linkgroup.corpus import load_corpus
 from linkgroup.homology import first_homology
-from linkgroup.permgroups import alternating_group, parse_catalog, symmetric_group
-from linkgroup.presentations import (_reduce_generators, parse_presentation,
+from linkgroup.permgroups import (FiniteGroup, alternating_group, parse_catalog,
+                                  symmetric_group)
+from linkgroup.presentations import (GroupPresentation, Relator, _reduce_generators,
+                                     parse_presentation,
                                      serialize_presentation, tietze_simplify)
 from linkgroup.quotients import (MAX_INDEX, HomCount, ProfileConfig, SubgroupCount,
                                  compare_profiles, count_homs, distinguish,
                                  low_index_single, low_index_subgroups,
                                  presentation_hash, profile, recompute_entry,
                                  search_program, verify_witness)
+from linkgroup.words import Word
 from conftest import CountingList, data_text, pres
 from oracles import (coset_table_low_index, naive_hom_counts,
                      reference_compile_hom_search, reference_orbit_search,
@@ -146,6 +154,11 @@ def compiled(p):
     return quotients.compile_hom_search(_reduce_generators(p))
 
 
+def generated(program):
+    """The search function that _search runs for a compiled search program."""
+    return quotients._compile_search(quotients._lower(program))
+
+
 def corpus_programs():
     config = ProfileConfig()
     return [compiled(tietze_simplify(entry.presentation(), budget=config.simplify_budget))
@@ -163,13 +176,13 @@ def test_search_matches_reference_search(catalog):
     kinds = set()
     for p in inputs:
         program = compiled(p)
-        lowered = quotients._lower(program)
+        search = generated(program)
         kinds.add(tuple(kind for kind, _, _, _ in program[1]))
         for g in groups:
             if len(program[1]) > 2 and g.order > 24:
                 continue    # the reference walks |g|^2 nodes per root there
             classify = catalog_classify(g, catalog)
-            found, used = metered_search(lambda budget: quotients._search(lowered, g, budget))
+            found, used = metered_search(lambda budget: quotients._search(search, g, budget))
             ref_tally, ref_used = metered_search(
                 lambda budget: reference_search(program, g, classify, budget))
             assert regroup(found, classify) == ref_tally and used <= ref_used, g.name
@@ -195,7 +208,7 @@ def test_slot_search_matches_reference_orbit_search(catalog):
     groups = catalog.groups + [symmetric_group(k) for k in range(2, 7)]
     kinds = set()
     for program in programs:
-        lowered = quotients._lower(program)
+        search = generated(program)
         shape = tuple(kind for kind, _, _, _ in program[1])
         kinds.add(shape)
         if any(op[0] == "deduce" for _, _, _, post in program[1] for op in post):
@@ -206,7 +219,7 @@ def test_slot_search_matches_reference_orbit_search(catalog):
             if shape.count("assign") > 2 and g.order > 24:
                 continue    # |g| candidates per node from the third assign on
             classify = catalog_classify(g, catalog)
-            found, used = metered_search(lambda budget: quotients._search(lowered, g, budget))
+            found, used = metered_search(lambda budget: quotients._search(search, g, budget))
             assert ((regroup(found, classify), used) == metered_search(
                 lambda budget: reference_orbit_search(program, g, classify, budget))), g.name
     assert {(), ("assign",), ("assign", "assign"), ("assign", "assign", "branch"),
@@ -236,10 +249,10 @@ def test_slot_search_work_count_on_u2165(catalog):
     # constant runs, evaluated once per parent, and shortest checks first cut
     # the table lookups of the corpus search that dominates the profile
     program = corpus_programs()[list(load_corpus()).index("u2165")]
-    lowered = quotients._lower(program)
+    search = generated(program)
     for g, pinned in ((symmetric_group(6), 121401), (catalog.by_name("A6"), 44667)):
         counted, reference = CountedGroup(g), CountedGroup(g)
-        found = quotients._search(lowered, counted, 10 ** 8)
+        found = quotients._search(search, counted, 10 ** 8)
         assert regroup(found, len) == reference_orbit_search(program, reference, len, 10 ** 8)
         assert counted.mul.reads == pinned, g.name
         assert counted.mul.reads < reference.mul.reads
@@ -250,10 +263,10 @@ def test_subgroup_order_stops_at_half_the_group(catalog):
     # searches find gets the order of the full closure
     groups = catalog.groups + [symmetric_group(k) for k in range(2, 7)]
     for program in corpus_programs():
-        lowered = quotients._lower(program)
+        search = generated(program)
         for g in groups:
             mul, _, e = g.tables()
-            for images in quotients._search(lowered, g, 10 ** 8):
+            for images in quotients._search(search, g, 10 ** 8):
                 assert (quotients._subgroup_order(images, mul, e, g.order)
                         == reference_subgroup_order(images, mul, e, g.order)), g.name
 
@@ -423,9 +436,9 @@ def counted_searches(monkeypatch):
     searched = []
     search = quotients._search
 
-    def counting(slots, group, node_budget):
+    def counting(compiled_search, group, node_budget):
         searched.append(group)
-        return search(slots, group, node_budget)
+        return search(compiled_search, group, node_budget)
 
     monkeypatch.setattr(quotients, "_search", counting)
     return searched
@@ -632,6 +645,133 @@ def test_compile_skips_seed_sets_missing_a_forced_seed(monkeypatch):
     assert count_homs(search_program(involutions(40)), symmetric_group(3),
                       node_budget=1000).budget_exceeded
     assert len(calls) <= 820
+
+
+# 60 copies of a*b^-1*a^-1*b^2: one 300-letter relator, holding in A5
+LONG_RELATOR = "gens: a, b\nrels: %s\n" % "*".join(["a*b^-1*a^-1*b^2"] * 60)
+
+
+def test_generated_search_past_the_nesting_limit(catalog):
+    # 20 and 40 segment loops, more than one generated function holds, give
+    # the same tally and exactly the same smallest completing budget as the
+    # search that walked relators letter by letter
+    c1 = FiniteGroup("C1", 1, [(0,)])
+    c2 = catalog.by_name("C2")
+    for n in (20, 40):
+        program = compiled(involutions(n))
+        assert len(program[1]) == n
+        search = generated(program)
+
+        def reference(group, budget):
+            return reference_orbit_search(program, group, len, budget)
+
+        # into C1 each loop has one candidate: n nodes and one leaf
+        found, used = metered_search(lambda budget: quotients._search(search, c1, budget))
+        assert (regroup(found, len), used) == metered_search(
+            lambda budget: reference(c1, budget)) == ({1: 1}, n)
+        # into C2 the search has 2^(n + 1) - 2 nodes: each run stops at its budget
+        for budget in (1, 2, 15, 16, 17, 33, n, 1000):
+            for run in (lambda: quotients._search(search, c2, budget),
+                        lambda: reference(c2, budget)):
+                with pytest.raises(quotients.BudgetExceeded):
+                    run()
+        # x^2 = x^3 = e leaves x = e alone: into C2 each loop tries two
+        # candidates and one passes, so every generated function is entered
+        # again, and returns its node count, once per parent
+        names = ["x%d" % i for i in range(n)]
+        program = compiled(pres("gens: %s\nrels: %s\n" % (
+            ", ".join(names), "; ".join("%s^2; %s^3" % (x, x) for x in names))))
+        assert len(program[1]) == n
+        search = generated(program)
+        found, used = metered_search(lambda budget: quotients._search(search, c2, budget))
+        assert (regroup(found, len), used) == metered_search(
+            lambda budget: reference(c2, budget)) == ({1: 1}, 2 * n)
+
+
+def test_generated_search_of_a_long_relator(catalog):
+    # a is assigned after b, so each b*b is one run slot and the check
+    # reads 240 slots: as one expression it nests 239 brackets, past
+    # CPython's 200, so it is written as statements of at most 32 letters
+    program = compiled(pres(LONG_RELATOR))
+    search = generated(program)
+    source = quotients._emit(quotients._lower(program))
+    assert source.count("mul[") == 239 + 1
+    assert max(line.count("mul[") for line in source.splitlines()) \
+        <= quotients._LETTERS_PER_STATEMENT
+    for g in (catalog.by_name("S3"), catalog.by_name("A5"), symmetric_group(4)):
+        classify = catalog_classify(g, catalog)
+        found, used = metered_search(lambda budget: quotients._search(search, g, budget))
+        assert (regroup(found, classify), used) == metered_search(
+            lambda budget: reference_orbit_search(program, g, classify, budget)), g.name
+    program = search_program(pres(LONG_RELATOR))
+    assert count_homs(program, catalog.by_name("A5")) == HomCount(3600, 2280)
+    assert low_index_subgroups(program, 3) == {2: SubgroupCount(3, 3),
+                                               3: SubgroupCount(7, 13)}
+
+
+def renamed(presentation, names):
+    """presentation with generator g renamed names[g], built without the
+    name check, which rejects a leading underscore."""
+    def word(w):
+        return Word._of(tuple((names.get(g, g), e) for g, e in w.letters))
+    out = object.__new__(GroupPresentation)
+    object.__setattr__(out, "generators", tuple(names.get(g, g) for g in presentation.generators))
+    object.__setattr__(out, "relators", tuple(Relator(word(r.lhs), word(r.rhs))
+                                              for r in presentation.relators))
+    return out
+
+
+def test_generated_search_ignores_generator_names():
+    # the generated source holds no name from the input, so generators
+    # named like its own locals, or like a builtin, change nothing
+    original = load_corpus()["u2165"].presentation()
+    hostile = ("mul", "inv", "e", "found", "nodes", "budget", "s0", "__import__")
+    names = dict(zip(original.generators, hostile))
+    assert len(names) == len(hostile)
+    assert (profile(renamed(original, names)).comparable_json()
+            == profile(original).comparable_json())
+
+
+# every token the emitter writes: its own names, slot, run, weight and part
+# numbers, digits, operators and layout
+EMITTED_NAME = re.compile(r"(s|r|w|part)\d+|mul|inv|e|order|solutions|orbits|budget|found|"
+                          r"nodes|weight|solve|q|x|BudgetExceeded|range|"
+                          r"def|for|in|if|raise|continue|return")
+EMITTED_OP = {"(", ")", "[", "]", ",", ":", "=", "+=", "*", "!=", ">", "<"}
+
+
+def test_emitted_source_holds_fixed_tokens_only():
+    presentations = [entry.presentation() for entry in load_corpus().values()]
+    presentations += [pres(t) for t in (Z, F2, TREFOIL, "gens: a, b\nrels: a*b*a^-1 = b^2\n",
+                                         LONG_RELATOR)] + [involutions(20)]
+    for p in presentations:
+        source = quotients._emit(quotients._lower(compiled(p)))
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            kind, text = tokenize.tok_name[token.type], token.string
+            assert (kind in ("NEWLINE", "NL", "INDENT", "DEDENT", "ENDMARKER")
+                    or kind == "NAME" and EMITTED_NAME.fullmatch(text)
+                    or kind == "NUMBER" and text.isdigit()
+                    or kind == "OP" and text in EMITTED_OP), (kind, text)
+
+
+def test_compiled_search_dies_with_its_program(catalog):
+    # the generated functions sit in no reference cycle: with the cycle
+    # collector off, they go when the program does
+    gc.disable()
+    try:
+        for p, parts in ((load_corpus()["u2165"].presentation(), 1), (involutions(20), 2)):
+            program = search_program(p)
+            count_homs(program, catalog.by_name("C2"), node_budget=100)
+            # each generated function reaches the next as its last default
+            chain = [program[1]]
+            while chain[-1].__defaults__:
+                chain.append(chain[-1].__defaults__[-1])
+            assert len(chain) == parts
+            functions = [weakref.ref(f) for f in chain]
+            del program, chain
+            assert [f() for f in functions] == [None] * parts
+    finally:
+        gc.enable()
 
 
 def test_low_index_invariant_under_simplification():
