@@ -30,13 +30,6 @@ def mult(p, q):
     return tuple(q[x] for x in p)
 
 
-def inverse_perm(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 def _orbit_tree(start, generators, act, limit=None):
     """(orbit, parent, via): the orbit of start under act(x, g), in
     breadth-first order, with its spanning tree.

@@ -8,8 +8,11 @@ group has no subgroup of index 2; an index-k subgroup is the point stabiliser
 of a transitive action on k points.  The program's search is generated as
 Python source, one nested loop per enumeration segment and one expression per
 relator word, and compiled once per program, so no interpreter loop runs per
-letter.  The program keeps each search's tally, so a permutation group met
-twice (the catalog's A6 and A_6) is searched once.
+letter.  A word is evaluated right to left through the table rows of the
+slots it reads, one subscript per letter, and a loop charges its whole
+candidate list to the node budget when it opens.  The program keeps each
+search's tally, so a permutation group met twice (the catalog's A6 and A_6)
+is searched once.
 Every search is exact, serial and deterministic, and one that would exceed
 its node budget reports an explicit flag instead of a count.
 """
@@ -319,17 +322,24 @@ def _emit(program):
     """Python source of the search functions of a program in slot form.
 
     The source defines part0, part1, ..., each taking (mul, inv, e, order,
-    solutions, orbits, budget, found, nodes, weight) and then the slots it
-    reads from earlier parts, and each returning the node count; _search
-    calls part0.  Each segment is one for loop nested in the one before, so
-    a parent node is one pass of the enclosing loop's body, and past every
-    _LOOPS_PER_FUNCTION segments the next loop opens the next part, which
-    each part reaches as its last default argument.  A part with a branch
-    segment reads conjugacy_solutions once, as solutions().  Slot N is the
-    local sN, and a slot that nothing writes, the identity's or that of a
-    generator the head deduces, is e.  A word is one nested expression,
-    mul[mul[s0][s1]][s2] for three letters, split into statements
-    x = mul[...] of at most _LETTERS_PER_STATEMENT letters; a write that no
+    solutions, orbits, budget, found, nodes, weight) and then the slots and
+    rows it reads from earlier parts, and each returning the node count;
+    _search calls part0.  Each segment is one for loop nested in the one
+    before, so a parent node is one pass of the enclosing loop's body, and
+    past every _LOOPS_PER_FUNCTION segments the next loop opens the next
+    part, which each part reaches as its last default argument.  A part
+    with a branch segment reads conjugacy_solutions once, as solutions().
+    A loop takes its candidates as one list c, or as range(order), and
+    charges them all to nodes before it tries the first, with one budget
+    test per loop.
+
+    Slot N is the local sN, and a slot that nothing writes, the identity's
+    or that of a generator the head deduces, is e.  A slot that a word
+    reads before its last letter also has its row, the local mN =
+    mul[sN], fetched once where sN is written.  A word is then evaluated
+    right to left, one subscript per letter: s7 s0 s8 is m7[m0[s8]], by
+    associativity, and a letter e drops out.  It is split into statements
+    x = ... of at most _LETTERS_PER_STATEMENT letters, and a write that no
     word or image tuple reads is left out.  A segment's constant runs are
     evaluated under `if rD < k:`, k the op's runs needed, so once per parent
     and only when the first candidate reaches an op that reads them.  The
@@ -343,56 +353,79 @@ def _emit(program):
                     if segments[0][0] == segments[d][0] == "assign"]
     parts = [range(start, min(start + _LOOPS_PER_FUNCTION, len(segments)))
              for start in range(0, len(segments), _LOOPS_PER_FUNCTION)] or [range(0)]
-    reads = [set() for _ in parts]
     writes = [set() for _ in parts]
-    reads[-1].update(images)
     for k, part in enumerate(parts):
         for d in part:
-            _, slot, branch, ops, runs = segments[d]
-            # a word is the last two fields of a run or an op
-            for first, rest in (branch[:2] if branch else ()) + tuple(
-                    item[-2:] for item in runs + ops):
-                reads[k].update((first,) + rest)
+            _, slot, _, ops, runs = segments[d]
             writes[k].update((slot, slot + 1))
             writes[k].update(t ^ pair for _, t, _, _ in ops if t >= 0 for pair in (0, 1))
             writes[k].update(run for run, _, _ in runs)
+    written = set().union(*writes)
+
+    def letters(first, rest):
+        return [s for s in (first,) + rest if s in written]
+
+    # the locals each part reads: (N, "s") for slot N's value, (N, "m") for its row
+    reads = [set() for _ in parts]
+    reads[-1].update((s, "s") for s in images)
+    for k, part in enumerate(parts):
+        for d in part:
+            _, _, branch, ops, runs = segments[d]
+            # a word is the last two fields of a run or an op
+            for first, rest in (branch[:2] if branch else ()) + tuple(
+                    item[-2:] for item in runs + ops):
+                slots = letters(first, rest)
+                reads[k].update((s, "m") for s in slots[:-1])
+                reads[k].update((s, "s") for s in slots[-1:])
     read = set().union(*reads)
-    written = set().union(*writes) & read
-    # part k takes the slots that it or a later part reads and an earlier one writes
-    takes = [sorted(set().union(*writes[:k]) & set().union(*reads[k:]))
+    # part k takes the locals that it or a later part reads and an earlier one writes
+    takes = [sorted({(s, kind) for w in writes[:k] for s in w for kind in "ms"}
+                    & set().union(*reads[k:]))
              for k in range(len(parts))]
     lines = []
 
     def put(depth, line):
         lines.append("    " * depth + line)
 
-    def name(slot):
-        return "s%d" % slot if slot in written else "e"
-
     def word(first, rest, depth):
-        expr = name(first)
-        for i, s in enumerate(rest, 1):
+        slots = letters(first, rest)
+        if not slots:
+            return "e"
+        expr = "s%d" % slots[-1]
+        for i, s in enumerate(reversed(slots[:-1]), 1):
             if i % _LETTERS_PER_STATEMENT == 0:
                 put(depth, "x = " + expr)
                 expr = "x"
-            expr = "mul[%s][%s]" % (expr, name(s))
+            expr = "m%d[%s]" % (s, expr)
+        return expr
+
+    def keep(depth, slot, expr, again):
+        # slot takes expr's value, as sN and as its row mN where they are
+        # read, and as sN also when the caller reads it again; returns the
+        # value's expression
+        row = (slot, "m") in read
+        if expr != "s%d" % slot and ((slot, "s") in read or row and again):
+            put(depth, "s%d = %s" % (slot, expr))
+            expr = "s%d" % slot
+        if row:
+            put(depth, "m%d = mul[%s]" % (slot, expr))
         return expr
 
     def store(depth, slot, expr):
-        # slot takes expr's value and its paired slot the inverse
-        if slot in read:
-            put(depth, "s%d = %s" % (slot, expr))
-            expr = "s%d" % slot
-        if slot ^ 1 in read:
-            put(depth, "s%d = inv[%s]" % (slot ^ 1, expr))
+        # slot takes expr's value and its paired slot the inverse; no helper
+        # calls itself, so _emit leaves no reference cycle behind
+        inverse = (slot ^ 1, "s") in read or (slot ^ 1, "m") in read
+        expr = keep(depth, slot, expr, inverse)
+        if inverse:
+            keep(depth, slot ^ 1, "inv[%s]" % expr, False)
 
-    def slot_list(slots):
-        return "".join(", s%d" % s for s in slots)
+    def local_list(names):
+        return "".join(", %s%d" % (kind, s) for s, kind in names)
 
     common = "mul, inv, e, order, solutions, orbits, budget, found, nodes"
     for k in reversed(range(len(parts))):
         later = ", part%d=part%d" % (k + 1, k + 1) if k + 1 < len(parts) else ""
-        put(0, "def part%d(%s, weight%s%s):" % (k, common, slot_list(takes[k]), later))
+        put(0, "def part%d(%s, weight%s%s):" % (k, common, local_list(takes[k]), later))
         if any(segments[d][0] == "branch" for d in parts[k]):
             put(1, "solve = solutions()")
         depth = 1
@@ -405,25 +438,26 @@ def _emit(program):
                 put(depth, "q = " + word(*mid, depth))
                 t = "inv[%s]" % word(*sufpre, depth)
                 pair = ("q", t) if eps == 1 else (t, "q")
-                put(depth, "for s%d in solve(%s, %s):" % ((slot,) + pair))
+                put(depth, "c = solve(%s, %s)" % pair)
+                loop, count = "s%d in c" % slot, "len(c)"
             elif d in orbit_depths:
                 # C(r) fixes the root r and every image deduced from it; at
                 # the root the C(e) orbits are the conjugacy classes
-                root = "s%d" % segments[0][1] if d else "e"
-                put(depth, "for s%d, w%d in orbits(%s):" % (slot, d, root))
+                put(depth, "c = orbits(%s)" % ("s%d" % segments[0][1] if d else "e"))
+                loop, count = "s%d, w%d in c" % (slot, d), "len(c)"
             else:
-                put(depth, "for s%d in range(order):" % slot)
-            depth += 1
-            put(depth, "nodes += 1")
+                loop, count = "s%d in range(order)" % slot, "order"
+            put(depth, "nodes += " + count)
             put(depth, "if nodes > budget: raise BudgetExceeded")
-            if slot + 1 in read:
-                put(depth, "s%d = inv[s%d]" % (slot + 1, slot))
+            put(depth, "for %s:" % loop)
+            depth += 1
+            store(depth, slot, "s%d" % slot)
             ready = 0
             for need, target, first, rest in ops:
                 if ready < need:
                     put(depth, "if r%d < %d:" % (d, need))
                     for run, run_first, run_rest in runs[ready:need]:
-                        put(depth + 1, "s%d = %s" % (run, word(run_first, run_rest, depth + 1)))
+                        keep(depth + 1, run, word(run_first, run_rest, depth + 1), False)
                     put(depth + 1, "r%d = %d" % (d, need))
                     ready = need
                 expr = word(first, rest, depth)
@@ -436,9 +470,9 @@ def _emit(program):
             else "weight"
         if k + 1 < len(parts):
             put(depth, "nodes = part%d(%s, %s%s)"
-                % (k + 1, common, weight, slot_list(takes[k + 1])))
+                % (k + 1, common, weight, local_list(takes[k + 1])))
         else:
-            leaf = [name(s) for s in images]
+            leaf = ["s%d" % s if s in written else "e" for s in images]
             put(depth, "found[(%s%s)] = %s" % (", ".join(leaf), "," * (len(leaf) == 1), weight))
         put(1, "return nodes")
     return "\n".join(lines) + "\n"
@@ -485,10 +519,14 @@ def _search(search, group, node_budget):
     the centraliser C(r) acting by conjugation, weighted by the orbit size:
     conjugating by c in C(r) fixes r and everything deduced from it and
     sends v to c * v * c^-1.  Every other candidate weighs 1.  Every
-    candidate tried at any depth, roots and orbit representatives included,
-    is one node charged to node_budget; the search raises BudgetExceeded
-    past it.  Each image tuple is found in the order of the loops that
-    _emit writes, so the tally's order is that of the segments' candidates.
+    candidate at any depth, roots and orbit representatives included, is
+    one node.  A loop charges all its candidates to the node count when it
+    opens, and the search raises BudgetExceeded before a loop that takes
+    the count past node_budget tries its first candidate.  The count only
+    grows, so the search raises exactly when its total node count is above
+    node_budget, the same total as one node charged per candidate tried.
+    Each image tuple is found in the order of the loops that _emit writes,
+    so the tally's order is that of the segments' candidates.
     """
     mul, inv, e = group.tables()
     found = {}
@@ -519,7 +557,10 @@ def count_homs(program, group, node_budget=10 ** 8):
     Whether a homomorphism is onto is unchanged by conjugation in the
     target, so the count reads group's tally (see _tally): the total is its
     summed weight and the surjective count that of the image tuples
-    generating the whole group.  node_budget bounds the whole search.
+    generating the whole group.  node_budget bounds the whole search: the
+    count is flagged exactly when the search's total node count is above
+    it, and each loop's candidates are charged before the loop runs (see
+    _search).
     """
     found = _tally(program, group, node_budget)
     if found is None:

@@ -85,6 +85,14 @@ def minor_gcd_invariant_factors(rows, cols):
     return tuple(factors)
 
 
+def inverse_perm(p):
+    """The inverse of the permutation p, a tuple of the images of 0..n-1."""
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
 def group_arrays(group):
     mul, inv, e = group.tables()
     n = group.order

@@ -16,6 +16,7 @@ def test_removed_wrappers_stay_removed():
         (homology.IntegerMatrix, "identity"),         # IntegerMatrix.from_rows
         (homology.IntegerMatrix, "zeros"),            # IntegerMatrix.from_rows
         (permgroups, "closure"),                      # FiniteGroup(...).elements()
+        (permgroups, "inverse_perm"),                 # FiniteGroup(...).tables()[1]
         (gems, "is_gem"),                             # gem_report(g)["is_gem"]
         (diagrams, "self_writhe"),                    # self_writhes(d)[i]
         (diagrams.LinkDiagram, "component_of"),

@@ -6,10 +6,11 @@ import pytest
 
 from linkgroup import permgroups
 from linkgroup.permgroups import (Catalog, CatalogError, FiniteGroup,
-                                  alternating_group, identity_perm, inverse_perm,
+                                  alternating_group, identity_perm,
                                   load_catalog, mult, parse_catalog,
                                   symmetric_group)
 from conftest import CountingList, data_path
+from oracles import inverse_perm
 
 EXPECTED_NAMES = ["C2", "C3", "C4", "C5", "C6", "S3", "D4", "A4", "A5", "S4",
                   "S5", "PSL(2,7)", "A6", "2I"]

@@ -227,7 +227,8 @@ def test_slot_search_matches_reference_orbit_search(catalog):
 
 
 class CountedGroup:
-    """group, with every subscript of its multiplication table counted.
+    """group, with every subscript of its multiplication table counted: a
+    subscript of a row is one product, one of the table a row fetched.
 
     The conjugacy and centraliser orbit tables come from group itself, so
     only the search's own products are counted.
@@ -235,7 +236,7 @@ class CountedGroup:
 
     def __init__(self, group):
         mul, inv, e = group.tables()
-        self.mul = CountingList(mul)
+        self.mul = CountingList(CountingList(row) for row in mul)
         self.order = group.order
         self._tables = (self.mul, inv, e)
         self.conjugacy_solutions = group.conjugacy_solutions
@@ -244,18 +245,59 @@ class CountedGroup:
     def tables(self):
         return self._tables
 
+    def products(self):
+        return sum(row.reads for row in self.mul)
+
 
 def test_slot_search_work_count_on_u2165(catalog):
     # constant runs, evaluated once per parent, and shortest checks first cut
-    # the table lookups of the corpus search that dominates the profile
+    # the table lookups of the corpus search that dominates the profile; each
+    # row that a word reads before its last letter is fetched once per write
     program = corpus_programs()[list(load_corpus()).index("u2165")]
     search = generated(program)
-    for g, pinned in ((symmetric_group(6), 121401), (catalog.by_name("A6"), 44667)):
+    for g, products, rows in ((symmetric_group(6), 121401, 20411),
+                              (catalog.by_name("A6"), 44667, 7211)):
         counted, reference = CountedGroup(g), CountedGroup(g)
         found = quotients._search(search, counted, 10 ** 8)
         assert regroup(found, len) == reference_orbit_search(program, reference, len, 10 ** 8)
-        assert counted.mul.reads == pinned, g.name
-        assert counted.mul.reads < reference.mul.reads
+        assert (counted.products(), counted.mul.reads) == (products, rows), g.name
+        assert counted.products() < reference.products()
+
+
+def test_a_loop_charges_its_candidates_before_the_first_product(catalog):
+    # the trefoil into A5 opens with a loop over the 5 conjugacy classes:
+    # under a budget of 4 the search raises before it fetches a row or
+    # multiplies; under 5 the first root fetches its two rows, and its orbit
+    # loop, over the 5 classes again, raises before its first product
+    search = generated(compiled(pres(TREFOIL)))
+    for budget, rows in ((4, 0), (5, 2)):
+        counted = CountedGroup(catalog.by_name("A5"))
+        with pytest.raises(quotients.BudgetExceeded):
+            quotients._search(search, counted, budget)
+        assert (counted.products(), counted.mul.reads) == (0, rows), budget
+
+
+def test_search_matches_reference_orbit_search_on_random_presentations(catalog):
+    # seeded random presentations into groups of orders 2 to 360, catalog
+    # numberings and S_k/A_k ones: the same tally, and exactly the same
+    # smallest budget under which it completes, as the letter-by-letter search
+    groups = [catalog.by_name(name) for name in ("C2", "S3", "A4", "A5", "A6")]
+    groups += [symmetric_group(4), alternating_group(5)]
+    rng = random.Random(27)
+    shapes = set()
+    for _ in range(40):
+        program = compiled(random_presentation(rng, max_rels=3))
+        search = generated(program)
+        shape = tuple(kind for kind, _, _, _ in program[1])
+        shapes.add(shape)
+        for g in groups:
+            if shape.count("assign") > 2 and g.order > 24:
+                continue    # |g| candidates per node from the third assign on
+            classify = catalog_classify(g, catalog)
+            found, used = metered_search(lambda budget: quotients._search(search, g, budget))
+            assert ((regroup(found, classify), used) == metered_search(
+                lambda budget: reference_orbit_search(program, g, classify, budget))), g.name
+    assert {(), ("assign",), ("assign", "assign"), ("assign", "branch")} <= shapes
 
 
 def test_subgroup_order_stops_at_half_the_group(catalog):
@@ -688,6 +730,10 @@ def test_generated_search_past_the_nesting_limit(catalog):
             lambda budget: reference(c2, budget)) == ({1: 1}, 2 * n)
 
 
+# one product of a generated word: a subscript of a row mN = mul[sN]
+ROW_SUBSCRIPT = re.compile(r"\bm\d+\[")
+
+
 def test_generated_search_of_a_long_relator(catalog):
     # a is assigned after b, so each b*b is one run slot and the check
     # reads 240 slots: as one expression it nests 239 brackets, past
@@ -695,8 +741,8 @@ def test_generated_search_of_a_long_relator(catalog):
     program = compiled(pres(LONG_RELATOR))
     search = generated(program)
     source = quotients._emit(quotients._lower(program))
-    assert source.count("mul[") == 239 + 1
-    assert max(line.count("mul[") for line in source.splitlines()) \
+    assert len(ROW_SUBSCRIPT.findall(source)) == 239 + 1
+    assert max(len(ROW_SUBSCRIPT.findall(line)) for line in source.splitlines()) \
         <= quotients._LETTERS_PER_STATEMENT
     for g in (catalog.by_name("S3"), catalog.by_name("A5"), symmetric_group(4)):
         classify = catalog_classify(g, catalog)
@@ -732,10 +778,10 @@ def test_generated_search_ignores_generator_names():
             == profile(original).comparable_json())
 
 
-# every token the emitter writes: its own names, slot, run, weight and part
+# every token the emitter writes: its own names, slot, row, run, weight and part
 # numbers, digits, operators and layout
-EMITTED_NAME = re.compile(r"(s|r|w|part)\d+|mul|inv|e|order|solutions|orbits|budget|found|"
-                          r"nodes|weight|solve|q|x|BudgetExceeded|range|"
+EMITTED_NAME = re.compile(r"(s|m|r|w|part)\d+|mul|inv|e|order|solutions|orbits|budget|found|"
+                          r"nodes|weight|solve|q|x|c|BudgetExceeded|range|len|"
                           r"def|for|in|if|raise|continue|return")
 EMITTED_OP = {"(", ")", "[", "]", ",", ":", "=", "+=", "*", "!=", ">", "<"}
 
@@ -756,7 +802,9 @@ def test_emitted_source_holds_fixed_tokens_only():
 
 def test_compiled_search_dies_with_its_program(catalog):
     # the generated functions sit in no reference cycle: with the cycle
-    # collector off, they go when the program does
+    # collector off, they go when the program does, and compiling and
+    # searching leave no cyclic garbage behind
+    gc.collect()
     gc.disable()
     try:
         for p, parts in ((load_corpus()["u2165"].presentation(), 1), (involutions(20), 2)):
@@ -770,6 +818,7 @@ def test_compiled_search_dies_with_its_program(catalog):
             functions = [weakref.ref(f) for f in chain]
             del program, chain
             assert [f() for f in functions] == [None] * parts
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
