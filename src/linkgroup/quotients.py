@@ -19,11 +19,20 @@ its node budget reports an explicit flag instead of a count.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+
+try:
+    # hashlib loads OpenSSL's libcrypto, about 3.6 MB of RSS for one digest per
+    # profile; CPython's own module computes the same SHA-256
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .homology import first_homology
 from .permgroups import (MAX_ORDER, _orbit_tree, alternating_group, load_catalog,
@@ -737,7 +746,8 @@ class InvariantProfile:
 
 
 def presentation_hash(presentation):
-    return hashlib.sha256(serialize_presentation(presentation).encode()).hexdigest()
+    """The SHA-256 hex digest of the presentation's native serialization."""
+    return sha256(serialize_presentation(presentation).encode()).hexdigest()
 
 
 def profile(presentation, config=None, catalog=None, workers=1):

@@ -465,9 +465,11 @@ def test_cyclic_match_matches_reference_on_random_pairs():
 def test_reduce_generators_matches_reference_implementation():
     raw = [parse_presentation(data_text(key + ".pres")) for key in CORPUS_KEYS]
     rng = random.Random(23)
+    wirtinger = [fundamental_group(d) for d in framed_diagrams()]
     inputs = (raw + [tietze_simplify(p) for p in raw]
               + [parse_presentation(data_text("trefoil.pres"))]
-              + [random_tietze_input(rng) for _ in range(150)])
+              + [random_tietze_input(rng) for _ in range(150)]
+              + wirtinger + [tietze_simplify(p) for p in wirtinger])
     for p in inputs:
         got = serialize_presentation(_reduce_generators(p))
         want = serialize_presentation(reference_reduce_generators(p))

@@ -1,12 +1,17 @@
 import functools
 import gc
+import hashlib
+import importlib.util
 import io
 import itertools
 import json
 import random
 import re
+import subprocess
+import sys
 import tokenize
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -853,10 +858,45 @@ def test_profile_json_is_stable(catalog):
     assert a == b
 
 
-def test_presentation_hash_tracks_serialization():
+def test_presentation_hash_tracks_serialization(corpus):
     p = pres(Z2)
     assert presentation_hash(p) == presentation_hash(pres(Z2))
     assert presentation_hash(p) != presentation_hash(pres(Z3))
+    # CPython's own SHA-256 gives hashlib's digest of the native serialization
+    raw = [entry.presentation() for entry in corpus.values()] + [pres(TREFOIL)]
+    rng = random.Random(41)
+    inputs = (raw + [tietze_simplify(q) for q in raw]
+              + [random_presentation(rng, max_gens=4, max_rels=5) for _ in range(30)])
+    for q in inputs:
+        text = serialize_presentation(q)
+        assert presentation_hash(q) == hashlib.sha256(text.encode()).hexdigest(), text
+
+
+# Run in a fresh interpreter: the test process may hold hashlib already.
+NO_OPENSSL_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from importlib import resources
+from linkgroup.presentations import parse_presentation
+from linkgroup.quotients import distinguish, profile, verify_witness
+trefoil = parse_presentation((resources.files("linkgroup") / "data" / "trefoil.pres").read_text())
+z = parse_presentation("gens: a\\n")
+profile(trefoil)
+verdict = json.loads(distinguish(trefoil, z).to_json())
+print(json.dumps([verify_witness(verdict, trefoil, z), "_hashlib" in sys.modules]))
+"""
+
+
+def test_profile_distinguish_and_replay_do_not_load_openssl():
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("interpreter built without CPython's own SHA-256 module")
+    src = str(Path(quotients.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-I", "-c", NO_OPENSSL_SCRIPT, src],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    replay, openssl_loaded = json.loads(run.stdout)
+    assert replay == [True, "witness hom_count:S3 verified"]
+    assert not openssl_loaded
 
 
 @pytest.mark.parametrize("field, value", [
