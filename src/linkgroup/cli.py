@@ -8,7 +8,6 @@ Exit codes: 0 success (or Distinguished), 10 Inconclusive, 1 input error
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .corpus import load_corpus
 from .diagrams import DiagramSyntaxError, parse_diagram
@@ -134,7 +133,7 @@ def cmd_verify_witness(args):
 def cmd_corpus(args):
     entries = load_corpus()
     if not args.report:
-        doc = {"schema_version": 1, "entries": [asdict(e) for e in entries.values()]}
+        doc = {"schema_version": 1, "entries": [e._asdict() for e in entries.values()]}
         _emit(json_text(doc), args.out)
         return EXIT_OK
 
@@ -174,19 +173,21 @@ def _parser():
                     "diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = ProfileConfig()
+
     def common(p, config=False, catalog=False, simplify=False, dialect=False):
         p.add_argument("--out", default=None, help="write output to this file")
         if config:
-            p.add_argument("--K", type=int, default=ProfileConfig.max_index,
+            p.add_argument("--K", type=int, default=defaults.max_index,
                            help="largest subgroup index to count (default %(default)s)")
-            p.add_argument("--budget", type=int, default=ProfileConfig.node_budget,
+            p.add_argument("--budget", type=int, default=defaults.node_budget,
                            help="search node budget (default %(default)s)")
         if config or catalog:
             p.add_argument("--catalog", default=None,
                            help="path to an alternate target-group catalog")
         if config or simplify:
             p.add_argument("--simplify-budget", type=int,
-                           default=ProfileConfig.simplify_budget,
+                           default=defaults.simplify_budget,
                            help="rewrite budget for simplification (default %(default)s)")
         if dialect:
             p.add_argument("--dialect", choices=("native", "plain", "gap"),

@@ -8,9 +8,9 @@ against fixed inputs.
 """
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
+from ._record import Record
 from .diagrams import parse_diagram
 from .presentations import parse_presentation
 
@@ -19,12 +19,14 @@ def _data(name):
     return (resources.files(__package__) / "data" / name).read_text()
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    key: str
-    label: str
-    family: str
-    partner: str
+class CorpusEntry(Record):
+    __slots__ = ("key", "label", "family", "partner")
+
+    def __init__(self, key, label, family, partner):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "partner", partner)
 
     def diagram_text(self):
         return _data(self.key + ".pd.json")
@@ -43,8 +45,3 @@ def load_corpus():
     """The bundled entries keyed by entry key, in shipped order."""
     doc = json.loads(_data("corpus.json"))
     return {row["key"]: CorpusEntry(**row) for row in doc["entries"]}
-
-
-def load_pins():
-    """Frozen expected values for the bundled entries, for replay checks."""
-    return json.loads(_data("pins.json"))

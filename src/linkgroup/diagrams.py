@@ -8,11 +8,10 @@ a component is its self-writhe: the signed count of crossings where the
 component crosses itself.
 """
 
-from __future__ import annotations
-
 import json
 import re
-from dataclasses import asdict, dataclass, replace
+
+from ._record import Record
 
 ARC_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
@@ -29,29 +28,35 @@ class DiagramStructureError(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-@dataclass(frozen=True)
-class Violation:
-    invariant: str
-    element: str
-    detail: str
+class Violation(Record):
+    __slots__ = ("invariant", "element", "detail")
+
+    def __init__(self, invariant, element, detail):
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self):
         return "%s violation on %r: %s" % (self.invariant, self.element, self.detail)
 
 
-@dataclass(frozen=True)
-class Crossing:
-    over: str
-    under_in: str
-    under_out: str
-    sign: int
+class Crossing(Record):
+    __slots__ = ("over", "under_in", "under_out", "sign")
+
+    def __init__(self, over, under_in, under_out, sign):
+        object.__setattr__(self, "over", over)
+        object.__setattr__(self, "under_in", under_in)
+        object.__setattr__(self, "under_out", under_out)
+        object.__setattr__(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
-    components: tuple
-    crossings: tuple
-    name: str = None
+class LinkDiagram(Record):
+    __slots__ = ("components", "crossings", "name")
+
+    def __init__(self, components, crossings, name=None):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "name", name)
 
     @property
     def arcs(self):
@@ -113,7 +118,7 @@ def serialize_diagram(diagram):
     if diagram.name is not None:
         doc["name"] = diagram.name
     doc["components"] = [list(comp) for comp in diagram.components]
-    doc["crossings"] = [asdict(c) for c in diagram.crossings]
+    doc["crossings"] = [c._asdict() for c in diagram.crossings]
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -245,7 +250,8 @@ def blackboardize(diagram, targets):
         chain = [x] + new + ([] if follower else [x])
         comp[1:1] = new
         for j in follower:
-            crossings[j] = replace(crossings[j], under_in=chain[-1])
+            c = crossings[j]
+            crossings[j] = Crossing(c.over, chain[-1], c.under_out, c.sign)
         for a, b in zip(chain, chain[1:]):
             crossings.append(Crossing(over=b, under_in=a, under_out=b, sign=sign))
     if not changed:

@@ -7,21 +7,23 @@ orientable 3-manifold exactly when it is bipartite and dropping any one color
 leaves components in which vertices - edges + bicolored cycles = 2.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass
 from itertools import combinations
+
+from ._record import Record
 
 
 class FourGraphError(ValueError):
     """A document that does not describe four perfect matchings."""
 
 
-@dataclass(frozen=True)
-class FourGraph:
-    vertices: int
-    partners: tuple  # four involution tuples; partners[color][v] is v's neighbor
+class FourGraph(Record):
+    __slots__ = ("vertices", "partners")
+
+    def __init__(self, vertices, partners):
+        object.__setattr__(self, "vertices", vertices)
+        # four involution tuples; partners[color][v] is v's neighbor
+        object.__setattr__(self, "partners", partners)
 
     @classmethod
     def from_matchings(cls, vertices, matchings):

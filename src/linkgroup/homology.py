@@ -3,17 +3,18 @@
 Everything here is integer arithmetic; no floating point is used anywhere.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Record):
     """An immutable integer matrix; cols is kept explicitly so 0-row matrices work."""
 
-    entries: tuple
-    cols: int
+    __slots__ = ("entries", "cols")
+
+    def __init__(self, entries, cols):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "cols", cols)
+        self.__post_init__()
 
     def __post_init__(self):
         for row in self.entries:
@@ -45,8 +46,7 @@ class IntegerMatrix:
         return cls(tuple(rows), cols)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """D = U·A·V in a divisibility chain, certified by the log of operations.
 
     Each op is (axis, i, j, factor) on the rows (axis 0) or columns (axis 1):
@@ -55,8 +55,11 @@ class SmithDecomposition:
     row ops and V of the column ops, each unimodular by its type.
     """
 
-    d: IntegerMatrix
-    ops: tuple
+    __slots__ = ("d", "ops")
+
+    def __init__(self, d, ops):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "ops", ops)
 
     @property
     def invariant_factors(self):

@@ -10,12 +10,10 @@ Wirtinger relation conjugating the incoming understrand arc to the outgoing
 one.
 """
 
-from __future__ import annotations
-
 import re
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .diagrams import under_walks
 from .words import Word
 
@@ -28,16 +26,18 @@ class PresentationSyntaxError(ValueError):
     """Unparseable presentation text, with line and column of the failure."""
 
 
-@dataclass(frozen=True)
-class Relator:
+class Relator(Record):
     """A relator, kept as the two sides of an equation lhs = rhs.
 
     The group-theoretic content is the word lhs * rhs^-1; relators entered as
     bare words have an empty right-hand side.
     """
 
-    lhs: Word
-    rhs: Word = Word()
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs=Word()):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def word(self):
@@ -47,10 +47,13 @@ class Relator:
         return self.lhs.generators() | self.rhs.generators()
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    generators: tuple
-    relators: tuple
+class GroupPresentation(Record):
+    __slots__ = ("generators", "relators")
+
+    def __init__(self, generators, relators):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+        self.__post_init__()
 
     def __post_init__(self):
         seen = set()

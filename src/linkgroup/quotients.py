@@ -17,12 +17,10 @@ Every search is exact, serial and deterministic, and one that would exceed
 its node budget reports an explicit flag instead of a count.
 """
 
-from __future__ import annotations
-
+import copy
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields
 
 try:
     # hashlib loads OpenSSL's libcrypto, about 3.6 MB of RSS for one digest per
@@ -34,6 +32,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from ._record import Record
 from .homology import first_homology
 from .permgroups import (MAX_ORDER, _orbit_tree, alternating_group, load_catalog,
                          symmetric_group)
@@ -44,11 +43,14 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class HomCount:
-    total: int
-    surjective: int
-    budget_exceeded: bool = False
+class HomCount(Record):
+    __slots__ = ("total", "surjective", "budget_exceeded")
+
+    def __init__(self, total, surjective, budget_exceeded=False):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "surjective", surjective)
+        object.__setattr__(self, "budget_exceeded", budget_exceeded)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.budget_exceeded and not 0 <= self.surjective <= self.total:
@@ -58,11 +60,14 @@ class HomCount:
         return {"total": self.total, "surjective": self.surjective}
 
 
-@dataclass(frozen=True)
-class SubgroupCount:
-    classes: int
-    total: int
-    budget_exceeded: bool = False
+class SubgroupCount(Record):
+    __slots__ = ("classes", "total", "budget_exceeded")
+
+    def __init__(self, classes, total, budget_exceeded=False):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "budget_exceeded", budget_exceeded)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.budget_exceeded and not 0 <= self.classes <= self.total:
@@ -669,14 +674,17 @@ def low_index_single(program, k, node_budget=10 ** 8):
 
 # --- profiles and verdicts ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfileConfig:
-    max_index: int = 6
-    node_budget: int = 10 ** 8
-    simplify_budget: int = 10 ** 4
+class ProfileConfig(Record):
+    __slots__ = ("max_index", "node_budget", "simplify_budget")
+
+    def __init__(self, max_index=6, node_budget=10 ** 8, simplify_budget=10 ** 4):
+        object.__setattr__(self, "max_index", max_index)
+        object.__setattr__(self, "node_budget", node_budget)
+        object.__setattr__(self, "simplify_budget", simplify_budget)
+        self.__post_init__()
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
+        for name, value in self._asdict().items():
             if type(value) is not int or value < 0:
                 raise ValueError("config %s must be a non-negative integer, not %r"
                                  % (name, value))
@@ -691,23 +699,29 @@ def _count_entry(count):
     return entry
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
-    homology: tuple
-    hom_counts: tuple        # ((group name, HomCount), ...) in catalog order
-    low_index: tuple         # ((index, SubgroupCount), ...) ascending
-    catalog_version: int
-    catalog_names: tuple
-    config: ProfileConfig
-    presentation_hash: str
-    generator_count: int
-    relator_count: int
+class InvariantProfile(Record):
+    __slots__ = ("homology", "hom_counts", "low_index", "catalog_version", "catalog_names",
+                 "config", "presentation_hash", "generator_count", "relator_count")
+
+    def __init__(self, homology, hom_counts, low_index, catalog_version, catalog_names,
+                 config, presentation_hash, generator_count, relator_count):
+        object.__setattr__(self, "homology", homology)
+        # ((group name, HomCount), ...) in catalog order
+        object.__setattr__(self, "hom_counts", hom_counts)
+        # ((index, SubgroupCount), ...) ascending
+        object.__setattr__(self, "low_index", low_index)
+        object.__setattr__(self, "catalog_version", catalog_version)
+        object.__setattr__(self, "catalog_names", catalog_names)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "presentation_hash", presentation_hash)
+        object.__setattr__(self, "generator_count", generator_count)
+        object.__setattr__(self, "relator_count", relator_count)
 
     def config_dict(self):
         return {
             "catalog": list(self.catalog_names),
             "catalog_version": self.catalog_version,
-            **asdict(self.config),
+            **self.config._asdict(),
         }
 
     def to_dict(self):
@@ -726,12 +740,6 @@ class InvariantProfile:
 
     def to_json(self):
         return json_text(self.to_dict())
-
-    def comparable_json(self):
-        """The profile without presentation identity: the part verdicts compare."""
-        d = self.to_dict()
-        del d["presentation"]
-        return json_text(d)
 
     def entries(self):
         """(recheck, count) for each hom count, then each low-index count."""
@@ -778,23 +786,28 @@ def profile(presentation, config=None, catalog=None, workers=1):
     )
 
 
-@dataclass(frozen=True)
-class Witness:
-    invariant: str
-    left: object
-    right: object
-    recheck: dict
+class Witness(Record):
+    __slots__ = ("invariant", "left", "right", "recheck")
+
+    def __init__(self, invariant, left, right, recheck):
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "recheck", recheck)
 
     def to_dict(self):
-        return asdict(self)
+        # a copy, so editing the document leaves the witness as it was
+        return copy.deepcopy(self._asdict())
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str             # "Distinguished" or "Inconclusive"
-    witness: object          # Witness or None
-    left_profile: InvariantProfile
-    right_profile: InvariantProfile
+class Verdict(Record):
+    __slots__ = ("outcome", "witness", "left_profile", "right_profile")
+
+    def __init__(self, outcome, witness, left_profile, right_profile):
+        object.__setattr__(self, "outcome", outcome)   # "Distinguished" or "Inconclusive"
+        object.__setattr__(self, "witness", witness)   # Witness or None
+        object.__setattr__(self, "left_profile", left_profile)
+        object.__setattr__(self, "right_profile", right_profile)
 
     def to_dict(self):
         return {
@@ -900,9 +913,8 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
     cfg = verdict_doc.get("config", {})
     if not isinstance(cfg, dict):
         raise ValueError("verdict config must be an object")
-    config = ProfileConfig(**{field.name: cfg[field.name]
-                              for field in fields(ProfileConfig)
-                              if field.name in cfg})
+    config = ProfileConfig(**{name: cfg[name] for name in ProfileConfig.__slots__
+                              if name in cfg})
     witness = verdict_doc.get("witness")
     if verdict_doc.get("outcome") != "Distinguished" or not witness:
         return False, "verdict has no witness to verify"

@@ -1,19 +1,20 @@
 """Words over named free-group generators."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A word in a free group, stored as a tuple of (generator, exponent) letters.
 
     Letter exponents are restricted to +1 and -1; powers are expanded on
     construction via from_syllables.
     """
 
-    letters: tuple = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters=()):
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     @classmethod
     def _of(cls, letters):
@@ -62,13 +63,6 @@ class Word:
             else:
                 out.append((name, exp))
         return Word._of(tuple(out))
-
-    def cyclic_reduce(self):
-        """Freely reduce, then strip matching inverse letters from the two ends."""
-        letters = list(self.free_reduce().letters)
-        while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-            letters = letters[1:-1]
-        return Word._of(tuple(letters))
 
     def generators(self):
         return {name for name, _ in self.letters}

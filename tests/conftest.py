@@ -1,8 +1,10 @@
+import json
+
 import pytest
 from importlib import resources
 
 from linkgroup import load_catalog, parse_presentation
-from linkgroup.corpus import load_corpus, load_pins
+from linkgroup.corpus import load_corpus
 
 CORPUS_KEYS = ("u1466", "u1563", "u2125", "u2165")
 
@@ -41,4 +43,4 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def pins():
-    return load_pins()
+    return json.loads(data_text("pins.json"))

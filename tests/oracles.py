@@ -12,7 +12,8 @@ closure, the Smith normal form with its certificate, the surgery
 presentation of a diagram, the gem report and the presentation text parser
 are checked against verbatim copies of their earlier implementations, at the
 end of this file.  The search compiler's oracle reads relators with its own
-reducer, not the package's.
+reducer, not the package's.  Cyclic reduction of a word and a profile's
+JSON without its presentation, which only tests use, open the file.
 """
 
 import functools
@@ -28,8 +29,23 @@ from linkgroup.homology import IntegerMatrix
 from linkgroup.presentations import (GEN_NAME, MAX_LETTERS, GroupPresentation,
                                      PresentationSyntaxError, Relator, transition_name,
                                      wirtinger)
-from linkgroup.quotients import BudgetExceeded
+from linkgroup.quotients import BudgetExceeded, json_text
 from linkgroup.words import Word
+
+
+def cyclic_reduce(word):
+    """Freely reduce, then strip matching inverse letters from the two ends."""
+    letters = list(word.free_reduce().letters)
+    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
+        letters = letters[1:-1]
+    return Word(tuple(letters))
+
+
+def comparable_json(profile):
+    """The profile without presentation identity: the part verdicts compare."""
+    d = profile.to_dict()
+    del d["presentation"]
+    return json_text(d)
 
 
 def det_laplace(rows):
@@ -162,7 +178,7 @@ def coset_table_low_index(presentation, kmax):
     index = {g: i for i, g in enumerate(presentation.generators)}
     relators = []
     for r in presentation.relators:
-        w = r.word.cyclic_reduce()
+        w = cyclic_reduce(r.word)
         if w.letters:
             relators.append(tuple(2 * index[n] + (e < 0) for n, e in w.letters))
     ncols = 2 * len(index)
@@ -290,7 +306,7 @@ def _ref_substitute_relator(r, name, replacement):
 
 def _ref_reduce_relator(r):
     if not r.rhs.letters:
-        return Relator(r.lhs.cyclic_reduce())
+        return Relator(cyclic_reduce(r.lhs))
     return Relator(r.lhs.free_reduce(), r.rhs.free_reduce())
 
 
@@ -318,7 +334,7 @@ def _ref_cyclic_match(target, source):
                     if doubled[start:start + length] == pattern:
                         remainder = Word(srot[length:])
                         rest = Word(doubled[start + length:start + len(t)])
-                        candidate = (remainder.inverse() * rest).cyclic_reduce()
+                        candidate = cyclic_reduce(remainder.inverse() * rest)
                         if len(candidate) < len(t):
                             best = (length, candidate)
                         break
@@ -375,13 +391,13 @@ def reference_tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
             order = sorted(range(len(rels)), key=lambda i: (len(rels[i].word), i))
             done = False
             for si in order:
-                source = rels[si].word.cyclic_reduce()
+                source = cyclic_reduce(rels[si].word)
                 if not source.letters:
                     continue
                 for ti in order:
                     if ti == si:
                         continue
-                    target = rels[ti].word.cyclic_reduce()
+                    target = cyclic_reduce(rels[ti].word)
                     if len(target) < len(source):
                         continue
                     replacement = _ref_cyclic_match(target, source)
@@ -407,7 +423,7 @@ def reference_reduce_generators(presentation, length_cap=4, budget=1000):
     cyclically reduced relators.
     """
     gens = list(presentation.generators)
-    rels = [r.word.cyclic_reduce() for r in presentation.relators]
+    rels = [cyclic_reduce(r.word) for r in presentation.relators]
     rels = [w for w in rels if w.letters]
     original = max(sum(len(w) for w in rels), 50)
     for _ in range(budget):
@@ -441,7 +457,7 @@ def reference_reduce_generators(presentation, length_cap=4, budget=1000):
         replacement = rest.inverse() if exp == 1 else rest
         del rels[ri]
         gens.remove(g)
-        rels = [v.substitute(g, replacement).cyclic_reduce() for v in rels]
+        rels = [cyclic_reduce(v.substitute(g, replacement)) for v in rels]
         rels = [v for v in rels if v.letters]
     return GroupPresentation(tuple(gens), tuple(Relator(w) for w in rels))
 

@@ -9,7 +9,7 @@ import random
 import time
 
 from linkgroup import cli
-from linkgroup.corpus import load_corpus, load_pins
+from linkgroup.corpus import load_corpus
 from linkgroup.gems import FourGraph, gem_report
 from linkgroup.homology import IntegerMatrix, first_homology, smith_normal_form
 from linkgroup.permgroups import load_catalog
@@ -19,7 +19,7 @@ from linkgroup.quotients import (ProfileConfig, count_homs, distinguish,
                                  low_index_subgroups, profile, search_program,
                                  verify_witness)
 from conftest import CORPUS_KEYS, data_path, data_text
-from oracles import minor_gcd_invariant_factors, naive_hom_counts
+from oracles import comparable_json, minor_gcd_invariant_factors, naive_hom_counts
 
 # criterion 7's report bytes, reused by criterion 10
 _shared = {}
@@ -149,7 +149,7 @@ def test_c06_closed_form_low_index_counts():
 
 def test_c07_engine_matches_external_pins(tmp_path, monkeypatch):
     monkeypatch.delenv("LINKGROUP_THREADS", raising=False)
-    pins = load_pins()
+    pins = json.loads(data_text("pins.json"))
     catalog = load_catalog()
     assert pins["catalog_version"] == catalog.version
     trefoil = parse_presentation(data_text("trefoil.pres"))
@@ -189,8 +189,8 @@ def test_c08_pair_verdicts_are_self_consistent():
         assert verdict.outcome in ("Distinguished", "Inconclusive")
         assert not verdict.left_profile.any_budget_exceeded
         assert not verdict.right_profile.any_budget_exceeded
-        bytes_equal = (verdict.left_profile.comparable_json()
-                       == verdict.right_profile.comparable_json())
+        bytes_equal = (comparable_json(verdict.left_profile)
+                       == comparable_json(verdict.right_profile))
         if verdict.outcome == "Inconclusive":
             assert verdict.witness is None
             assert bytes_equal

@@ -1,6 +1,6 @@
 import json
 
-from linkgroup.corpus import load_corpus, load_pins
+from linkgroup.corpus import load_corpus
 from linkgroup.diagrams import parse_diagram
 from linkgroup.permgroups import load_catalog
 from linkgroup.presentations import fundamental_group, serialize_presentation
@@ -33,8 +33,7 @@ def test_stored_presentations_are_rederivable():
         assert serialize_presentation(derived) == entry.presentation_text()
 
 
-def test_pins_cover_catalog_and_indices():
-    pins = load_pins()
+def test_pins_cover_catalog_and_indices(pins):
     catalog = load_catalog()
     names = [g.name for g in catalog.groups]
     assert pins["max_index"] == 6
@@ -50,11 +49,11 @@ def test_pins_cover_catalog_and_indices():
         assert all(n >= 0 for n in pinned["homology"])
 
 
-def test_trefoil_pin_spot_checks():
+def test_trefoil_pin_spot_checks(pins):
     # cyclic targets of a knot group: image is generated by one meridian
     # image, so the count over C_n is just n, with surjections phi(n) of
     # them only when that image generates.
-    pinned = load_pins()["entries"]["trefoil"]
+    pinned = pins["entries"]["trefoil"]
     assert pinned["homology"] == [0]
     assert pinned["hom_counts"]["C2"] == [2, 1]
     assert pinned["hom_counts"]["C3"] == [3, 2]
@@ -62,9 +61,8 @@ def test_trefoil_pin_spot_checks():
     assert pinned["low_index"]["2"] == [1, 1]
 
 
-def test_shipped_report_matches_pins():
+def test_shipped_report_matches_pins(pins):
     report = json.loads(data_text("report.json"))
-    pins = load_pins()
     corpus = load_corpus()
     assert report["schema_version"] == 1
     config = report["config"]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -124,7 +123,7 @@ def tampered(rng, dec, matrix):
     ops = list(dec.ops)
 
     def with_ops(changed):
-        return dataclasses.replace(dec, ops=tuple(changed)), matrix
+        return SmithDecomposition(dec.d, tuple(changed)), matrix
 
     def with_op(k, op):
         return with_ops(ops[:k] + [op] + ops[k + 1:])
@@ -153,7 +152,7 @@ def tampered(rng, dec, matrix):
         k = rng.randrange(len(ops) - 1)
         yield with_ops(ops[:k] + [ops[k + 1], ops[k]] + ops[k + 2:])
     if matrix.rows and matrix.cols:
-        yield dataclasses.replace(dec, d=bumped(dec.d)), matrix
+        yield SmithDecomposition(bumped(dec.d), dec.ops), matrix
         yield dec, bumped(matrix)
 
 
