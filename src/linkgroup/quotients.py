@@ -699,6 +699,23 @@ def _count_entry(count):
     return entry
 
 
+# The count families in profile order, one row each: field and JSON section,
+# recheck kind, key name, the keys a config and catalog give with the phrase
+# naming them, and the count of one key from a search program.  Hom counts come
+# first, as a tally takes the numbering of the first group to ask (see _tally).
+# The counts look their functions up at call time, so module wrappers see each.
+_FAMILIES = (
+    ("hom_counts", "hom_count", "group",
+     lambda config, catalog: (catalog.names, "in the catalog"),
+     lambda program, name, config, catalog: count_homs(
+         program, catalog.by_name(name), config.node_budget)),
+    ("low_index", "low_index", "index",
+     lambda config, catalog: (range(2, config.max_index + 1),
+                              "an integer in 2..%d" % config.max_index),
+     lambda program, k, config, catalog: low_index_single(program, k, config.node_budget)),
+)
+
+
 class InvariantProfile(Record):
     __slots__ = ("homology", "hom_counts", "low_index", "catalog_version", "catalog_names",
                  "config", "presentation_hash", "generator_count", "relator_count")
@@ -729,8 +746,8 @@ class InvariantProfile(Record):
             "schema_version": 1,
             "config": self.config_dict(),
             "homology": list(self.homology),
-            "hom_counts": {name: _count_entry(hc) for name, hc in self.hom_counts},
-            "low_index": {str(k): _count_entry(sc) for k, sc in self.low_index},
+            **{field: {str(key): _count_entry(count) for key, count in getattr(self, field)}
+               for field, *_ in _FAMILIES},
             "presentation": {
                 "hash": self.presentation_hash,
                 "generators": self.generator_count,
@@ -742,11 +759,10 @@ class InvariantProfile(Record):
         return json_text(self.to_dict())
 
     def entries(self):
-        """(recheck, count) for each hom count, then each low-index count."""
-        for name, count in self.hom_counts:
-            yield {"kind": "hom_count", "group": name}, count
-        for k, count in self.low_index:
-            yield {"kind": "low_index", "index": k}, count
+        """(recheck, count) for each count entry, family by family (see _FAMILIES)."""
+        for field, kind, key_name, _, _ in _FAMILIES:
+            for key, count in getattr(self, field):
+                yield {"kind": kind, key_name: key}, count
 
     @property
     def any_budget_exceeded(self):
@@ -769,14 +785,12 @@ def profile(presentation, config=None, catalog=None, workers=1):
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
     program = search_program(simplified)
     homology = tuple(first_homology(program[0]))
-    hom_counts = tuple(
-        (g.name, count_homs(program, g, config.node_budget))
-        for g in catalog.groups)
-    low = low_index_subgroups(program, config.max_index, config.node_budget)
+    counts = {field: tuple((key, count(program, key, config, catalog))
+                           for key in keys(config, catalog)[0])
+              for field, _, _, keys, count in _FAMILIES}
     return InvariantProfile(
         homology=homology,
-        hom_counts=hom_counts,
-        low_index=tuple(sorted(low.items())),
+        **counts,
         catalog_version=catalog.version,
         catalog_names=tuple(catalog.names),
         config=config,
@@ -853,49 +867,34 @@ def distinguish(left, right, config=None, catalog=None, workers=1):
 
 
 def _recheck(recheck, config, catalog):
-    """(label, search) for the entry a recheck names: label is homology,
-    hom_count:<group> or low_index:<index>, the witness label, and search
-    maps a search program to the entry's count, or is None for homology.  A
-    recheck that is not an object, names an unknown kind or a group outside
-    the catalog, or an index outside 2..config.max_index raises ValueError.
+    """(label, recompute): the witness label of the entry a recheck names,
+    homology or kind:key, and the map from a presentation to its value.
+    Homology, a group invariant, is read from the presentation as given; a
+    count flagged past the node budget raises BudgetExceeded, having no
+    value.  A recheck that is not an object, or names an unknown kind or a
+    key its family does not take (see _FAMILIES), raises ValueError.
     """
     if not isinstance(recheck, dict):
         raise ValueError("witness recheck must be an object")
     kind = recheck.get("kind")
-    if kind == "hom_count":
-        name = recheck.get("group")
-        if name not in catalog.names:
-            raise ValueError("recheck group %r is not in the catalog" % (name,))
-        return "hom_count:%s" % name, lambda program: count_homs(
-            program, catalog.by_name(name), config.node_budget)
-    if kind == "low_index":
-        index = recheck.get("index")
-        if type(index) is not int or not 2 <= index <= config.max_index:
-            raise ValueError("recheck index %r is not an integer in 2..%d"
-                             % (index, config.max_index))
-        return "low_index:%d" % index, lambda program: low_index_single(
-            program, index, config.node_budget)
     if kind == "homology":
-        return kind, None
+        return kind, first_homology
+    for _, family_kind, key_name, keys, count in _FAMILIES:
+        if kind == family_kind:
+            key = recheck.get(key_name)
+            valid, phrase = keys(config, catalog)
+            # the type first: 2.0 is in range(2, 7), and a bool is an int
+            if type(key) not in (str, int) or key not in valid:
+                raise ValueError("recheck %s %r is not %s" % (key_name, key, phrase))
+
+            def recompute(presentation):
+                simplified = tietze_simplify(presentation, budget=config.simplify_budget)
+                found = count(search_program(simplified), key, config, catalog)
+                if found.budget_exceeded:
+                    raise BudgetExceeded
+                return found.value()
+            return "%s:%s" % (kind, key), recompute
     raise ValueError("unknown recheck kind %r" % (kind,))
-
-
-def recompute_entry(presentation, recheck, config, catalog):
-    """Recompute the single profile entry a witness points at.
-
-    A malformed recheck (see _recheck) raises ValueError before any work is
-    done.  Homology, a group invariant, is read from the presentation as
-    given.  A search that exceeds the node budget raises BudgetExceeded,
-    since a flagged entry has no value to compare.
-    """
-    _, search = _recheck(recheck, config, catalog)
-    if search is None:
-        return first_homology(presentation)
-    simplified = tietze_simplify(presentation, budget=config.simplify_budget)
-    count = search(search_program(simplified))
-    if count.budget_exceeded:
-        raise BudgetExceeded
-    return count.value()
 
 
 def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
@@ -923,14 +922,13 @@ def verify_witness(verdict_doc, left, right, catalog=None, workers=1):
     version = json_text(cfg.get("catalog_version", catalog.version))
     if cfg.get("catalog", catalog.names) != catalog.names or version != json_text(catalog.version):
         return False, "catalog does not match the one recorded in the verdict"
-    recheck = witness.get("recheck", {})
-    label, _ = _recheck(recheck, config, catalog)
+    label, recompute = _recheck(witness.get("recheck", {}), config, catalog)
     if witness.get("invariant") != label:
         raise ValueError("witness invariant %r is not %r, the entry its recheck names"
                          % (witness.get("invariant"), label))
     try:
-        got_left = recompute_entry(left, recheck, config, catalog)
-        got_right = recompute_entry(right, recheck, config, catalog)
+        got_left = recompute(left)
+        got_right = recompute(right)
     except BudgetExceeded:
         return False, "node budget exceeded recomputing %s" % label
     for side, got in (("left", got_left), ("right", got_right)):

@@ -12,8 +12,9 @@ closure, the Smith normal form with its certificate, the surgery
 presentation of a diagram, the gem report and the presentation text parser
 are checked against verbatim copies of their earlier implementations, at the
 end of this file.  The search compiler's oracle reads relators with its own
-reducer, not the package's.  Cyclic reduction of a word and a profile's
-JSON without its presentation, which only tests use, open the file.
+reducer, not the package's.  Cyclic reduction of a word, a profile's JSON
+without its presentation and the recomputation of one profile entry, which
+only tests use, open the file.
 """
 
 import functools
@@ -29,7 +30,7 @@ from linkgroup.homology import IntegerMatrix
 from linkgroup.presentations import (GEN_NAME, MAX_LETTERS, GroupPresentation,
                                      PresentationSyntaxError, Relator, transition_name,
                                      wirtinger)
-from linkgroup.quotients import BudgetExceeded, json_text
+from linkgroup.quotients import BudgetExceeded, _recheck, json_text
 from linkgroup.words import Word
 
 
@@ -46,6 +47,13 @@ def comparable_json(profile):
     d = profile.to_dict()
     del d["presentation"]
     return json_text(d)
+
+
+def recompute_entry(presentation, recheck, config, catalog):
+    """The value of the single profile entry a recheck names, replayed as
+    verify_witness replays it: a malformed recheck raises ValueError before
+    any work, and a flagged search raises BudgetExceeded."""
+    return _recheck(recheck, config, catalog)[1](presentation)
 
 
 def det_laplace(rows):

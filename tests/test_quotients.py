@@ -26,12 +26,12 @@ from linkgroup.presentations import (GroupPresentation, Relator, _reduce_generat
 from linkgroup.quotients import (MAX_INDEX, HomCount, ProfileConfig, SubgroupCount,
                                  compare_profiles, count_homs, distinguish,
                                  low_index_single, low_index_subgroups,
-                                 presentation_hash, profile, recompute_entry,
-                                 search_program, verify_witness)
+                                 presentation_hash, profile, search_program,
+                                 verify_witness)
 from linkgroup.words import Word
 from conftest import CountingList, data_text, pres
 from oracles import (comparable_json, coset_table_low_index, naive_hom_counts,
-                     reference_compile_hom_search, reference_orbit_search,
+                     recompute_entry, reference_compile_hom_search, reference_orbit_search,
                      reference_search, reference_subgroup_order)
 
 Z = "gens: a\nrels:\n"
@@ -1055,12 +1055,45 @@ def test_recompute_entry_kinds(catalog):
     assert got == {"classes": 1, "total": 1}
 
 
+def test_count_families_agree_across_sections_entries_and_rechecks(catalog):
+    # each family is one row of quotients._FAMILIES, which the JSON sections,
+    # the entries, the witness labels and the replays all read
+    c2 = parse_catalog(json.dumps({"version": 1, "groups": [
+        {"name": "C2", "degree": 2, "order": 2, "generators": [[1, 0]]}]}))
+    for cat, max_index in ((catalog, 4), (c2, 3)):
+        config = ProfileConfig(max_index=max_index)
+        indices = range(2, max_index + 1)
+        for text in (TREFOIL, Z2, S3_PRES):
+            p = pres(text)
+            prof = profile(p, config, cat)
+            d = prof.to_dict()
+            entries = list(prof.entries())
+            assert [recheck for recheck, _ in entries] == (
+                [{"kind": "hom_count", "group": name} for name in cat.names]
+                + [{"kind": "low_index", "index": k} for k in indices])
+            assert list(d["hom_counts"]) == cat.names
+            assert list(d["low_index"]) == [str(k) for k in indices]
+            for recheck, count in entries:
+                label, recompute = quotients._recheck(recheck, config, cat)
+                assert label == "%s:%s" % tuple(recheck.values())
+                if not count.budget_exceeded:
+                    assert recompute(p) == count.value(), (text, label)
+
+
 @pytest.mark.parametrize("recheck, message", [
     (["homology"], "witness recheck must be an object"),
     ({"kind": "volume"}, "unknown recheck kind 'volume'"),
     ({"kind": "hom_count", "group": "Q8"}, "recheck group 'Q8' is not in the catalog"),
     ({"kind": "low_index", "index": "2"}, "recheck index '2' is not an integer in 2..6"),
     ({"kind": "low_index", "index": 7}, "recheck index 7 is not an integer in 2..6"),
+    # a key's type is checked before its range: 2.0 and True are in range(2, 7)
+    ({"kind": "low_index", "index": True}, "recheck index True is not an integer in 2..6"),
+    ({"kind": "low_index", "index": 2.0}, "recheck index 2.0 is not an integer in 2..6"),
+    ({"kind": "low_index"}, "recheck index None is not an integer in 2..6"),
+    ({"kind": "low_index", "index": [2]}, "recheck index [2] is not an integer in 2..6"),
+    ({"kind": "hom_count", "group": 5}, "recheck group 5 is not in the catalog"),
+    ({"kind": "hom_count"}, "recheck group None is not in the catalog"),
+    ({"kind": "hom_count", "group": ["A5"]}, "recheck group ['A5'] is not in the catalog"),
 ])
 def test_malformed_recheck_error_texts(recheck, message, catalog):
     # the command line prints these as its one-line errors
