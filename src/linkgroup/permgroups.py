@@ -4,8 +4,6 @@ Permutations on n points are tuples of images of 0..n-1; p then q composes as
 mult(p, q)[i] = q[p[i]], so words act on points from the left to the right.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import operator
@@ -188,6 +186,59 @@ class FiniteGroup:
         """
         return self._orbit_table(r)[0]
 
+    @functools.cached_property
+    def derived_subgroup(self):
+        """The commutator subgroup, on the same points, or self when the group
+        is perfect.
+
+        It is the normal closure of the generators' commutators: it starts
+        from those commutators and takes, for each generator it gains, the
+        conjugates by the group's generators that the subgroup so far lacks,
+        so its generating set stays small.  Its elements are closed under
+        each new generator as it comes, each product formed once, and the
+        closure stops as soon as it holds every generator of the group,
+        which makes it the whole group.  No table of this group is built.
+        """
+        identity = identity_perm(self.degree)
+        inverses = [tuple(sorted(identity, key=g.__getitem__)) for g in self.generators]
+        pending = [mult(mult(inverses[i], inverses[j]), mult(a, b))
+                   for i, a in enumerate(self.generators)
+                   for j, b in enumerate(self.generators[:i])]
+        generators = []
+        members = {identity}
+        lacking = set(self.generators) - members
+        while pending and lacking:
+            x = pending.pop()
+            if x in members:
+                continue
+            generators.append(x)
+            pending += [mult(mult(g_inv, x), g) for g, g_inv in zip(self.generators, inverses)]
+            # members is closed under the earlier generators: each member times
+            # x, then each element that finds times every generator
+            work = [(p, (x,)) for p in members]
+            while work and lacking:
+                p, factors = work.pop()
+                for h in factors:
+                    y = mult(p, h)
+                    if y not in members:
+                        members.add(y)
+                        lacking.discard(y)
+                        work.append((y, generators))
+        if not lacking:
+            return self
+        return FiniteGroup(self.name + "'", self.degree, generators)
+
+    def derived_series(self):
+        """The derived series D_0 = self, D_1, ... down to its first perfect
+        term, the trivial group for a solvable one.  Each term is built, and
+        kept, when the caller first asks for the one after its parent.
+        """
+        term = self
+        yield term
+        while term.derived_subgroup is not term:
+            term = term.derived_subgroup
+            yield term
+
     def __repr__(self):
         return "FiniteGroup(%r, degree=%d)" % (self.name, self.degree)
 
@@ -196,28 +247,13 @@ class FiniteGroup:
 def symmetric_group(k):
     """S_k on points 0..k-1, generated by (0 1) and (0 1 ... k-1).
 
-    Built on first use and kept; the low-index search maps into it.  It is
+    Built on first use and kept; the low-index search maps into it, or into
+    a term of its derived series (see FiniteGroup.derived_series).  It is
     not a catalog group.
     """
     transposition = (1, 0) + tuple(range(2, k))
     cycle = tuple(range(1, k)) + (0,)
     return FiniteGroup("S%d" % k, k, [transposition, cycle])
-
-
-@functools.lru_cache(maxsize=None)
-def alternating_group(k):
-    """A_k on points 0..k-1, for k >= 3, generated by the 3-cycles (0 1 i).
-
-    Built on first use and kept; the low-index search maps into it instead of
-    S_k when the presented group has no subgroup of index 2.  It is not a
-    catalog group.
-    """
-    three_cycles = []
-    for i in range(2, k):
-        p = list(range(k))
-        p[0], p[1], p[i] = 1, i, 0
-        three_cycles.append(p)
-    return FiniteGroup("A%d" % k, k, three_cycles)
 
 
 class Catalog:

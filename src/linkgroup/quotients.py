@@ -2,17 +2,19 @@
 invariant profiles built from them.
 
 One search engine serves both: a presentation is compiled once into a search
-program, which runs into each catalog group for the hom counts and, for the
-low-index counts, into S_2 and then into S_3..S_k, or into A_3..A_k when the
-group has no subgroup of index 2; an index-k subgroup is the point stabiliser
-of a transitive action on k points.  The program's search is generated as
+program, which runs into each catalog group for the hom counts and into S_k
+for the low-index counts, an index-k subgroup being the point stabiliser of a
+transitive action on k points.  Each search runs in the deepest term of the
+target's derived series that the presented group's first homology forces
+every homomorphism into, so a perfect group searches the trivial group in
+place of each solvable target.  The program's search is generated as
 Python source, one nested loop per enumeration segment and one expression per
 relator word, and compiled once per program, so no interpreter loop runs per
 letter.  A word is evaluated right to left through the table rows of the
 slots it reads, one subscript per letter, and a loop charges its whole
 candidate list to the node budget when it opens.  The program keeps each
-search's tally, so a permutation group met twice (the catalog's A6 and A_6)
-is searched once.
+search's tally, so a permutation group met twice (the catalog's A5 and S5's
+derived subgroup) is searched once.
 Every search is exact, serial and deterministic, and one that would exceed
 its node budget reports an explicit flag instead of a count.
 """
@@ -34,8 +36,7 @@ except ImportError:
 
 from ._record import Record
 from .homology import first_homology
-from .permgroups import (MAX_ORDER, _orbit_tree, alternating_group, load_catalog,
-                         symmetric_group)
+from .permgroups import MAX_ORDER, _orbit_tree, load_catalog, symmetric_group
 from .presentations import _reduce_generators, serialize_presentation, tietze_simplify
 
 
@@ -506,7 +507,7 @@ def _compile_search(program):
 
 
 def search_program(presentation):
-    """(reduced, search, tallies): the presented group's search program.
+    """(reduced, search, tallies, homology): the presented group's search program.
 
     count_homs, low_index_subgroups and low_index_single run it, so a caller
     compiles once and passes the program to every search on the presentation.
@@ -514,10 +515,13 @@ def search_program(presentation):
     occur once in some relator; search, its compiled search (_lower, then
     _emit and compile once per call, never cached), assigns images to a seed
     set of its generators and deduces the rest.  tallies, empty at first,
-    holds the searches run so far (see _tally).
+    holds the searches run so far (see _tally).  homology is the group's
+    first homology, the invariant factors read from reduced, which decides
+    the derived-series term each search runs in.
     """
     reduced = _reduce_generators(presentation)
-    return reduced, _compile_search(_lower(compile_hom_search(reduced))), {}
+    return (reduced, _compile_search(_lower(compile_hom_search(reduced))), {},
+            tuple(first_homology(reduced)))
 
 
 def _search(search, group, node_budget):
@@ -550,11 +554,31 @@ def _search(search, group, node_budget):
 
 
 def _tally(program, group, node_budget):
-    """(searched group, {images: weight}) for group's element set, or None
-    past node_budget.  Each element set is searched once per program and
-    budget, into the first group asked for it, whose numbering the images
-    use; every numbering of one set visits as many nodes, so flags agree.
+    """(searched group, {images: weight}) for the homomorphisms into group,
+    or None past node_budget.
+
+    The search runs in the deepest term D_j of group's derived series
+    D_0 = group > D_1 > ... that H1 forces every homomorphism into: one into
+    D_j, followed by D_j -> D_j / D_{j+1}, maps into an abelian group, so it
+    factors through H1, which has no nontrivial map into an abelian group
+    of order prime to |H1| when H1 is finite.  The walk down stops at the
+    first quotient whose order shares a factor with |H1|, at once when H1
+    is infinite, and at the perfect term; a term below is built only when
+    the walk reaches its parent.  The searched group has group's order
+    exactly when D_j is group.  Each element set is searched once per
+    program and budget, into the first group asked for it, whose numbering
+    the images use; every numbering of one set visits as many nodes, so
+    flags agree.
     """
+    h1_order = math.prod(program[3])    # 0 when H1 is infinite
+    series = group.derived_series()
+    group = next(series)
+    if h1_order:
+        for lower in series:
+            # with H1 = 0 every quotient passes, so no order (of S_k, say) is needed
+            if h1_order > 1 and math.gcd(h1_order, group.order // lower.order) > 1:
+                break
+            group = lower
     key = (group._element_set, node_budget)
     if key not in program[2]:
         try:
@@ -571,20 +595,23 @@ def count_homs(program, group, node_budget=10 ** 8):
     Whether a homomorphism is onto is unchanged by conjugation in the
     target, so the count reads group's tally (see _tally): the total is its
     summed weight and the surjective count that of the image tuples
-    generating the whole group.  node_budget bounds the whole search: the
-    count is flagged exactly when the search's total node count is above
-    it, and each loop's candidates are charged before the loop runs (see
-    _search).
+    generating the whole group, 0 when the tally is of a proper term of
+    group's derived series, which holds every image.  node_budget bounds the
+    whole search: the count is flagged exactly when the search's total node
+    count is above it, and each loop's candidates are charged before the
+    loop runs (see _search).
     """
     found = _tally(program, group, node_budget)
     if found is None:
         return HomCount(0, 0, True)
-    group, found = found
-    mul, _, e = group.tables()
+    searched, found = found
+    total = sum(found.values())
     order = group.order
-    return HomCount(sum(found.values()),
-                    sum(weight for images, weight in found.items()
-                        if _subgroup_order(images, mul, e, order) == order))
+    if searched.order < order:
+        return HomCount(total, 0)
+    mul, _, e = searched.tables()
+    return HomCount(total, sum(weight for images, weight in found.items()
+                               if _subgroup_order(images, mul, e, order) == order))
 
 
 # --- low-index subgroups ------------------------------------------------------
@@ -625,17 +652,12 @@ def _low_index(program, k, node_budget):
     is unchanged by conjugation in S_k, so class roots and C(r)-orbit
     representatives stand for their orbits: the transitive count is the
     weight of the image tuples with a nonzero centraliser and the
-    centraliser sum is the sum of centraliser times weight.
-
-    Above index 2 the index-2 count decides the group.  When it is zero and
-    not flagged, the group has no surjection onto S_2, so sign composed with
-    any homomorphism to S_k is trivial and every image lies in A_k: the
-    search then runs in A_k, whose tally stands for the same homomorphisms,
-    with the same centralisers, and gives the same counts.
+    centraliser sum is the sum of centraliser times weight.  The tally may
+    be that of a term of S_k's derived series, A_k, V_4 or the trivial
+    group (see _tally): it stands for the same homomorphisms, whose
+    centralisers in S_k do not depend on which conjugate was found.
     """
-    in_alternating = k > 2 and _low_index(program, 2, node_budget) == SubgroupCount(0, 0)
-    found = _tally(program, alternating_group(k) if in_alternating else symmetric_group(k),
-                   node_budget)
+    found = _tally(program, symmetric_group(k), node_budget)
     if found is None:
         return SubgroupCount(0, 0, True)
     group, found = found
@@ -657,8 +679,9 @@ def low_index_subgroups(program, max_index, node_budget=10 ** 8):
     """Subgroup counts by exact index, from 2 up to max_index inclusive.
 
     Each index k has its own node budget and budget flag, and reads the
-    program's tally of S_k, or of A_k when the index-2 count is exactly zero
-    (see _low_index).  max_index may be at most MAX_INDEX.
+    program's tally of S_k, or of the term of its derived series that the
+    group's first homology forces (see _tally).  max_index may be at most
+    MAX_INDEX.
     """
     if max_index > MAX_INDEX:
         raise ValueError("max_index %d is above %d" % (max_index, MAX_INDEX))
@@ -784,12 +807,11 @@ def profile(presentation, config=None, catalog=None, workers=1):
     catalog = catalog or load_catalog()
     simplified = tietze_simplify(presentation, budget=config.simplify_budget)
     program = search_program(simplified)
-    homology = tuple(first_homology(program[0]))
     counts = {field: tuple((key, count(program, key, config, catalog))
                            for key in keys(config, catalog)[0])
               for field, _, _, keys, count in _FAMILIES}
     return InvariantProfile(
-        homology=homology,
+        homology=program[3],
         **counts,
         catalog_version=catalog.version,
         catalog_names=tuple(catalog.names),
@@ -837,10 +859,15 @@ class Verdict(Record):
         return json_text(self.to_dict())
 
 
+def _label(kind, key=None):
+    """The witness label of an entry: homology, or kind:key for a count."""
+    return kind if key is None else "%s:%s" % (kind, key)
+
+
 def compare_profiles(left, right):
     """First differing comparable entry, or None; budget-flagged entries are skipped."""
     if left.homology != right.homology:
-        return Witness("homology", list(left.homology), list(right.homology),
+        return Witness(_label("homology"), list(left.homology), list(right.homology),
                        {"kind": "homology"})
     right_counts = {tuple(recheck.values()): rc for recheck, rc in right.entries()}
     for recheck, lc in left.entries():
@@ -848,8 +875,7 @@ def compare_profiles(left, right):
         if rc is None or lc.budget_exceeded or rc.budget_exceeded:
             continue
         if lc.value() != rc.value():
-            return Witness("%s:%s" % tuple(recheck.values()), lc.value(), rc.value(),
-                           recheck)
+            return Witness(_label(*recheck.values()), lc.value(), rc.value(), recheck)
     return None
 
 
@@ -878,7 +904,7 @@ def _recheck(recheck, config, catalog):
         raise ValueError("witness recheck must be an object")
     kind = recheck.get("kind")
     if kind == "homology":
-        return kind, first_homology
+        return _label(kind), first_homology
     for _, family_kind, key_name, keys, count in _FAMILIES:
         if kind == family_kind:
             key = recheck.get(key_name)
@@ -893,7 +919,7 @@ def _recheck(recheck, config, catalog):
                 if found.budget_exceeded:
                     raise BudgetExceeded
                 return found.value()
-            return "%s:%s" % (kind, key), recompute
+            return _label(kind, key), recompute
     raise ValueError("unknown recheck kind %r" % (kind,))
 
 

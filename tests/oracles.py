@@ -3,8 +3,10 @@
 These deliberately avoid the package's own algorithms: the determinant is a
 bitmask Laplace expansion rather than Bareiss, invariant factors come from
 minor gcds rather than elimination, homomorphisms are counted by brute
-vectorized enumeration with no propagation at all, and low-index subgroups
-are counted by a coset-table search rather than as actions on points.
+vectorized enumeration with no propagation at all, low-index subgroups
+are counted by a coset-table search rather than as actions on points, and a
+derived subgroup is generated by the commutators of all pairs of elements,
+not as the normal closure of the generators' commutators.
 The Tietze simplifier, the generator reduction behind the search compiler,
 the search compiler itself, the search it compiles to (before and after
 centraliser orbits, both walking relators letter by letter), the subgroup
@@ -115,6 +117,47 @@ def inverse_perm(p):
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
+
+
+def brute_derived_series(elements):
+    """[frozenset of elements per term] of the derived series of the
+    permutation group with these elements, down to its first perfect term.
+
+    Each term is the subgroup generated by the commutators x^-1 y^-1 x y of
+    all pairs of elements of the term before, computed for every pair.
+    Permutations are tuples of images of 0..n-1, composed as in permgroups.
+    """
+    degree = len(elements[0])
+    # a permutation's code: its images as digits in base degree, exact in
+    # int64 up to 15 points
+    weights = np.array([degree ** i for i in range(degree)],
+                       dtype=np.int64 if degree <= 15 else object)
+    term = frozenset(elements)
+    series = [term]
+    while True:
+        g = np.array(sorted(term))
+        inv = np.argsort(g, axis=1)
+        rows = np.arange(len(g))[:, None]
+        codes = set()
+        for x, x_inv in zip(g, inv):
+            # x^-1 y^-1 x y sends i to y[x[y^-1[x^-1[i]]]], one row per y
+            codes.update(np.unique(g[rows, x[inv[:, x_inv]]] @ weights).tolist())
+        # the subgroup they generate: each commutator not yet a member joins
+        # the generators, and the members are closed under them again
+        members = {tuple(range(degree))}
+        gens = []
+        for code in codes:
+            c = tuple(code // degree ** i % degree for i in range(degree))
+            if c not in members:
+                gens.append(c)
+                frontier = members
+                while frontier:
+                    frontier = {tuple(h[i] for i in p) for p in frontier for h in gens} - members
+                    members |= frontier
+        if len(members) == len(term):
+            return series
+        term = frozenset(members)
+        series.append(term)
 
 
 def group_arrays(group):

@@ -32,6 +32,7 @@ def test_removed_wrappers_stay_removed():
         (homology.IntegerMatrix, "zeros"),            # IntegerMatrix.from_rows
         (permgroups, "closure"),                      # FiniteGroup(...).elements()
         (permgroups, "inverse_perm"),                 # FiniteGroup(...).tables()[1]
+        (permgroups, "alternating_group"),            # symmetric_group(k).derived_subgroup
         (gems, "is_gem"),                             # gem_report(g)["is_gem"]
         (diagrams, "self_writhe"),                    # self_writhes(d)[i]
         (diagrams.LinkDiagram, "component_of"),

@@ -1,16 +1,17 @@
 import json
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from linkgroup import permgroups
-from linkgroup.permgroups import (Catalog, CatalogError, FiniteGroup,
-                                  alternating_group, identity_perm,
+from linkgroup.permgroups import (Catalog, CatalogError, FiniteGroup, identity_perm,
                                   load_catalog, mult, parse_catalog,
                                   symmetric_group)
 from conftest import CountingList, data_path
-from oracles import inverse_perm
+from oracles import brute_derived_series, inverse_perm
 
 EXPECTED_NAMES = ["C2", "C3", "C4", "C5", "C6", "S3", "D4", "A4", "A5", "S4",
                   "S5", "PSL(2,7)", "A6", "2I"]
@@ -71,7 +72,7 @@ def test_tables_match_permutation_products(catalog):
     # sets whose spanning tree skips a generator: the trivial group, an
     # identity generator, a repeated generator, C2 moving 2 of 4 points
     groups = (catalog.groups + [symmetric_group(k) for k in range(2, 7)]
-              + [alternating_group(k) for k in range(3, 7)]
+              + [symmetric_group(k).derived_subgroup for k in range(3, 7)]
               + [FiniteGroup("1", 1, [(0,)]),
                  FiniteGroup("C3 and 1", 3, [(0, 1, 2), (1, 2, 0)]),
                  FiniteGroup("C4 twice", 4, [(1, 2, 3, 0), (1, 2, 3, 0)]),
@@ -95,6 +96,56 @@ def test_symmetric_groups():
         assert s.order == math.factorial(k)
         assert symmetric_group(k) is s
         assert len(s.centraliser_orbits(0)) == (2, 3, 5, 7)[k - 2]
+
+
+DERIVED_ORDERS = {"C2": [2, 1], "C3": [3, 1], "C4": [4, 1], "C5": [5, 1], "C6": [6, 1],
+                  "S3": [6, 3, 1], "D4": [8, 2, 1], "A4": [12, 4, 1], "S4": [24, 12, 4, 1],
+                  "S5": [120, 60], "A5": [60], "PSL(2,7)": [168], "A6": [360], "2I": [120],
+                  "S2": [2, 1], "S6": [720, 360], "S7": [5040, 2520]}
+
+
+def test_derived_series_against_brute_force(catalog):
+    # every term's order and elements, against the subgroups generated by all
+    # commutators of element pairs; the terms live on the group's points,
+    # each generated by fewer permutations than the doublings of its order,
+    # and are built once
+    groups = catalog.groups + [symmetric_group(k) for k in range(2, 8)]
+    for g in groups:
+        series = list(g.derived_series())
+        assert [t.order for t in series] == DERIVED_ORDERS[g.name], g.name
+        assert [t._element_set for t in series] == brute_derived_series(g.elements()), g.name
+        assert series[0] is g and series[-1].derived_subgroup is series[-1]
+        for t in series[1:]:
+            assert t.degree == g.degree
+            assert len(t.generators) <= t.order.bit_length() - 1, t.name
+        assert all(a is b for a, b in zip(g.derived_series(), series))
+
+
+# Groups with no subgroup of index 2 profiled at index 7, in a fresh
+# interpreter: the index-7 searches run in A_7, built from S_7's generators,
+# and S_7's own table of 5040 rows is never built.  The perfect A5 does not
+# even list S_7's elements; Z/3 lists them, for the order of S_7 / A_7.
+INDEX_7_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from linkgroup import parse_presentation, profile
+from linkgroup.permgroups import symmetric_group
+from linkgroup.quotients import ProfileConfig
+s7 = symmetric_group(7)
+for text in ("gens: a, b\\nrels: a^2; b^3; a*b*a*b*a*b*a*b*a*b\\n", "gens: a\\nrels: a^3\\n"):
+    entry = profile(parse_presentation(text), ProfileConfig(max_index=7)).low_index[-1]
+    print(entry[0], entry[1].value(), s7._tree is None, s7._tables is None,
+          s7.derived_subgroup._tables is not None)
+"""
+
+
+def test_index_7_profile_builds_no_s7_table():
+    src = str(Path(permgroups.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-I", "-c", INDEX_7_SCRIPT, src],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["7 {'classes': 0, 'total': 0} True True True",
+                                       "7 {'classes': 0, 'total': 0} False True True"]
 
 
 def test_conjugacy_solutions_against_brute_force(catalog):

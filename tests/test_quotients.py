@@ -5,6 +5,7 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import random
 import re
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 from linkgroup import quotients
 from linkgroup.corpus import load_corpus
 from linkgroup.homology import first_homology
-from linkgroup.permgroups import (FiniteGroup, alternating_group, parse_catalog,
+from linkgroup.permgroups import (FiniteGroup, parse_catalog,
                                   symmetric_group)
 from linkgroup.presentations import (GroupPresentation, Relator, _reduce_generators,
                                      parse_presentation,
@@ -287,7 +288,7 @@ def test_search_matches_reference_orbit_search_on_random_presentations(catalog):
     # numberings and S_k/A_k ones: the same tally, and exactly the same
     # smallest budget under which it completes, as the letter-by-letter search
     groups = [catalog.by_name(name) for name in ("C2", "S3", "A4", "A5", "A6")]
-    groups += [symmetric_group(4), alternating_group(5)]
+    groups += [symmetric_group(4), symmetric_group(5).derived_subgroup]
     rng = random.Random(27)
     shapes = set()
     for _ in range(40):
@@ -423,37 +424,80 @@ def odd_free_product_quotients(rng, count):
     return inputs
 
 
+def z2_z3_quotients(rng, count):
+    """Random quotients of Z2 * Z3 by one more relator: H1 is a quotient of
+    Z/6, so it is 0, Z/2, Z/3 or Z/6 as the relator's exponent sums give."""
+    inputs = []
+    for _ in range(count):
+        word = "*".join("%s^%d" % (rng.choice("ab"), rng.choice((1, -1)))
+                        for _ in range(rng.randint(3, 9)))
+        inputs.append(pres("gens: a, b\nrels: a^2; b^3; %s\n" % word))
+    return inputs
+
+
+def test_derived_terms_against_naive_counts_and_coset_tables(catalog):
+    # H1 trivial, of odd order, of even order or infinite: every hom count
+    # and low-index count is the brute-force one, whichever derived term of
+    # the target its search ran in
+    rng = random.Random(31)
+    inputs = [pres(t) for t in (A5_PRES, TWO_I, Z3, A4_PRES, Z2, S3_PRES, Z, TREFOIL)]
+    inputs += odd_free_product_quotients(rng, 6) + z2_z3_quotients(rng, 12)
+    inputs += [random_presentation(rng, max_gens=2) for _ in range(6)]
+    kinds = {}
+    descended = 0
+    for p in inputs:
+        homology = first_homology(p)
+        kind = ("infinite" if 0 in homology else "trivial" if not homology
+                else "odd" if math.prod(homology) % 2 else "even")
+        kinds[kind] = kinds.get(kind, 0) + 1
+        program = search_program(p)
+        for g in catalog.groups:
+            assert count_homs(program, g) == HomCount(*naive_hom_counts(p, g)), \
+                (serialize_presentation(p), g.name)
+            descended += quotients._tally(program, g, 10 ** 8)[0].order < g.order
+        got = low_index_subgroups(program, 5)
+        assert {k: (sc.classes, sc.total) for k, sc in got.items()} \
+            == coset_table_low_index(p, 5), serialize_presentation(p)
+    assert sorted(kinds) == ["even", "infinite", "odd", "trivial"]
+    assert min(kinds.values()) >= 4 and descended >= 100
+
+
 def test_low_index_without_index_2_runs_in_alternating_groups(monkeypatch):
-    # no index-2 subgroup: every homomorphism to S_k lands in A_k, so the
-    # searches above index 2 run there, with the same counts; S_k is asked
-    # for at index 2 alone
-    asked = []
-
-    def watched(k):
-        asked.append(k)
-        return symmetric_group(k)
-
-    monkeypatch.setattr(quotients, "symmetric_group", watched)
+    # H1 finite of odd order: every homomorphism to S_k lands in A_k, and
+    # from there in the deepest derived term whose quotients have orders
+    # prime to |H1|: the trivial group at index 2, A_3 or 1 at index 3 and
+    # A_4 or 1 at index 4 (as 3 divides |H1| or not), A_5 and A_6 above;
+    # S_k itself is never searched, and the counts are the coset tables'
+    searched = counted_searches(monkeypatch)
     inputs = [pres(t) for t in (Z3, A4_PRES, A5_PRES, TWO_I)]
     inputs += odd_free_product_quotients(random.Random(2025), 25)
     nonzero = 0
     for p in inputs:
-        assert all(factor % 2 for factor in first_homology(p))    # 0 stands for Z
+        homology = first_homology(p)
+        assert all(factor % 2 for factor in homology)    # 0 stands for Z
+        threes = any(factor % 3 == 0 for factor in homology)
         program = search_program(p)
+        searched.clear()
         got = low_index_subgroups(program, 6)
+        assert [(g.degree, g.order) for g in searched] == [
+            (2, 1), (3, 3 if threes else 1), (4, 12 if threes else 1), (5, 60), (6, 360)], \
+            serialize_presentation(p)
+        assert all(g._element_set <= symmetric_group(g.degree)._element_set
+                   and g.order < symmetric_group(g.degree).order for g in searched)
         assert got[2] == SubgroupCount(0, 0), serialize_presentation(p)
         assert {k: (sc.classes, sc.total) for k, sc in got.items()} \
             == coset_table_low_index(p, 6), serialize_presentation(p)
         assert low_index_single(program, 6) == got[6]
         nonzero += any(sc.total for sc in got.values())
-    assert set(asked) == {2}
-    # the A_k tallies found subgroups, not only zeros
+    # the derived-term tallies found subgroups, not only zeros
     assert nonzero >= 15
-    # a flagged index-2 count decides nothing: under a budget of one node,
-    # fewer than S_2's two class roots, Z's index-4 entry is asked of S_4
-    # (and flagged there too, at five roots)
+    # an infinite or even H1 keeps a search in S_k: Z's index-4 entry and
+    # Z/2's index-3 entry are searched there, Z's flagged at five roots
+    for text, k, budget in ((Z, 4, 1), (Z2, 3, 10 ** 8)):
+        searched.clear()
+        quotients._low_index(search_program(pres(text)), k, budget)
+        assert searched == [symmetric_group(k)], text
     assert quotients._low_index(search_program(pres(Z)), 4, 1) == SubgroupCount(0, 0, True)
-    assert asked[-1] == 4
 
 
 def test_low_index_budget_counts_nodes_in_the_alternating_group():
@@ -468,14 +512,22 @@ def test_low_index_budget_counts_nodes_in_the_alternating_group():
     assert low_index_subgroups(program, 6, node_budget=3418)[6].budget_exceeded
     with pytest.raises(quotients.BudgetExceeded):
         quotients._search(program[1], symmetric_group(6), 3419)
-    # node counts are not monotone under the change: A5 at index 3 takes 10
-    # nodes in S3 but 12 in A3, so budgets 10 and 11 now flag the entry
+    # node counts are not monotone under a change of the searched group: A5
+    # at index 3 takes 10 nodes in S3 and 12 in A3, and is searched in S3's
+    # trivial term, in 2, so budgets 0 and 1 flag the entry and 2 to 11 do not
     a5 = search_program(pres(A5_PRES))
-    assert quotients._search(a5[1], symmetric_group(3), 10)
-    for budget in (10, 11):
+    s3, a3, trivial = symmetric_group(3).derived_series()
+    assert trivial.order == 1
+    for group, nodes in ((s3, 10), (a3, 12), (trivial, 2)):
+        assert quotients._search(a5[1], group, nodes)
+        with pytest.raises(quotients.BudgetExceeded):
+            quotients._search(a5[1], group, nodes - 1)
+    for budget in (0, 1):
         assert low_index_single(a5, 3, budget).budget_exceeded
         assert low_index_subgroups(a5, 3, budget)[3].budget_exceeded
-    assert low_index_single(a5, 3, 12) == SubgroupCount(0, 0)
+    for budget in (2, 10, 11):
+        assert low_index_single(a5, 3, budget) == SubgroupCount(0, 0)
+        assert low_index_subgroups(a5, 3, budget)[3] == SubgroupCount(0, 0)
 
 
 def counted_searches(monkeypatch):
@@ -506,16 +558,22 @@ def test_one_search_per_element_set(monkeypatch):
     searched = counted_searches(monkeypatch)
     assert count_homs(program, first) == count_homs(program, second) == HomCount(2881, 1440)
     assert searched == [first]
-    # and the index-6 count reads the same tally: u2165 is perfect, so A_6
+    # and the index-6 count reads the same tally: u2165 is perfect, so S_6's
+    # derived subgroup A_6, with no search at index 2 either
     assert low_index_single(program, 6) == SubgroupCount(3, 18)
-    assert searched == [first, symmetric_group(2)]
-    # the bundled catalog: S_2, A_3..A_6 are the catalog's C2, C3, A4, A5 and
-    # A6, and so are S_3..S_5 for the trefoil, whose S_6 is the one extra search
-    for presentation, searches in ((u2165, 14), (pres(TREFOIL), 15)):
+    assert searched == [first]
+    # the bundled catalog: u2165 searches the trivial group on 2..6 points in
+    # place of the nine solvable targets, S5 reads the tally of its derived
+    # subgroup, the catalog's A5, and each S_k's term is one of those; the
+    # trefoil, with H1 = Z, searches every target, and S_2..S_5 are the
+    # catalog's C2, S3, S4 and S5, so its S_6 is the one extra search
+    for presentation, orders in (
+            (u2165, [1, 1, 1, 1, 1, 60, 168, 360, 120]),
+            (pres(TREFOIL), [2, 3, 4, 5, 6, 6, 8, 12, 60, 24, 120, 168, 360, 120, 720])):
         searched.clear()
         profile(presentation)
-        assert len(searched) == searches
-        assert len({g._element_set for g in searched}) == searches
+        assert [g.order for g in searched] == orders
+        assert len({g._element_set for g in searched}) == len(orders)
 
 
 def test_low_index_reads_the_catalog_tallies(catalog):
@@ -525,12 +583,12 @@ def test_low_index_reads_the_catalog_tallies(catalog):
     rng = random.Random(2026)
     inputs = odd_free_product_quotients(rng, 20)
     inputs += [random_presentation(rng, max_gens=2) for _ in range(12)]
-    built = [symmetric_group(k) for k in range(2, 7)] + [alternating_group(k)
-                                                         for k in range(3, 7)]
+    built = [symmetric_group(k) for k in range(2, 7)]
+    built += [symmetric_group(k).derived_subgroup for k in range(3, 7)]
     pairs = [(g, h) for g in catalog.groups for h in built if g._element_set == h._element_set]
     assert {(g.name, h.name) for g, h in pairs} == {
-        ("C2", "S2"), ("C3", "A3"), ("S3", "S3"), ("A4", "A4"), ("S4", "S4"),
-        ("A5", "A5"), ("S5", "S5"), ("A6", "A6")}
+        ("C2", "S2"), ("C3", "S3'"), ("S3", "S3"), ("A4", "S4'"), ("S4", "S4"),
+        ("A5", "S5'"), ("S5", "S5"), ("A6", "S6'")}
     found = {True: 0, False: 0}     # by whether index 2 has a subgroup
     for p in inputs:
         warm = search_program(p)
@@ -1078,6 +1136,34 @@ def test_count_families_agree_across_sections_entries_and_rechecks(catalog):
                 assert label == "%s:%s" % tuple(recheck.values())
                 if not count.budget_exceeded:
                     assert recompute(p) == count.value(), (text, label)
+
+
+def test_witness_labels_are_the_labels_their_rechecks_name(catalog):
+    # each entry changed on its own, homology included, makes compare_profiles
+    # write a witness on it, whose label is the one _recheck gives its recheck
+    c2 = parse_catalog(json.dumps({"version": 1, "groups": [
+        {"name": "C2", "degree": 2, "order": 2, "generators": [[1, 0]]}]}))
+    for cat, max_index in ((catalog, 4), (c2, 3)):
+        config = ProfileConfig(max_index=max_index)
+        for text in (TREFOIL, Z2, S3_PRES):
+            left = profile(pres(text), config, cat)
+            fields = left._asdict()
+            changed = [dict(fields, homology=fields["homology"] + (7,))]
+            for field, *_ in quotients._FAMILIES:
+                for i, (key, count) in enumerate(fields[field]):
+                    other = HomCount(count.total + 1, 0) if field == "hom_counts" \
+                        else SubgroupCount(0, count.total + 1)
+                    entries = list(fields[field])
+                    entries[i] = (key, other)
+                    changed.append(dict(fields, **{field: tuple(entries)}))
+            kinds = set()
+            for right in changed:
+                witness = compare_profiles(left, quotients.InvariantProfile(**right))
+                label, _ = quotients._recheck(witness.recheck, config, cat)
+                assert witness.invariant == label, (text, witness.recheck)
+                kinds.add(witness.recheck["kind"])
+            assert len(changed) == 1 + len(cat.names) + max_index - 1
+            assert kinds == {"homology", "hom_count", "low_index"}
 
 
 @pytest.mark.parametrize("recheck, message", [
