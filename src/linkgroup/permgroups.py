@@ -197,7 +197,10 @@ class FiniteGroup:
         so its generating set stays small.  Its elements are closed under
         each new generator as it comes, each product formed once, and the
         closure stops as soon as it holds every generator of the group,
-        which makes it the whole group.  No table of this group is built.
+        which makes it the whole group.  A proper subgroup keeps its closure
+        as its element list, each element found as an earlier one times a
+        generator, so its elements are never listed again.  No table of this
+        group is built.
         """
         identity = identity_perm(self.degree)
         inverses = [tuple(sorted(identity, key=g.__getitem__)) for g in self.generators]
@@ -205,28 +208,34 @@ class FiniteGroup:
                    for i, a in enumerate(self.generators)
                    for j, b in enumerate(self.generators[:i])]
         generators = []
-        members = {identity}
-        lacking = set(self.generators) - members
+        # the elements so far, as the spanning tree that tables() reads
+        elements, parent, via, index = [identity], [0], [0], {identity: 0}
+        lacking = set(self.generators) - {identity}
         while pending and lacking:
             x = pending.pop()
-            if x in members:
+            if x in index:
                 continue
             generators.append(x)
             pending += [mult(mult(g_inv, x), g) for g, g_inv in zip(self.generators, inverses)]
-            # members is closed under the earlier generators: each member times
-            # x, then each element that finds times every generator
-            work = [(p, (x,)) for p in members]
+            # the elements are closed under the earlier generators: each
+            # element times x, then each element that finds times every generator
+            work = [(i, (len(generators) - 1,)) for i in range(len(elements))]
             while work and lacking:
-                p, factors = work.pop()
-                for h in factors:
-                    y = mult(p, h)
-                    if y not in members:
-                        members.add(y)
+                i, factors = work.pop()
+                for s in factors:
+                    y = mult(elements[i], generators[s])
+                    if y not in index:
+                        index[y] = len(elements)
+                        work.append((len(elements), range(len(generators))))
+                        elements.append(y)
+                        parent.append(i)
+                        via.append(s)
                         lacking.discard(y)
-                        work.append((y, generators))
         if not lacking:
             return self
-        return FiniteGroup(self.name + "'", self.degree, generators)
+        term = FiniteGroup(self.name + "'", self.degree, generators)
+        term._tree = elements, parent, via
+        return term
 
     def derived_series(self):
         """The derived series D_0 = self, D_1, ... down to its first perfect

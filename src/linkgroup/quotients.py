@@ -236,50 +236,47 @@ def _lower(program):
     Every value lives in a numbered slot, a local of the generated search.
     For n generators, slot 2g holds generator g's image and slot 2g + 1 its
     inverse, both written when g is assigned or deduced, so a letter is one
-    slot read.  Slot 2n holds the identity.  The slots above hold constant
-    runs: maximal runs of two or more letters in a segment's ops whose
-    generators were all known before the segment opened, so that a run's
-    value is fixed for the segment's whole candidate loop.
+    slot read.  The head is not lowered: its ops run before any generator is
+    assigned, so each deduce gives the identity and each check holds, and
+    the letters of the generators it deduces are dropped.  The slots from 2n
+    on hold constant runs: maximal runs of two or more letters left in a
+    segment's ops whose generators were all known before the segment
+    opened, so that a run's value is fixed for the segment's whole candidate
+    loop.  So every slot a word names is one the search writes.
 
-    A word is (first slot, rest slots) and its value starts from the first
-    slot's.  An op is (runs needed, target, first, rest).  A check has target
-    -1 and passes when its word is the identity.  A deduce of g from the
-    relator pre g^eps suf evaluates suf + pre, the inverse of g^eps, into its
-    target slot and the inverse into the paired one.  Deduces keep their
-    order, each check moves up to just after the last deduce it reads, and
-    checks at the same point run shortest first; a segment's runs are
-    numbered in the order its ops first read them.
+    A word is the tuple of slots it multiplies, () for the identity.  An op
+    is (runs needed, target, word).  A check has target -1 and passes when
+    its word is the identity.  A deduce of g from the relator pre g^eps suf
+    evaluates suf + pre, the inverse of g^eps, into its target slot and the
+    inverse into the paired one.  Deduces keep their order, each check moves
+    up to just after the last deduce it reads, and checks at the same point
+    run shortest first; a segment's runs are numbered in the order its ops
+    first read them.
 
-    The head is not lowered: its ops run before any generator is assigned,
-    so each deduce gives the identity, which every slot starts with, and
-    each check holds.  Returns (segments, n).  A segment is
-    (kind, image slot, branch, ops, runs): branch is (mid, suf + pre, eps)
-    as words for a branch and None for an assign, and each run is (slot,
-    first, rest).
+    Returns (segments, n).  A segment is (kind, image slot, branch, ops,
+    runs): branch is (mid, suf + pre, eps), with words, for a branch and
+    None for an assign, and each run is (slot, word).
     """
     head, segments, n_gens = program
-    identity = 2 * n_gens
-    slot_count = identity + 1
+    trivial = {op[1] for op in head if op[0] == "deduce"}
+    slot_count = 2 * n_gens
 
     def letters(seq):
-        return [2 * g + (s < 0) for g, s in seq] or [identity]
-
-    def word(slots):
-        return slots[0], tuple(slots[1:])
+        return tuple(2 * g + (s < 0) for g, s in seq if g not in trivial)
 
     def lower_ops(ops, fixed):
         nonlocal slot_count
 
-        # a lowered word is a list of slots and runs, a run being its letters
+        # a word split into slots and runs, a run being the word it stands for
         def split(seq):
             items = []
             for constant, run in itertools.groupby(seq, lambda letter: letter[0] in fixed):
-                run = tuple(run)
+                run = letters(run)
                 if constant and len(run) > 1:
                     items.append(run)
                 else:
-                    items.extend(letters(run))
-            return items or [identity]
+                    items.extend(run)
+            return items
 
         # sort keys: (i, 0) for the i-th deduce, (i, length) for a check whose
         # last deduced generator is the i-th deduce's, -1 when it reads none
@@ -305,20 +302,20 @@ def _lower(program):
                 if type(item) is tuple:
                     if item not in run_slots:
                         run_slots[item] = slot_count
-                        runs.append((slot_count,) + word(letters(item)))
+                        runs.append((slot_count, item))
                         slot_count += 1
                     item = run_slots[item]
                 slots.append(item)
-            lowered.append((len(runs), target) + word(slots))
+            lowered.append((len(runs), target, tuple(slots)))
         return tuple(lowered), tuple(runs)
 
-    known = {op[1] for op in head if op[0] == "deduce"}
+    known = set(trivial)
     out = []
     for kind, g, data, post in segments:
         branch = None
         if kind == "branch":
             pre, mid, suf, eps = data
-            branch = (word(letters(mid)), word(letters(suf + pre)), eps)
+            branch = (letters(mid), letters(suf + pre), eps)
         ops, runs = lower_ops(post, frozenset(known))
         out.append((kind, 2 * g, branch, ops, runs))
         known.add(g)
@@ -348,12 +345,12 @@ def _emit(program):
     charges them all to nodes before it tries the first, with one budget
     test per loop.
 
-    Slot N is the local sN, and a slot that nothing writes, the identity's
-    or that of a generator the head deduces, is e.  A slot that a word
-    reads before its last letter also has its row, the local mN =
-    mul[sN], fetched once where sN is written.  A word is then evaluated
-    right to left, one subscript per letter: s7 s0 s8 is m7[m0[s8]], by
-    associativity, and a letter e drops out.  It is split into statements
+    Slot N is the local sN, and the leaf image of a generator the head
+    deduces, whose slot nothing writes, is e.  A slot that a word reads
+    before its last letter also has its row, the local mN = mul[sN], fetched
+    once where sN is written.  A word is then evaluated right to left, one
+    subscript per letter: s7 s0 s8 is m7[m0[s8]], by associativity, and the
+    empty word is e.  It is split into statements
     x = ... of at most _LETTERS_PER_STATEMENT letters, and a write that no
     word or image tuple reads is left out.  A segment's constant runs are
     evaluated under `if rD < k:`, k the op's runs needed, so once per parent
@@ -368,30 +365,21 @@ def _emit(program):
                     if segments[0][0] == segments[d][0] == "assign"]
     parts = [range(start, min(start + _LOOPS_PER_FUNCTION, len(segments)))
              for start in range(0, len(segments), _LOOPS_PER_FUNCTION)] or [range(0)]
+    # the slots each part writes, and the locals it reads: (N, "s") for slot
+    # N's value, (N, "m") for its row
     writes = [set() for _ in parts]
-    for k, part in enumerate(parts):
-        for d in part:
-            _, slot, _, ops, runs = segments[d]
-            writes[k].update((slot, slot + 1))
-            writes[k].update(t ^ pair for _, t, _, _ in ops if t >= 0 for pair in (0, 1))
-            writes[k].update(run for run, _, _ in runs)
-    written = set().union(*writes)
-
-    def letters(first, rest):
-        return [s for s in (first,) + rest if s in written]
-
-    # the locals each part reads: (N, "s") for slot N's value, (N, "m") for its row
     reads = [set() for _ in parts]
     reads[-1].update((s, "s") for s in images)
     for k, part in enumerate(parts):
         for d in part:
-            _, _, branch, ops, runs = segments[d]
-            # a word is the last two fields of a run or an op
-            for first, rest in (branch[:2] if branch else ()) + tuple(
-                    item[-2:] for item in runs + ops):
-                slots = letters(first, rest)
+            _, slot, branch, ops, runs = segments[d]
+            writes[k].update((slot, slot + 1), (run for run, _ in runs),
+                             (t ^ pair for _, t, _ in ops if t >= 0 for pair in (0, 1)))
+            # a word is the last field of a run or an op
+            for slots in (branch[:2] if branch else ()) + tuple(item[-1] for item in runs + ops):
                 reads[k].update((s, "m") for s in slots[:-1])
                 reads[k].update((s, "s") for s in slots[-1:])
+    written = set().union(*writes)
     read = set().union(*reads)
     # part k takes the locals that it or a later part reads and an earlier one writes
     takes = [sorted({(s, kind) for w in writes[:k] for s in w for kind in "ms"}
@@ -402,8 +390,7 @@ def _emit(program):
     def put(depth, line):
         lines.append("    " * depth + line)
 
-    def word(first, rest, depth):
-        slots = letters(first, rest)
+    def word(slots, depth):
         if not slots:
             return "e"
         expr = "s%d" % slots[-1]
@@ -450,8 +437,8 @@ def _emit(program):
                 put(depth, "r%d = 0" % d)
             if kind == "branch":
                 mid, sufpre, eps = branch
-                put(depth, "q = " + word(*mid, depth))
-                t = "inv[%s]" % word(*sufpre, depth)
+                put(depth, "q = " + word(mid, depth))
+                t = "inv[%s]" % word(sufpre, depth)
                 pair = ("q", t) if eps == 1 else (t, "q")
                 put(depth, "c = solve(%s, %s)" % pair)
                 loop, count = "s%d in c" % slot, "len(c)"
@@ -468,14 +455,14 @@ def _emit(program):
             depth += 1
             store(depth, slot, "s%d" % slot)
             ready = 0
-            for need, target, first, rest in ops:
+            for need, target, slots in ops:
                 if ready < need:
                     put(depth, "if r%d < %d:" % (d, need))
-                    for run, run_first, run_rest in runs[ready:need]:
-                        keep(depth + 1, run, word(run_first, run_rest, depth + 1), False)
+                    for run, run_word in runs[ready:need]:
+                        keep(depth + 1, run, word(run_word, depth + 1), False)
                     put(depth + 1, "r%d = %d" % (d, need))
                     ready = need
-                expr = word(first, rest, depth)
+                expr = word(slots, depth)
                 if target < 0:
                     put(depth, "if %s != e: continue" % expr)
                 else:

@@ -66,15 +66,3 @@ class Word(Record):
 
     def generators(self):
         return {name for name, _ in self.letters}
-
-    def substitute(self, name, replacement):
-        """Replace each letter name^e by replacement^e; no reduction is applied."""
-        letters = []
-        for n, exp in self.letters:
-            if n != name:
-                letters.append((n, exp))
-            elif exp == 1:
-                letters.extend(replacement.letters)
-            else:
-                letters.extend(replacement.inverse().letters)
-        return Word._of(tuple(letters))

@@ -14,9 +14,9 @@ closure, the Smith normal form with its certificate, the surgery
 presentation of a diagram, the gem report and the presentation text parser
 are checked against verbatim copies of their earlier implementations, at the
 end of this file.  The search compiler's oracle reads relators with its own
-reducer, not the package's.  Cyclic reduction of a word, a profile's JSON
-without its presentation and the recomputation of one profile entry, which
-only tests use, open the file.
+reducer, not the package's.  Cyclic reduction of a word, substitution into
+a word, a profile's JSON without its presentation and the recomputation of
+one profile entry, which only tests use, open the file.
 """
 
 import functools
@@ -42,6 +42,19 @@ def cyclic_reduce(word):
     while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
         letters = letters[1:-1]
     return Word(tuple(letters))
+
+
+def substitute(word, name, replacement):
+    """Replace each letter name^e of word by replacement^e; no reduction is applied."""
+    letters = []
+    for n, exp in word.letters:
+        if n != name:
+            letters.append((n, exp))
+        elif exp == 1:
+            letters.extend(replacement.letters)
+        else:
+            letters.extend(replacement.inverse().letters)
+    return Word._of(tuple(letters))
 
 
 def comparable_json(profile):
@@ -351,8 +364,8 @@ def _ref_definition_candidates(generators, relators):
 
 
 def _ref_substitute_relator(r, name, replacement):
-    return Relator(r.lhs.substitute(name, replacement).free_reduce(),
-                   r.rhs.substitute(name, replacement).free_reduce())
+    return Relator(substitute(r.lhs, name, replacement).free_reduce(),
+                   substitute(r.rhs, name, replacement).free_reduce())
 
 
 def _ref_reduce_relator(r):
@@ -508,7 +521,7 @@ def reference_reduce_generators(presentation, length_cap=4, budget=1000):
         replacement = rest.inverse() if exp == 1 else rest
         del rels[ri]
         gens.remove(g)
-        rels = [cyclic_reduce(v.substitute(g, replacement)) for v in rels]
+        rels = [cyclic_reduce(substitute(v, g, replacement)) for v in rels]
         rels = [v for v in rels if v.letters]
     return GroupPresentation(tuple(gens), tuple(Relator(w) for w in rels))
 

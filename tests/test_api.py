@@ -40,6 +40,7 @@ def test_removed_wrappers_stay_removed():
         (quotients.InvariantProfile, "comparable_dict"),  # oracles.comparable_json
         (quotients.InvariantProfile, "comparable_json"),  # oracles.comparable_json
         (words.Word, "cyclic_reduce"),                # oracles.cyclic_reduce
+        (words.Word, "substitute"),                   # oracles.substitute
         (corpus, "load_pins"),                        # json.loads(data_text("pins.json"))
         (quotients, "recompute_entry"),               # oracles.recompute_entry
     ]

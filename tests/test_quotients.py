@@ -197,12 +197,9 @@ def test_search_matches_reference_search(catalog):
             ("assign", "branch")} <= kinds
 
 
-def test_slot_search_matches_reference_orbit_search(catalog):
-    # the slot form tries the same candidates in the same order as the search
-    # that walked relators letter by letter: the same tally, and exactly the
-    # same smallest budget under which it completes.  Programs compiled
-    # without the generator reduction keep deduces inside their segments, and
-    # some open with a head, which the reference runs and the slot form drops.
+def unreduced_programs():
+    """Search programs compiled without the generator reduction: they keep
+    deduces inside their segments, and some open with a head."""
     inputs = [pres(F2), pres(TREFOIL), pres(S3_PRES),
               pres("gens: a, b\nrels: a*b*a^-1 = b^2\n"),
               # a deduce reading a constant run, inside the second branch
@@ -210,7 +207,16 @@ def test_slot_search_matches_reference_orbit_search(catalog):
                    "c*a*d*b*a*c; d*a*d^-1*b^-1*a*b*c*d*c\n")]
     rng = random.Random(31)
     inputs += [random_presentation(rng, max_gens=4, max_rels=5) for _ in range(30)]
-    programs = corpus_programs() + [quotients.compile_hom_search(p) for p in inputs]
+    return [quotients.compile_hom_search(p) for p in inputs]
+
+
+def test_slot_search_matches_reference_orbit_search(catalog):
+    # the slot form tries the same candidates in the same order as the search
+    # that walked relators letter by letter: the same tally, and exactly the
+    # same smallest budget under which it completes.  Programs compiled
+    # without the generator reduction keep deduces inside their segments, and
+    # some open with a head, which the reference runs and the slot form drops.
+    programs = corpus_programs() + unreduced_programs()
     groups = catalog.groups + [symmetric_group(k) for k in range(2, 7)]
     kinds = set()
     for program in programs:
@@ -230,6 +236,32 @@ def test_slot_search_matches_reference_orbit_search(catalog):
                 lambda budget: reference_orbit_search(program, g, classify, budget))), g.name
     assert {(), ("assign",), ("assign", "assign"), ("assign", "assign", "branch"),
             ("assign", "branch", "branch"), "deduce in a segment", "head"} <= kinds
+
+
+def test_lowered_words_name_only_slots_the_search_writes():
+    # a lowered word names the image or inverse slot of a generator that a
+    # segment assigns or deduces, or a run slot, numbered from 2n; the head
+    # deduces the identity, so the letters of its generators are dropped
+    dropped = 0
+    for program in unreduced_programs():
+        head, segments, n = program
+        trivial = {op[1] for op in head if op[0] == "deduce"}
+        written = set()
+        for _, g, data, post in segments:
+            for h in [g] + [op[1] for op in post if op[0] == "deduce"]:
+                written.update((2 * h, 2 * h + 1))
+            seqs = list(data[:3] if data else ()) + [
+                seq for op in post for seq in (op[2:4] if op[0] == "deduce" else op[1:])]
+            dropped += any(h in trivial for seq in seqs for h, _ in seq)
+        lowered, _ = quotients._lower(program)
+        runs = [run for *_, slot_runs in lowered for run, _ in slot_runs]
+        assert runs == list(range(2 * n, 2 * n + len(runs)))
+        for _, slot, branch, ops, slot_runs in lowered:
+            assert {slot, slot + 1} <= written
+            for word in (branch[:2] if branch else ()) + tuple(op[-1] for op in slot_runs + ops):
+                assert written.union(runs).issuperset(word), (program, word)
+    # some segment reads a generator that the head deduces
+    assert dropped
 
 
 class CountedGroup:
@@ -791,6 +823,24 @@ def test_generated_search_past_the_nesting_limit(catalog):
         found, used = metered_search(lambda budget: quotients._search(search, c2, budget))
         assert (regroup(found, len), used) == metered_search(
             lambda budget: reference(c2, budget)) == ({1: 1}, 2 * n)
+
+
+def test_generated_search_with_a_head_past_the_nesting_limit(catalog):
+    # the x^2; x^3 program with a generator y that the head deduces and every
+    # segment's checks read: its letters are dropped, and its leaf image is
+    # e, across two generated functions
+    c2 = catalog.by_name("C2")
+    n = 20
+    names = ["x%d" % i for i in range(n)]
+    program = quotients.compile_hom_search(pres("gens: %s, y\nrels: y; %s\n" % (
+        ", ".join(names), "; ".join("%s^2*y; %s^3*y" % (x, x) for x in names))))
+    assert program[0] == (("deduce", n, (), (), 1),)
+    assert len(program[1]) == n > quotients._LOOPS_PER_FUNCTION
+    search = generated(program)
+    found, used = metered_search(lambda budget: quotients._search(search, c2, budget))
+    assert found == {(0,) * (n + 1): 1}
+    assert (regroup(found, len), used) == metered_search(
+        lambda budget: reference_orbit_search(program, c2, len, budget)) == ({1: 1}, 2 * n)
 
 
 # one product of a generated word: a subscript of a row mN = mul[sN]
