@@ -8,7 +8,7 @@ against fixed inputs.
 """
 
 import json
-from importlib import resources
+import os
 
 from ._record import Record
 from .diagrams import parse_diagram
@@ -16,7 +16,9 @@ from .presentations import parse_presentation
 
 
 def _data(name):
-    return (resources.files(__package__) / "data" / name).read_text()
+    """The text of the bundled file data/<name> next to this module, read as UTF-8."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as f:
+        return f.read()
 
 
 class CorpusEntry(Record):

@@ -6,8 +6,9 @@ mult(p, q)[i] = q[p[i]], so words act on points from the left to the right.
 
 import functools
 import json
+import math
 import operator
-from importlib import resources
+import os
 
 
 # every group enters a search as its full multiplication table: order rows of
@@ -81,6 +82,9 @@ class FiniteGroup:
 
     @property
     def order(self):
+        # a declared order is checked when elements() lists them
+        if self.declared_order is not None:
+            return self.declared_order
         return len(self.elements())
 
     @functools.cached_property
@@ -258,11 +262,12 @@ def symmetric_group(k):
 
     Built on first use and kept; the low-index search maps into it, or into
     a term of its derived series (see FiniteGroup.derived_series).  It is
-    not a catalog group.
+    not a catalog group.  Its order k! is declared, so reading it lists no
+    element.
     """
     transposition = (1, 0) + tuple(range(2, k))
     cycle = tuple(range(1, k)) + (0,)
-    return FiniteGroup("S%d" % k, k, [transposition, cycle])
+    return FiniteGroup("S%d" % k, k, [transposition, cycle], order=math.factorial(k))
 
 
 class Catalog:
@@ -324,12 +329,12 @@ def parse_catalog(text):
 
 @functools.lru_cache(maxsize=None)
 def _bundled_catalog():
-    return parse_catalog(
-        resources.files("linkgroup.data").joinpath("catalog.json").read_text("utf-8"))
+    return load_catalog(os.path.join(os.path.dirname(__file__), "data", "catalog.json"))
 
 
 def load_catalog(path=None):
-    """The bundled catalog, built once, or one read afresh from an explicit path."""
+    """The bundled catalog, data/catalog.json next to this module, built once,
+    or one read afresh from an explicit path; both are read as UTF-8."""
     if path is None:
         return _bundled_catalog()
     with open(path, encoding="utf-8") as f:

@@ -494,20 +494,21 @@ def _compile_search(program):
 
 
 def search_program(presentation):
-    """(reduced, search, tallies, homology): the presented group's search program.
+    """(search, tallies, homology): the presented group's search program.
 
     count_homs, low_index_subgroups and low_index_single run it, so a caller
     compiles once and passes the program to every search on the presentation.
-    reduced presents the same group with the generators eliminated that
-    occur once in some relator; search, its compiled search (_lower, then
-    _emit and compile once per call, never cached), assigns images to a seed
-    set of its generators and deduces the rest.  tallies, empty at first,
-    holds the searches run so far (see _tally).  homology is the group's
-    first homology, the invariant factors read from reduced, which decides
-    the derived-series term each search runs in.
+    search is the compiled search (_lower, then _emit and compile once per
+    call, never cached) of the presentation with the generators eliminated
+    that occur once in some relator, which presents the same group; it
+    assigns images to a seed set of those generators and deduces the rest.
+    tallies, empty at first, holds the searches run so far (see _tally).
+    homology is the group's first homology, the invariant factors read from
+    that reduced presentation, which decides the derived-series term each
+    search runs in.
     """
     reduced = _reduce_generators(presentation)
-    return (reduced, _compile_search(_lower(compile_hom_search(reduced))), {},
+    return (_compile_search(_lower(compile_hom_search(reduced))), {},
             tuple(first_homology(reduced)))
 
 
@@ -557,22 +558,21 @@ def _tally(program, group, node_budget):
     the images use; every numbering of one set visits as many nodes, so
     flags agree.
     """
-    h1_order = math.prod(program[3])    # 0 when H1 is infinite
+    h1_order = math.prod(program[2])    # 0 when H1 is infinite
     series = group.derived_series()
     group = next(series)
     if h1_order:
         for lower in series:
-            # with H1 = 0 every quotient passes, so no order (of S_k, say) is needed
-            if h1_order > 1 and math.gcd(h1_order, group.order // lower.order) > 1:
+            if math.gcd(h1_order, group.order // lower.order) > 1:
                 break
             group = lower
     key = (group._element_set, node_budget)
-    if key not in program[2]:
+    if key not in program[1]:
         try:
-            program[2][key] = group, _search(program[1], group, node_budget)
+            program[1][key] = group, _search(program[0], group, node_budget)
         except BudgetExceeded:
-            program[2][key] = None
-    return program[2][key]
+            program[1][key] = None
+    return program[1][key]
 
 
 def count_homs(program, group, node_budget=10 ** 8):
@@ -630,8 +630,9 @@ def _transitive_centraliser(images, perms):
     return size
 
 
-def _low_index(program, k, node_budget):
-    """Subgroups of index k, counted as transitive actions on k points.
+def low_index_single(program, k, node_budget=10 ** 8):
+    """Subgroups of index k, counted as transitive actions on k points; equal
+    to low_index_subgroups(...)[k].
 
     Each subgroup of index k is the stabiliser of point 0 in exactly (k-1)!
     transitive homomorphisms to S_k, and each conjugacy class of subgroups is
@@ -644,6 +645,8 @@ def _low_index(program, k, node_budget):
     group (see _tally): it stands for the same homomorphisms, whose
     centralisers in S_k do not depend on which conjugate was found.
     """
+    if not 2 <= k <= MAX_INDEX:
+        raise ValueError("subgroup index %d is outside 2..%d" % (k, MAX_INDEX))
     found = _tally(program, symmetric_group(k), node_budget)
     if found is None:
         return SubgroupCount(0, 0, True)
@@ -672,14 +675,7 @@ def low_index_subgroups(program, max_index, node_budget=10 ** 8):
     """
     if max_index > MAX_INDEX:
         raise ValueError("max_index %d is above %d" % (max_index, MAX_INDEX))
-    return {k: _low_index(program, k, node_budget) for k in range(2, max_index + 1)}
-
-
-def low_index_single(program, k, node_budget=10 ** 8):
-    """The counts at one index k, equal to low_index_subgroups(...)[k]."""
-    if not 2 <= k <= MAX_INDEX:
-        raise ValueError("subgroup index %d is outside 2..%d" % (k, MAX_INDEX))
-    return _low_index(program, k, node_budget)
+    return {k: low_index_single(program, k, node_budget) for k in range(2, max_index + 1)}
 
 
 # --- profiles and verdicts ----------------------------------------------------
@@ -798,7 +794,7 @@ def profile(presentation, config=None, catalog=None, workers=1):
                            for key in keys(config, catalog)[0])
               for field, _, _, keys, count in _FAMILIES}
     return InvariantProfile(
-        homology=program[3],
+        homology=program[2],
         **counts,
         catalog_version=catalog.version,
         catalog_names=tuple(catalog.names),

@@ -50,7 +50,8 @@ def test_removed_wrappers_stay_removed():
 
 
 # The second interpreter imports nothing, so its modules are the start-up set
-# that the first one's are compared against.
+# that the first one's are compared against.  Both run with -S, so no site
+# hook (a .pth file importing importlib.resources, say) loads a module first.
 MODULES_SCRIPT = """
 import json, sys
 if len(sys.argv) > 1:
@@ -64,13 +65,34 @@ def test_import_loads_no_dataclass_machinery():
     src = str(Path(linkgroup.__file__).resolve().parents[1])
     loaded = []
     for argv in ([src], []):
-        run = subprocess.run([sys.executable, "-I", "-c", MODULES_SCRIPT, *argv],
+        run = subprocess.run([sys.executable, "-S", "-I", "-c", MODULES_SCRIPT, *argv],
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         loaded.append(set(json.loads(run.stdout)))
     added = loaded[0] - loaded[1]
     assert "linkgroup.quotients" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis"}
+    # bundled files are read by path, so neither importlib.resources nor
+    # what it imports is loaded
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "importlib.resources",
+                        "pathlib", "tempfile", "typing", "zipfile"}
+
+
+CORPUS_REPORT_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from linkgroup.cli import main
+sys.exit(main(["corpus", "--report", "--K", "3"]))
+"""
+
+
+def test_bundled_files_are_read_as_utf8():
+    # a read in the locale's default encoding warns under
+    # warn_default_encoding, and the warning is an error here
+    src = str(Path(linkgroup.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-S", "-I", "-X", "warn_default_encoding",
+                          "-W", "error::EncodingWarning", "-c", CORPUS_REPORT_SCRIPT, src],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def value_instances():

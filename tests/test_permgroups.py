@@ -123,8 +123,8 @@ def test_derived_series_against_brute_force(catalog):
 
 # Groups with no subgroup of index 2 profiled at index 7, in a fresh
 # interpreter: the index-7 searches run in A_7, built from S_7's generators,
-# and S_7's own table of 5040 rows is never built.  The perfect A5 does not
-# even list S_7's elements; Z/3 lists them, for the order of S_7 / A_7.
+# and S_7's own table of 5040 rows is never built.  Neither lists S_7's
+# elements: Z/3 reads the order of S_7 / A_7, and S_7 declares its order.
 INDEX_7_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -145,7 +145,7 @@ def test_index_7_profile_builds_no_s7_table():
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["7 {'classes': 0, 'total': 0} True True True",
-                                       "7 {'classes': 0, 'total': 0} False True True"]
+                                       "7 {'classes': 0, 'total': 0} True True True"]
 
 
 def test_conjugacy_solutions_against_brute_force(catalog):
