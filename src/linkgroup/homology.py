@@ -1,7 +1,13 @@
 """Exact integer matrices, Smith normal form, and first homology of a presentation.
 
 Everything here is integer arithmetic; no floating point is used anywhere.
+The Smith form works on one sparse layout, built by _sparse: each row is a
+{column: nonzero entry} dict, and each column keeps the set of rows holding
+it.  _apply runs one logged op on that layout, for the elimination and for
+the replay that checks it alike.
 """
+
+from itertools import compress
 
 from ._record import Record
 
@@ -70,26 +76,34 @@ class SmithDecomposition(Record):
         """Re-check the decomposition exactly against the original matrix.
 
         D must be diagonal, nonnegative and a divisibility chain, and replaying
-        the log on a copy of A must give D; that proves U·A·V == D with U and V
-        unimodular.  A D of the wrong shape or a malformed op is rejected, not
-        an error.
+        the log on a sparse copy of A must give D; that proves U·A·V == D with
+        U and V unimodular.  A D of the wrong shape or a malformed op is
+        rejected, not an error.
         """
         m, n = matrix.rows, matrix.cols
         if self.d.rows != m or self.d.cols != n:
             return False
-        diag = [self.d.entries[i][i] for i in range(min(m, n))]
-        # nonnegative, each entry dividing the next (zeros last), nothing off it
-        if any(x < 0 for x in diag) or any(y if x == 0 else y % x
-                                           for x, y in zip(diag, diag[1:])):
-            return False
         if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(self.d.entries)):
             return False
-        a = [list(row) for row in matrix.entries]
-        for op in self.ops:
-            if not _is_op(op, m, n):
-                return False
-            _apply(a, *op)
-        return a == [list(row) for row in self.d.entries]
+        diag = [self.d.entries[i][i] for i in range(min(m, n))]
+        return _replays(diag, self.ops, n, *_sparse(matrix.entries, n))
+
+
+def _replays(diag, ops, n, rows, cols):
+    """True when diag is a divisibility chain and ops take the sparse rows to it.
+
+    diag is the diagonal of a D over n columns that holds nothing off it.
+    The ops are checked one by one and applied to rows and cols in place.
+    """
+    # nonnegative, each entry dividing the next (zeros last)
+    if min(diag, default=0) < 0 or any(y if x == 0 else y % x for x, y in zip(diag, diag[1:])):
+        return False
+    m = len(rows)
+    for op in ops:
+        if not _is_op(op, m, n):
+            return False
+        _apply(rows, cols, *op)
+    return rows == [{i: x} if x else {} for i, x in enumerate(diag)] + [{}] * (m - len(diag))
 
 
 def _is_op(op, m, n):
@@ -107,106 +121,193 @@ def _is_op(op, m, n):
     return type(factor) is int and (i != j or factor == -1)
 
 
-def _apply(a, axis, i, j, factor):
-    """Apply one logged op to the rows of a (axis 0) or its columns (axis 1), in place."""
-    if axis == 0:
-        if factor is None:
-            a[i], a[j] = a[j], a[i]
-        elif i == j:
-            a[i] = [-x for x in a[i]]
+def _sparse(lines, n):
+    """Dense rows over n columns as {column: nonzero entry} dicts, and each column's set of rows."""
+    span = range(n)
+    rows, cols = [], [set() for _ in span]
+    for i, line in enumerate(lines):
+        row = {}
+        for j in compress(span, line):
+            row[j] = line[j]
+            cols[j].add(i)
+        rows.append(row)
+    return rows, cols
+
+
+def _apply(rows, cols, axis, i, j, factor):
+    """Apply one logged op to the sparse rows and column sets, in place.
+
+    A row op reads only line j's nonzeros, and a column op only the rows
+    that hold column j; each keeps the other index in step.
+    """
+    if factor is None:
+        if axis:
+            for r in cols[i] | cols[j]:
+                row = rows[r]
+                if i not in row:
+                    row[i] = row.pop(j)
+                elif j in row:
+                    row[i], row[j] = row[j], row[i]
+                else:
+                    row[j] = row.pop(i)
+            cols[i], cols[j] = cols[j], cols[i]
         else:
-            a[i] = [x + factor * y for x, y in zip(a[i], a[j])]
+            a = rows[j]
+            b = rows[j] = rows[i]
+            rows[i] = a
+            for c in a.keys() ^ b.keys():
+                col = cols[c]
+                if c in a:
+                    col.remove(j)
+                    col.add(i)
+                else:
+                    col.remove(i)
+                    col.add(j)
+    elif i == j:
+        if axis:
+            for r in cols[i]:
+                rows[r][i] = -rows[r][i]
+        else:
+            row = rows[i]
+            for c in row:
+                row[c] = -row[c]
+    elif not factor:
+        return  # adding 0 times a line changes nothing
+    elif axis:
+        target = cols[i]
+        for r in cols[j]:
+            row = rows[r]
+            if i in row:
+                x = row[i] + factor * row[j]
+                if x:
+                    row[i] = x
+                else:
+                    del row[i]
+                    target.remove(r)
+            else:
+                row[i] = factor * row[j]
+                target.add(r)
     else:
-        for row in a:
-            if factor is None:
-                row[i], row[j] = row[j], row[i]
-            elif i == j:
-                row[i] = -row[i]
-            elif row[j]:
-                row[i] += factor * row[j]
+        target = rows[i]
+        for c, y in rows[j].items():
+            if c in target:
+                x = target[c] + factor * y
+                if x:
+                    target[c] = x
+                else:
+                    del target[c]
+                    cols[c].remove(i)
+            else:
+                target[c] = factor * y
+                cols[c].add(i)
 
 
 def smith_normal_form(matrix):
-    """Diagonalize over the integers, logging every elementary operation.
-
-    The pivot is a minimal-absolute-value nonzero entry of the remaining
-    block, the first in row-major order, which keeps entries small.  It is
-    picked again after every row or column sweep that leaves a remainder,
-    since that remainder is smaller (Havas, Holt and Rees, "Recognizing badly
-    presented Z-modules", 1993).  Every returned decomposition is re-verified
-    by replaying its log before being handed back.
-    """
+    """D and the log of elementary ops that takes matrix to it, re-verified (see _smith)."""
     m, n = matrix.rows, matrix.cols
-    a = [list(row) for row in matrix.entries]
+    diag, ops = _smith(n, *_sparse(matrix.entries, n))
+    line, d = [0] * n, []
+    for i, x in enumerate(diag):
+        line[i] = x
+        d.append(tuple(line))
+        line[i] = 0
+    d += [tuple(line)] * (m - len(diag))
+    return SmithDecomposition(IntegerMatrix._of(tuple(d), n), tuple(ops))
+
+
+def _smith(n, rows, cols):
+    """(diagonal, log): diagonalize the sparse rows over n columns, logging every op.
+
+    The pivot is a nonzero entry of least absolute value in the remaining
+    block.  Rows are searched from the first remaining one, and the search
+    stops at the first row that holds a unit; ties go to the column with the
+    fewest entries, so a sweep touches few rows.  The pivot is picked again
+    after every row or column sweep that leaves a remainder, since that
+    remainder is smaller (Havas, Holt and Rees, "Recognizing badly presented
+    Z-modules", 1993).  A line's sign is fixed as soon as it is done.  rows
+    and cols are consumed, and the log is re-verified by replaying it on a
+    copy of them taken first.
+    """
+    m = len(rows)
+    original = [row.copy() for row in rows], [col.copy() for col in cols]
     ops = []
 
     def run(*op):
         ops.append(op)
-        _apply(a, *op)
+        _apply(rows, cols, *op)
 
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j, x in enumerate(a[i][t:], t):
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-            if best and best[0] == 1:
+    k, t = min(m, n), 0
+    while t < k:
+        least = 0
+        for r in range(t, m):
+            for c, x in rows[r].items():
+                size = abs(x)
+                if not least or size < least or size == least and len(cols[c]) < count:
+                    least, count, i, j = size, len(cols[c]), r, c
+            if least == 1:
                 break
-        if best is None:
+        if not least:
             break
-        _, i, j = best
         if i != t:
             run(0, t, i, None)
         if j != t:
             run(1, t, j, None)
 
-        # rows and columns before t are clear, so each sweep starts past t
-        pivot = a[t][t]
-        for i in range(t + 1, m):
-            if a[i][t]:
-                run(0, i, t, -(a[i][t] // pivot))
-        if any(a[i][t] for i in range(t + 1, m)):
+        # rows and columns before t are clear, so only rows and columns past t
+        # hold entries; a column op from column t touches only the rows in cols[t]
+        row = rows[t]
+        pivot = row[t]
+        for i in cols[t] - {t}:
+            run(0, i, t, -(rows[i][t] // pivot))
+        if len(cols[t]) > 1:
             continue
-        for j in range(t + 1, n):
-            if a[t][j]:
-                run(1, j, t, -(a[t][j] // pivot))
-        if any(a[t][t + 1:]):
+        for j in row.keys() - {t}:
+            run(1, j, t, -(row[j] // pivot))
+        if len(row) > 1:
             continue
 
         # a unit pivot divides everything left
-        if abs(pivot) != 1:
+        if least != 1:
             offender = next((i for i in range(t + 1, m)
-                             if any(x % pivot for x in a[i][t + 1:])), None)
+                             if any(x % pivot for x in rows[i].values())), None)
             if offender is not None:
                 run(0, t, offender, 1)
                 continue
+        # line t is done: no later op reads or writes it
+        if pivot < 0:
+            run(0, t, t, -1)
         t += 1
 
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            run(0, i, i, -1)
-
-    decomposition = SmithDecomposition(IntegerMatrix._of(tuple(map(tuple, a)), n), tuple(ops))
-    if not decomposition.verify(matrix):
+    diag = [rows[i].get(i, 0) for i in range(k)]
+    if not _replays(diag, ops, n, *original):
         raise RuntimeError("Smith normal form self-check failed")
-    return decomposition
+    return diag, ops
+
+
+def _exponent_sums(presentation):
+    """Each relator's exponent sum of every generator, one list per relator."""
+    index = {g: i for i, g in enumerate(presentation.generators)}
+    lines = []
+    for r in presentation.relators:
+        line = [0] * len(index)
+        for name, exp in r.word.letters:
+            line[index[name]] += exp
+        lines.append(line)
+    return lines
 
 
 def abelianization_matrix(presentation):
     """Relator-by-generator matrix of exponent sums."""
-    index = {g: i for i, g in enumerate(presentation.generators)}
-    rows = []
-    for r in presentation.relators:
-        row = [0] * len(index)
-        for name, exp in r.word.letters:
-            row[index[name]] += exp
-        rows.append(tuple(row))
-    return IntegerMatrix._of(tuple(rows), len(index))
+    return IntegerMatrix._of(tuple(map(tuple, _exponent_sums(presentation))),
+                             len(presentation.generators))
 
 
 def first_homology(presentation):
-    """Invariant factors of H1: torsion factors > 1, then one 0 per free rank."""
-    matrix = abelianization_matrix(presentation)
-    factors = smith_normal_form(matrix).invariant_factors
-    return [x for x in factors if x > 1] + [0] * (matrix.cols - len(factors))
+    """Invariant factors of H1: torsion factors > 1, then one 0 per free rank.
+
+    The exponent sums go straight to sparse rows: no IntegerMatrix, and no D.
+    """
+    n = len(presentation.generators)
+    diag, _ = _smith(n, *_sparse(_exponent_sums(presentation), n))
+    factors = [x for x in diag if x]
+    return [x for x in factors if x > 1] + [0] * (n - len(factors))

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
-from importlib import resources
 
+import linkgroup
 from linkgroup import load_catalog, parse_presentation
 from linkgroup.corpus import load_corpus
 
@@ -10,12 +11,13 @@ CORPUS_KEYS = ("u1466", "u1563", "u2125", "u2165")
 
 
 def data_path(name):
-    """Filesystem path of a bundled data file (the install is a plain tree)."""
-    return str(resources.files("linkgroup") / "data" / name)
+    """Filesystem path of a bundled data file, next to the package as corpus._data reads it."""
+    return os.path.join(os.path.dirname(linkgroup.__file__), "data", name)
 
 
 def data_text(name):
-    return (resources.files("linkgroup") / "data" / name).read_text()
+    with open(data_path(name), encoding="utf-8") as f:
+        return f.read()
 
 
 def pres(text):

@@ -511,7 +511,7 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv, prefix):
 
 
 def test_readme_synopsis_lists_every_flag():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     synopsis = {line.split()[1]: line for line in readme.splitlines()
                 if line.startswith("linkgroup ")}
     commands = next(a for a in cli._parser()._actions

@@ -982,12 +982,12 @@ def test_presentation_hash_tracks_serialization(corpus):
 
 # Run in a fresh interpreter: the test process may hold hashlib already.
 NO_OPENSSL_SCRIPT = """
-import json, sys
+import json, os, sys
 sys.path.insert(0, sys.argv[1])
-from importlib import resources
 from linkgroup.presentations import parse_presentation
 from linkgroup.quotients import distinguish, profile, verify_witness
-trefoil = parse_presentation((resources.files("linkgroup") / "data" / "trefoil.pres").read_text())
+with open(os.path.join(sys.argv[1], "linkgroup", "data", "trefoil.pres"), encoding="utf-8") as f:
+    trefoil = parse_presentation(f.read())
 z = parse_presentation("gens: a\\n")
 profile(trefoil)
 verdict = json.loads(distinguish(trefoil, z).to_json())

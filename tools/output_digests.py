@@ -9,6 +9,8 @@ changes it:
   400 and 10^8, as verdict JSON;
 - replays: `verify_witness` on each Distinguished verdict, as JSON [ok, message];
 - diagrams: `serialize_diagram` of every blackboardized side;
+- homology: `first_homology` of every side's unsimplified `fundamental_group`,
+  as JSON, so the Smith form of each raw Wirtinger matrix is covered;
 - profiles: the corpus entries at max_index 6 and the trefoil at 7, as JSON.
 
 Run from the repository root:  python3 tools/output_digests.py
@@ -24,7 +26,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import gen
-from linkgroup import (ProfileConfig, blackboardize, distinguish,
+from linkgroup import (ProfileConfig, blackboardize, distinguish, first_homology,
                        fundamental_group, load_catalog, load_corpus, parse_diagram,
                        parse_presentation, profile, serialize_diagram, verify_witness)
 
@@ -36,7 +38,7 @@ BUDGETS = (60, 400, 10 ** 8)
 def outputs():
     """{family: [text, ...]} in a fixed order."""
     catalog = load_catalog()
-    out = {"verdicts": [], "replays": [], "diagrams": [], "profiles": []}
+    out = {"verdicts": [], "replays": [], "diagrams": [], "homology": [], "profiles": []}
     for seed in SEEDS:
         for pair in gen.surgery_pairs(seed):
             sides = []
@@ -44,6 +46,7 @@ def outputs():
                 diagram = blackboardize(parse_diagram(side["text"]), side["framings"])
                 out["diagrams"].append(serialize_diagram(diagram))
                 sides.append(fundamental_group(diagram))
+                out["homology"].append(json.dumps(first_homology(sides[-1])))
             for budget in BUDGETS:
                 config = ProfileConfig(max_index=PAIR_MAX_INDEX, node_budget=budget)
                 verdict = distinguish(*sides, config, catalog)
