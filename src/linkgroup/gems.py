@@ -74,6 +74,9 @@ def parse_fourgraph(text):
         raise FourGraphError("malformed JSON: %s" % e) from None
     if not isinstance(doc, dict) or set(doc) - {"name", "vertices", "matchings"}:
         raise FourGraphError("expected an object with vertices and matchings")
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise FourGraphError("name must be a string")
     return FourGraph.from_matchings(doc.get("vertices"), doc.get("matchings", []))
 
 

@@ -195,16 +195,13 @@ class FiniteGroup:
         """The commutator subgroup, on the same points, or self when the group
         is perfect.
 
-        It is the normal closure of the generators' commutators: it starts
-        from those commutators and takes, for each generator it gains, the
-        conjugates by the group's generators that the subgroup so far lacks,
-        so its generating set stays small.  Its elements are closed under
-        each new generator as it comes, each product formed once, and the
-        closure stops as soon as it holds every generator of the group,
-        which makes it the whole group.  A proper subgroup keeps its closure
-        as its element list, each element found as an earlier one times a
-        generator, so its elements are never listed again.  No table of this
-        group is built.
+        It is the normal closure of the generators' commutators: each new
+        generator is such a commutator, or a conjugate of one so far by a
+        generator of the group, that the subgroup so far lacks.  Each
+        subgroup so far is closed by _orbit_tree, stopped past half the
+        group: a subgroup that large is the whole group (Lagrange).  A
+        proper subgroup keeps its last closure as its element list, so its
+        elements are never listed again.  No table of this group is built.
         """
         identity = identity_perm(self.degree)
         inverses = [tuple(sorted(identity, key=g.__getitem__)) for g in self.generators]
@@ -212,45 +209,20 @@ class FiniteGroup:
                    for i, a in enumerate(self.generators)
                    for j, b in enumerate(self.generators[:i])]
         generators = []
-        # the elements so far, as the spanning tree that tables() reads
-        elements, parent, via, index = [identity], [0], [0], {identity: 0}
-        lacking = set(self.generators) - {identity}
-        while pending and lacking:
+        half = self.order // 2
+        tree = _orbit_tree(identity, generators, mult, half)
+        while pending and len(tree[0]) <= half:
             x = pending.pop()
-            if x in index:
-                continue
-            generators.append(x)
-            pending += [mult(mult(g_inv, x), g) for g, g_inv in zip(self.generators, inverses)]
-            # the elements are closed under the earlier generators: each
-            # element times x, then each element that finds times every generator
-            work = [(i, (len(generators) - 1,)) for i in range(len(elements))]
-            while work and lacking:
-                i, factors = work.pop()
-                for s in factors:
-                    y = mult(elements[i], generators[s])
-                    if y not in index:
-                        index[y] = len(elements)
-                        work.append((len(elements), range(len(generators))))
-                        elements.append(y)
-                        parent.append(i)
-                        via.append(s)
-                        lacking.discard(y)
-        if not lacking:
+            if x not in tree[0]:
+                generators.append(x)
+                tree = _orbit_tree(identity, generators, mult, half)
+                pending += [mult(mult(g_inv, x), g)
+                            for g, g_inv in zip(self.generators, inverses)]
+        if len(tree[0]) > half:
             return self
         term = FiniteGroup(self.name + "'", self.degree, generators)
-        term._tree = elements, parent, via
+        term._tree = tree
         return term
-
-    def derived_series(self):
-        """The derived series D_0 = self, D_1, ... down to its first perfect
-        term, the trivial group for a solvable one.  Each term is built, and
-        kept, when the caller first asks for the one after its parent.
-        """
-        term = self
-        yield term
-        while term.derived_subgroup is not term:
-            term = term.derived_subgroup
-            yield term
 
     def __repr__(self):
         return "FiniteGroup(%r, degree=%d)" % (self.name, self.degree)
@@ -261,7 +233,7 @@ def symmetric_group(k):
     """S_k on points 0..k-1, generated by (0 1) and (0 1 ... k-1).
 
     Built on first use and kept; the low-index search maps into it, or into
-    a term of its derived series (see FiniteGroup.derived_series).  It is
+    a term of its derived series (see FiniteGroup.derived_subgroup).  It is
     not a catalog group.  Its order k! is declared, so reading it lists no
     element.
     """

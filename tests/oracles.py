@@ -132,6 +132,15 @@ def inverse_perm(p):
     return tuple(out)
 
 
+def derived_series(group):
+    """[D_0 = group, D_1, ...] down to its first perfect term, each term
+    the derived_subgroup of the one before."""
+    series = [group]
+    while series[-1].derived_subgroup is not series[-1]:
+        series.append(series[-1].derived_subgroup)
+    return series
+
+
 def brute_derived_series(elements):
     """[frozenset of elements per term] of the derived series of the
     permutation group with these elements, down to its first perfect term.

@@ -33,6 +33,7 @@ def test_removed_wrappers_stay_removed():
         (permgroups, "closure"),                      # FiniteGroup(...).elements()
         (permgroups, "inverse_perm"),                 # FiniteGroup(...).tables()[1]
         (permgroups, "alternating_group"),            # symmetric_group(k).derived_subgroup
+        (permgroups.FiniteGroup, "derived_series"),   # walk .derived_subgroup
         (gems, "is_gem"),                             # gem_report(g)["is_gem"]
         (diagrams, "self_writhe"),                    # self_writhes(d)[i]
         (diagrams.LinkDiagram, "component_of"),

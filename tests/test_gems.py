@@ -117,6 +117,8 @@ def test_parse_and_serialize_round_trip():
     assert again == K33_PLUS
     named = json.dumps({"name": "x", "vertices": 2, "matchings": [[[0, 1]]] * 4})
     assert parse_fourgraph(named) == TWO_VERTEX
+    unnamed = json.dumps({"name": None, "vertices": 2, "matchings": [[[0, 1]]] * 4})
+    assert parse_fourgraph(unnamed) == TWO_VERTEX
 
 
 def test_fourgraph_validation_errors():
@@ -127,6 +129,9 @@ def test_fourgraph_validation_errors():
     with pytest.raises(FourGraphError):
         parse_fourgraph(json.dumps({"vertices": 2, "matchings": [[[0, 1]]] * 4,
                                     "junk": 1}))
+    # a name is a string, as a diagram's is
+    with pytest.raises(FourGraphError, match="^name must be a string$"):
+        parse_fourgraph(json.dumps({"name": 5, "vertices": 2, "matchings": [[[0, 1]]] * 4}))
     with pytest.raises(FourGraphError):
         FourGraph.from_matchings(2, [[[0, 0]]] * 4)  # loop
     with pytest.raises(FourGraphError):

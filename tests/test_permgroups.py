@@ -11,7 +11,7 @@ from linkgroup.permgroups import (Catalog, CatalogError, FiniteGroup, identity_p
                                   load_catalog, mult, parse_catalog,
                                   symmetric_group)
 from conftest import CountingList, data_path
-from oracles import brute_derived_series, inverse_perm
+from oracles import brute_derived_series, derived_series, inverse_perm
 
 EXPECTED_NAMES = ["C2", "C3", "C4", "C5", "C6", "S3", "D4", "A4", "A5", "S4",
                   "S5", "PSL(2,7)", "A6", "2I"]
@@ -111,14 +111,52 @@ def test_derived_series_against_brute_force(catalog):
     # and are built once
     groups = catalog.groups + [symmetric_group(k) for k in range(2, 8)]
     for g in groups:
-        series = list(g.derived_series())
+        series = derived_series(g)
         assert [t.order for t in series] == DERIVED_ORDERS[g.name], g.name
         assert [t._element_set for t in series] == brute_derived_series(g.elements()), g.name
         assert series[0] is g and series[-1].derived_subgroup is series[-1]
         for t in series[1:]:
             assert t.degree == g.degree
             assert len(t.generators) <= t.order.bit_length() - 1, t.name
-        assert all(a is b for a, b in zip(g.derived_series(), series))
+        assert all(a is b for a, b in zip(derived_series(g), series))
+
+
+# The mult products that build each derived series down to its perfect term.
+# Each candidate subgroup is an _orbit_tree walk from the identity that stops
+# past half the group, so a perfect group is recognised without listing it:
+# A6 after 341 products, fewer than the 720 that list its elements.
+DERIVED_PRODUCTS = {"C2": 0, "C3": 0, "C4": 0, "C5": 0, "C6": 0, "S3": 10, "D4": 9,
+                    "A4": 24, "A5": 50, "S4": 62, "S5": 322, "PSL(2,7)": 124,
+                    "A6": 341, "2I": 106, "S2": 3, "S6": 2274, "S7": 18746}
+
+
+def test_derived_series_work_count(catalog, monkeypatch):
+    # fresh copies, as the catalog's and symmetric_group's terms are kept;
+    # products are counted by rebinding the module's mult, which every
+    # closure and commutator reads at call time
+    products = []
+
+    def counted(p, q):
+        products.append(None)
+        return mult(p, q)
+
+    monkeypatch.setattr(permgroups, "mult", counted)
+    groups = catalog.groups + [symmetric_group(k) for k in range(2, 8)]
+    for g in groups:
+        del products[:]
+        fresh = FiniteGroup(g.name, g.degree, g.generators, order=g.order)
+        assert [t.order for t in derived_series(fresh)] == DERIVED_ORDERS[g.name], g.name
+        assert len(products) == DERIVED_PRODUCTS[g.name], g.name
+    # the dihedral group of order 2000 on 1000 points, by formula: its
+    # derived subgroup is <r^2>, of order 500, and that one is abelian
+    n = 1000
+    r = tuple((x + 1) % n for x in range(n))
+    s = tuple(-x % n for x in range(n))
+    del products[:]
+    d, d1, d2 = derived_series(FiniteGroup("D1000", n, [r, s], order=2 * n))
+    assert d1._element_set == {tuple((x + 2 * i) % n for x in range(n)) for i in range(n // 2)}
+    assert d2.order == 1
+    assert len(products) == 507
 
 
 # Groups with no subgroup of index 2 profiled at index 7, in a fresh

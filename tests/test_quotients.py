@@ -31,9 +31,9 @@ from linkgroup.quotients import (MAX_INDEX, HomCount, ProfileConfig, SubgroupCou
                                  verify_witness)
 from linkgroup.words import Word
 from conftest import CountingList, data_text, pres
-from oracles import (comparable_json, coset_table_low_index, naive_hom_counts,
-                     recompute_entry, reference_compile_hom_search, reference_orbit_search,
-                     reference_search, reference_subgroup_order)
+from oracles import (comparable_json, coset_table_low_index, derived_series,
+                     naive_hom_counts, recompute_entry, reference_compile_hom_search,
+                     reference_orbit_search, reference_search, reference_subgroup_order)
 
 Z = "gens: a\nrels:\n"
 Z2 = "gens: a\nrels: a^2\n"
@@ -548,7 +548,7 @@ def test_low_index_budget_counts_nodes_in_the_alternating_group():
     # at index 3 takes 10 nodes in S3 and 12 in A3, and is searched in S3's
     # trivial term, in 2, so budgets 0 and 1 flag the entry and 2 to 11 do not
     a5 = search_program(pres(A5_PRES))
-    s3, a3, trivial = symmetric_group(3).derived_series()
+    s3, a3, trivial = derived_series(symmetric_group(3))
     assert trivial.order == 1
     for group, nodes in ((s3, 10), (a3, 12), (trivial, 2)):
         assert quotients._search(a5[0], group, nodes)
@@ -841,6 +841,23 @@ def test_generated_search_with_a_head_past_the_nesting_limit(catalog):
     assert found == {(0,) * (n + 1): 1}
     assert (regroup(found, len), used) == metered_search(
         lambda budget: reference_orbit_search(program, c2, len, budget)) == ({1: 1}, 2 * n)
+
+
+def test_head_deduces_past_the_elimination_cap(catalog):
+    # a one-letter relator always shrinks the presentation when eliminated,
+    # so only _reduce_generators' cap of 1000 eliminations leaves 3 of these
+    # 1003 generators, each deduced by the program's head with no segment
+    names = ["x%d" % i for i in range(1003)]
+    raw = pres("gens: %s\nrels: %s\n" % (", ".join(names), "; ".join(names)))
+    reduced = _reduce_generators(raw)
+    assert (len(reduced.generators), len(reduced.relators)) == (3, 3)
+    assert quotients.compile_hom_search(reduced) == (
+        tuple(("deduce", g, (), (), 1) for g in range(3)), (), 3)
+    # the trivial group's profile
+    found = profile(raw, ProfileConfig(simplify_budget=0))
+    assert found.homology == ()
+    assert found.hom_counts == tuple((name, HomCount(1, 0)) for name in catalog.names)
+    assert found.low_index == tuple((k, SubgroupCount(0, 0)) for k in range(2, 7))
 
 
 # one product of a generated word: a subscript of a row mN = mul[sN]
