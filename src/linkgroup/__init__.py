@@ -33,13 +33,7 @@ from .presentations import (
     tietze_simplify,
     wirtinger,
 )
-from .homology import (
-    IntegerMatrix,
-    SmithDecomposition,
-    abelianization_matrix,
-    first_homology,
-    smith_normal_form,
-)
+from .homology import first_homology
 from .permgroups import Catalog, FiniteGroup, load_catalog, parse_catalog
 from .quotients import (
     HomCount,
@@ -77,8 +71,7 @@ __all__ = [
     "GroupPresentation", "PresentationSyntaxError",
     "Relator", "fundamental_group", "parse_presentation",
     "serialize_presentation", "tietze_simplify", "wirtinger",
-    "IntegerMatrix", "SmithDecomposition", "abelianization_matrix",
-    "first_homology", "smith_normal_form",
+    "first_homology",
     "Catalog", "FiniteGroup", "load_catalog", "parse_catalog",
     "HomCount", "InvariantProfile", "ProfileConfig", "SubgroupCount",
     "Verdict", "Witness", "compare_profiles", "count_homs", "distinguish",

@@ -1,137 +1,29 @@
-"""Exact integer matrices, Smith normal form, and first homology of a presentation.
+"""First homology of a presentation, by a sparse Smith normal form.
 
 Everything here is integer arithmetic; no floating point is used anywhere.
-The Smith form works on one sparse layout, built by _sparse: each row is a
-{column: nonzero entry} dict, and each column keeps the set of rows holding
-it.  _apply runs one logged op on that layout, for the elimination and for
-the replay that checks it alike.
+The Smith form works on one sparse layout: each row is a {column: nonzero
+entry} dict, and each column keeps the set of rows holding it.  _apply runs
+one logged op on that layout, for the elimination and for the replay that
+checks it alike.
 """
 
-from itertools import compress
 
-from ._record import Record
-
-
-class IntegerMatrix(Record):
-    """An immutable integer matrix; cols is kept explicitly so 0-row matrices work."""
-
-    __slots__ = ("entries", "cols")
-
-    def __init__(self, entries, cols):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "cols", cols)
-        self.__post_init__()
-
-    def __post_init__(self):
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix row")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError("matrix entries must be plain ints, got %r" % (x,))
-
-    @classmethod
-    def _of(cls, entries, cols):
-        """A matrix from rows of plain ints known to be valid, built without checking them."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", entries)
-        object.__setattr__(matrix, "cols", cols)
-        return matrix
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    @classmethod
-    def from_rows(cls, rows, cols=None):
-        rows = [tuple(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("cols is required for a matrix with no rows")
-            cols = len(rows[0])
-        return cls(tuple(rows), cols)
-
-
-class SmithDecomposition(Record):
-    """D = U·A·V in a divisibility chain, certified by the log of operations.
+def _replays(diag, ops, rows, cols):
+    """True when diag is a divisibility chain and ops take the sparse rows to it.
 
     Each op is (axis, i, j, factor) on the rows (axis 0) or columns (axis 1):
     swap lines i and j (factor None), add factor times line j to line i
-    (i != j), or negate line i (i == j, factor -1).  U is the product of the
-    row ops and V of the column ops, each unimodular by its type.
-    """
-
-    __slots__ = ("d", "ops")
-
-    def __init__(self, d, ops):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "ops", ops)
-
-    @property
-    def invariant_factors(self):
-        return tuple(self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols))
-                     if self.d.entries[i][i] != 0)
-
-    def verify(self, matrix):
-        """Re-check the decomposition exactly against the original matrix.
-
-        D must be diagonal, nonnegative and a divisibility chain, and replaying
-        the log on a sparse copy of A must give D; that proves U·A·V == D with
-        U and V unimodular.  A D of the wrong shape or a malformed op is
-        rejected, not an error.
-        """
-        m, n = matrix.rows, matrix.cols
-        if self.d.rows != m or self.d.cols != n:
-            return False
-        if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(self.d.entries)):
-            return False
-        diag = [self.d.entries[i][i] for i in range(min(m, n))]
-        return _replays(diag, self.ops, n, *_sparse(matrix.entries, n))
-
-
-def _replays(diag, ops, n, rows, cols):
-    """True when diag is a divisibility chain and ops take the sparse rows to it.
-
-    diag is the diagonal of a D over n columns that holds nothing off it.
-    The ops are checked one by one and applied to rows and cols in place.
+    (i != j), or negate line i (i == j, factor -1).  Each is unimodular by
+    its type, so rows ending as the diagonal proves U·A·V == D with U and V
+    unimodular.  Every op is one that _smith logged, so its form is not
+    checked again.  The ops are applied to rows and cols in place.
     """
     # nonnegative, each entry dividing the next (zeros last)
     if min(diag, default=0) < 0 or any(y if x == 0 else y % x for x, y in zip(diag, diag[1:])):
         return False
-    m = len(rows)
     for op in ops:
-        if not _is_op(op, m, n):
-            return False
         _apply(rows, cols, *op)
-    return rows == [{i: x} if x else {} for i, x in enumerate(diag)] + [{}] * (m - len(diag))
-
-
-def _is_op(op, m, n):
-    """True when op is one of the three unimodular kinds, within an m x n matrix."""
-    if type(op) is not tuple or len(op) != 4:
-        return False
-    axis, i, j, factor = op
-    if type(axis) is not int or axis not in (0, 1):
-        return False
-    size = n if axis else m
-    if not all(type(k) is int and 0 <= k < size for k in (i, j)):
-        return False
-    if factor is None:
-        return i != j
-    return type(factor) is int and (i != j or factor == -1)
-
-
-def _sparse(lines, n):
-    """Dense rows over n columns as {column: nonzero entry} dicts, and each column's set of rows."""
-    span = range(n)
-    rows, cols = [], [set() for _ in span]
-    for i, line in enumerate(lines):
-        row = {}
-        for j in compress(span, line):
-            row[j] = line[j]
-            cols[j].add(i)
-        rows.append(row)
-    return rows, cols
+    return rows == [{i: x} if x else {} for i, x in enumerate(diag)] + [{}] * (len(rows) - len(diag))
 
 
 def _apply(rows, cols, axis, i, j, factor):
@@ -202,19 +94,6 @@ def _apply(rows, cols, axis, i, j, factor):
                 cols[c].add(i)
 
 
-def smith_normal_form(matrix):
-    """D and the log of elementary ops that takes matrix to it, re-verified (see _smith)."""
-    m, n = matrix.rows, matrix.cols
-    diag, ops = _smith(n, *_sparse(matrix.entries, n))
-    line, d = [0] * n, []
-    for i, x in enumerate(diag):
-        line[i] = x
-        d.append(tuple(line))
-        line[i] = 0
-    d += [tuple(line)] * (m - len(diag))
-    return SmithDecomposition(IntegerMatrix._of(tuple(d), n), tuple(ops))
-
-
 def _smith(n, rows, cols):
     """(diagonal, log): diagonalize the sparse rows over n columns, logging every op.
 
@@ -279,35 +158,30 @@ def _smith(n, rows, cols):
         t += 1
 
     diag = [rows[i].get(i, 0) for i in range(k)]
-    if not _replays(diag, ops, n, *original):
+    if not _replays(diag, ops, *original):
         raise RuntimeError("Smith normal form self-check failed")
     return diag, ops
-
-
-def _exponent_sums(presentation):
-    """Each relator's exponent sum of every generator, one list per relator."""
-    index = {g: i for i, g in enumerate(presentation.generators)}
-    lines = []
-    for r in presentation.relators:
-        line = [0] * len(index)
-        for name, exp in r.word.letters:
-            line[index[name]] += exp
-        lines.append(line)
-    return lines
-
-
-def abelianization_matrix(presentation):
-    """Relator-by-generator matrix of exponent sums."""
-    return IntegerMatrix._of(tuple(map(tuple, _exponent_sums(presentation))),
-                             len(presentation.generators))
 
 
 def first_homology(presentation):
     """Invariant factors of H1: torsion factors > 1, then one 0 per free rank.
 
-    The exponent sums go straight to sparse rows: no IntegerMatrix, and no D.
+    Each relator's exponent sums go straight to a sparse row, its columns
+    in ascending order, the order in which _smith's pivot search breaks
+    ties; no dense row or matrix is built.
     """
-    n = len(presentation.generators)
-    diag, _ = _smith(n, *_sparse(_exponent_sums(presentation), n))
+    index = {g: i for i, g in enumerate(presentation.generators)}
+    n = len(index)
+    rows, cols = [], [set() for _ in range(n)]
+    for r, relator in enumerate(presentation.relators):
+        sums = {}
+        for name, exp in relator.word.letters:
+            j = index[name]
+            sums[j] = sums.get(j, 0) + exp
+        row = {j: sums[j] for j in sorted(sums) if sums[j]}
+        for j in row:
+            cols[j].add(r)
+        rows.append(row)
+    diag, _ = _smith(n, rows, cols)
     factors = [x for x in diag if x]
     return [x for x in factors if x > 1] + [0] * (n - len(factors))

@@ -6,6 +6,7 @@ import pytest
 import linkgroup
 from linkgroup import load_catalog, parse_presentation
 from linkgroup.corpus import load_corpus
+from linkgroup.homology import _smith
 
 CORPUS_KEYS = ("u1466", "u1563", "u2125", "u2165")
 
@@ -22,6 +23,23 @@ def data_text(name):
 
 def pres(text):
     return parse_presentation(text)
+
+
+def sparse_rows(matrix, cols):
+    """Dense rows over cols columns in the layout _smith takes: {column: entry}
+    dicts with ascending keys, and each column's set of rows."""
+    rows = [{j: x for j, x in enumerate(line) if x} for line in matrix]
+    return rows, [{i for i, row in enumerate(rows) if j in row} for j in range(cols)]
+
+
+def smith(matrix, cols):
+    """(diagonal, log) of _smith on the dense rows over cols columns."""
+    return _smith(cols, *sparse_rows(matrix, cols))
+
+
+def diagonal_matrix(diag, rows, cols):
+    """The rows x cols matrix D with diag down its diagonal, as row tuples."""
+    return tuple(tuple(diag[i] if i == j else 0 for j in range(cols)) for i in range(rows))
 
 
 class CountingList(list):

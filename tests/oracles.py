@@ -28,7 +28,6 @@ from itertools import combinations
 import numpy as np
 
 from linkgroup.gems import is_bipartite, residues
-from linkgroup.homology import IntegerMatrix
 from linkgroup.presentations import (GEN_NAME, MAX_LETTERS, GroupPresentation,
                                      PresentationSyntaxError, Relator, transition_name,
                                      wirtinger)
@@ -883,24 +882,26 @@ def reference_orbit_search(program, group, classify, node_budget):
 # --- Smith normal form before the sparse certificate ---------------------------
 # Verbatim copies of the dense elimination and of its certificate: the product
 # (U @ A) @ V compared with D, and U and V unimodular by Bareiss determinants.
+# A matrix is a tuple of row tuples; its column count is passed beside it,
+# since a matrix with no rows does not show it.
 
-def reference_matmul(left, right):
-    if left.cols != right.rows:
+def reference_matmul(left, right, cols):
+    """left @ right, where right has cols columns."""
+    if any(len(row) != len(right) for row in left):
         raise ValueError("shape mismatch")
-    ot = list(zip(*right.entries)) if right.entries else [()] * right.cols
-    out = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in left.entries)
-    return IntegerMatrix(out, right.cols)
+    ot = list(zip(*right)) if right else [()] * cols
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
+                 for row in left)
 
 
 def reference_det(matrix):
     """Exact determinant by Bareiss fraction-free elimination."""
-    if matrix.rows != matrix.cols:
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
     if n == 0:
         return 1
-    a = [list(r) for r in matrix.entries]
+    a = [list(r) for r in matrix]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -918,19 +919,21 @@ def reference_det(matrix):
     return sign * a[n - 1][n - 1]
 
 
-def reference_smith_verify(d, u, v, matrix):
-    """Re-check the decomposition U @ A @ V == D exactly against the original matrix."""
-    if reference_matmul(reference_matmul(u, matrix), v) != d:
+def reference_smith_verify(d, u, v, matrix, cols):
+    """Re-check the decomposition U @ A @ V == D exactly against the original matrix.
+
+    matrix and D have cols columns; U is square on the rows, V on the columns.
+    """
+    if reference_matmul(reference_matmul(u, matrix, cols), v, cols) != d:
         return False
     if abs(reference_det(u)) != 1 or abs(reference_det(v)) != 1:
         return False
-    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+    diag = [d[i][i] for i in range(min(len(d), cols))]
     # nonnegative, each entry dividing the next (zeros last), nothing off it
     if any(x < 0 for x in diag) or any(y if x == 0 else y % x
                                        for x, y in zip(diag, diag[1:])):
         return False
-    return not any(d.entries[i][j] for i in range(d.rows)
-                   for j in range(d.cols) if i != j)
+    return not any(d[i][j] for i in range(len(d)) for j in range(cols) if i != j)
 
 
 def _ref_swap_rows(a, u, i, j):
@@ -957,15 +960,15 @@ def _ref_add_col(a, v, dst, src, factor):
         row[dst] += factor * row[src]
 
 
-def reference_smith_normal_form(matrix):
-    """(D, U, V) with U @ A @ V == D, by the dense elimination.
+def reference_smith_normal_form(matrix, cols):
+    """(D, U, V) with U @ A @ V == D, by the dense elimination of A over cols columns.
 
     The pivot is always a minimal-absolute-value nonzero entry of the remaining
     block, which keeps intermediate entries small.  Every returned
     decomposition is re-verified exactly before being handed back.
     """
-    m, n = matrix.rows, matrix.cols
-    a = [list(row) for row in matrix.entries]
+    m, n = len(matrix), cols
+    a = [list(row) for row in matrix]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -1026,9 +1029,8 @@ def reference_smith_normal_form(matrix):
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
 
-    d, u, v = (IntegerMatrix.from_rows(a, n), IntegerMatrix.from_rows(u, m),
-               IntegerMatrix.from_rows(v, n))
-    if not reference_smith_verify(d, u, v, matrix):
+    d, u, v = tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(map(tuple, v))
+    if not reference_smith_verify(d, u, v, matrix, n):
         raise RuntimeError("Smith normal form self-check failed")
     return d, u, v
 
@@ -1063,7 +1065,7 @@ def reference_log_transforms(ops, m, n):
         else:
             return None
     u, v_t = built
-    return IntegerMatrix.from_rows(u, m), IntegerMatrix.from_rows(list(zip(*v_t)), n)
+    return tuple(map(tuple, u)), tuple(zip(*v_t))
 
 
 # --- surgery presentation and gem report before computing each fact once ------
