@@ -11,10 +11,7 @@ class Word(Record):
     """
 
     __slots__ = ("letters",)
-
-    def __init__(self, letters=()):
-        object.__setattr__(self, "letters", letters)
-        self.__post_init__()
+    _defaults = {"letters": ()}
 
     @classmethod
     def _of(cls, letters):
@@ -24,6 +21,8 @@ class Word(Record):
         return word
 
     def __post_init__(self):
+        if not isinstance(self.letters, tuple):
+            raise ValueError("word letters must be a tuple, not %s" % type(self.letters).__name__)
         for letter in self.letters:
             name, exp = letter
             if not isinstance(name, str) or not name:

@@ -27,7 +27,6 @@ from itertools import combinations
 
 import numpy as np
 
-from linkgroup.gems import is_bipartite, residues
 from linkgroup.presentations import (GEN_NAME, MAX_LETTERS, GroupPresentation,
                                      PresentationSyntaxError, Relator, transition_name,
                                      wirtinger)
@@ -1128,6 +1127,26 @@ def reference_fundamental_group(diagram):
     return GroupPresentation(generators, relators)
 
 
+def _ref_walk(graph, colors):
+    """Breadth-first walk over the edges of the given colors: the components as
+    sorted vertex tuples ordered by least vertex, and each vertex's distance
+    from the least vertex of its component."""
+    depth = [None] * graph.vertices
+    components = []
+    for root in range(graph.vertices):
+        if depth[root] is None:
+            depth[root] = 0
+            queue = [root]
+            for v in queue:
+                for c in colors:
+                    w = graph.partners[c][v]
+                    if depth[w] is None:
+                        depth[w] = depth[v] + 1
+                        queue.append(w)
+            components.append(tuple(sorted(queue)))
+    return components, depth
+
+
 def reference_gem_report(graph):
     """Check the sphere condition on every 3-residue and report the numbers.
 
@@ -1139,11 +1158,11 @@ def reference_gem_report(graph):
     all_spherical = True
     for dropped in range(4):
         kept = [c for c in range(4) if c != dropped]
-        components = residues(graph, kept)
+        components = _ref_walk(graph, kept)[0]
         pair_cycles = {}
         for a in range(3):
             for b in range(a + 1, 3):
-                pair_cycles[(kept[a], kept[b])] = residues(graph, (kept[a], kept[b]))
+                pair_cycles[(kept[a], kept[b])] = _ref_walk(graph, (kept[a], kept[b]))[0]
         for component in components:
             members = set(component)
             v = len(component)
@@ -1162,7 +1181,11 @@ def reference_gem_report(graph):
                 "bigons": bigons,
                 "euler": euler,
             })
-    bipartite = is_bipartite(graph)
+    # 2-colored by the parity of the distance over all four colors: the graph is
+    # bipartite exactly when every edge joins the two parities
+    depth = _ref_walk(graph, range(4))[1]
+    bipartite = all((depth[v] - depth[w]) % 2 for partner in graph.partners
+                    for v, w in enumerate(partner))
     return {
         "vertices": graph.vertices,
         "bipartite": bipartite,

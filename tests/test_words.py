@@ -18,6 +18,13 @@ def test_letters_are_validated():
         Word.from_syllables([("a", 0)])
 
 
+def test_letters_must_be_a_tuple():
+    # a list would compare unequal to the tuple word and could not be hashed
+    with pytest.raises(ValueError, match="letters must be a tuple, not list"):
+        Word([("a", 1)])
+    assert Word((("a", 1),)).letters == (("a", 1),)
+
+
 def test_operations_do_not_validate_again(monkeypatch):
     u, v = w(("a", 1), ("b", -1)), w(("b", 1), ("c", 1))
     checks = []
