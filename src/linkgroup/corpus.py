@@ -24,6 +24,12 @@ def _data(name):
 class CorpusEntry(Record):
     __slots__ = ("key", "label", "family", "partner")
 
+    def __init__(self, key, label, family, partner):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "partner", partner)
+
     def diagram_text(self):
         return _data(self.key + ".pd.json")
 

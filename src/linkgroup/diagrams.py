@@ -31,6 +31,11 @@ class DiagramStructureError(ValueError):
 class Violation(Record):
     __slots__ = ("invariant", "element", "detail")
 
+    def __init__(self, invariant, element, detail):
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "detail", detail)
+
     def __str__(self):
         return "%s violation on %r: %s" % (self.invariant, self.element, self.detail)
 
@@ -38,10 +43,20 @@ class Violation(Record):
 class Crossing(Record):
     __slots__ = ("over", "under_in", "under_out", "sign")
 
+    def __init__(self, over, under_in, under_out, sign):
+        object.__setattr__(self, "over", over)
+        object.__setattr__(self, "under_in", under_in)
+        object.__setattr__(self, "under_out", under_out)
+        object.__setattr__(self, "sign", sign)
+
 
 class LinkDiagram(Record):
     __slots__ = ("components", "crossings", "name")
-    _defaults = {"name": None}
+
+    def __init__(self, components, crossings, name=None):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "name", name)
 
     @property
     def arcs(self):

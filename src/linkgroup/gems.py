@@ -18,8 +18,12 @@ class FourGraphError(ValueError):
 
 
 class FourGraph(Record):
-    # partners: four involution tuples; partners[color][v] is v's neighbor
     __slots__ = ("vertices", "partners")
+
+    def __init__(self, vertices, partners):
+        object.__setattr__(self, "vertices", vertices)
+        # four involution tuples; partners[color][v] is v's neighbor
+        object.__setattr__(self, "partners", partners)
 
     @classmethod
     def from_matchings(cls, vertices, matchings):

@@ -34,8 +34,10 @@ class Relator(Record):
     """
 
     __slots__ = ("lhs", "rhs")
-    # the empty word, built unchecked so that importing the package compiles nothing
-    _defaults = {"rhs": Word._of(())}
+
+    def __init__(self, lhs, rhs=Word()):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def word(self):
@@ -47,6 +49,11 @@ class Relator(Record):
 
 class GroupPresentation(Record):
     __slots__ = ("generators", "relators")
+
+    def __init__(self, generators, relators):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+        self.__post_init__()
 
     def __post_init__(self):
         seen = set()

@@ -46,7 +46,12 @@ class BudgetExceeded(Exception):
 
 class HomCount(Record):
     __slots__ = ("total", "surjective", "budget_exceeded")
-    _defaults = {"budget_exceeded": False}
+
+    def __init__(self, total, surjective, budget_exceeded=False):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "surjective", surjective)
+        object.__setattr__(self, "budget_exceeded", budget_exceeded)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.budget_exceeded and not 0 <= self.surjective <= self.total:
@@ -58,7 +63,12 @@ class HomCount(Record):
 
 class SubgroupCount(Record):
     __slots__ = ("classes", "total", "budget_exceeded")
-    _defaults = {"budget_exceeded": False}
+
+    def __init__(self, classes, total, budget_exceeded=False):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "budget_exceeded", budget_exceeded)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.budget_exceeded and not 0 <= self.classes <= self.total:
@@ -671,7 +681,12 @@ def low_index_subgroups(program, max_index, node_budget=10 ** 8):
 
 class ProfileConfig(Record):
     __slots__ = ("max_index", "node_budget", "simplify_budget")
-    _defaults = {"max_index": 6, "node_budget": 10 ** 8, "simplify_budget": 10 ** 4}
+
+    def __init__(self, max_index=6, node_budget=10 ** 8, simplify_budget=10 ** 4):
+        object.__setattr__(self, "max_index", max_index)
+        object.__setattr__(self, "node_budget", node_budget)
+        object.__setattr__(self, "simplify_budget", simplify_budget)
+        self.__post_init__()
 
     def __post_init__(self):
         for name, value in self._asdict().items():
@@ -707,10 +722,22 @@ _FAMILIES = (
 
 
 class InvariantProfile(Record):
-    # hom_counts: ((group name, HomCount), ...) in catalog order;
-    # low_index: ((index, SubgroupCount), ...) ascending
     __slots__ = ("homology", "hom_counts", "low_index", "catalog_version", "catalog_names",
                  "config", "presentation_hash", "generator_count", "relator_count")
+
+    def __init__(self, homology, hom_counts, low_index, catalog_version, catalog_names,
+                 config, presentation_hash, generator_count, relator_count):
+        object.__setattr__(self, "homology", homology)
+        # ((group name, HomCount), ...) in catalog order
+        object.__setattr__(self, "hom_counts", hom_counts)
+        # ((index, SubgroupCount), ...) ascending
+        object.__setattr__(self, "low_index", low_index)
+        object.__setattr__(self, "catalog_version", catalog_version)
+        object.__setattr__(self, "catalog_names", catalog_names)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "presentation_hash", presentation_hash)
+        object.__setattr__(self, "generator_count", generator_count)
+        object.__setattr__(self, "relator_count", relator_count)
 
     def config_dict(self):
         return {
@@ -780,14 +807,25 @@ def profile(presentation, config=None, catalog=None, workers=1):
 class Witness(Record):
     __slots__ = ("invariant", "left", "right", "recheck")
 
+    def __init__(self, invariant, left, right, recheck):
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "recheck", recheck)
+
     def to_dict(self):
         # a copy, so editing the document leaves the witness as it was
         return copy.deepcopy(self._asdict())
 
 
 class Verdict(Record):
-    # outcome: "Distinguished" or "Inconclusive"; witness: a Witness or None
     __slots__ = ("outcome", "witness", "left_profile", "right_profile")
+
+    def __init__(self, outcome, witness, left_profile, right_profile):
+        object.__setattr__(self, "outcome", outcome)   # "Distinguished" or "Inconclusive"
+        object.__setattr__(self, "witness", witness)   # Witness or None
+        object.__setattr__(self, "left_profile", left_profile)
+        object.__setattr__(self, "right_profile", right_profile)
 
     def to_dict(self):
         return {

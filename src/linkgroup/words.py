@@ -11,7 +11,10 @@ class Word(Record):
     """
 
     __slots__ = ("letters",)
-    _defaults = {"letters": ()}
+
+    def __init__(self, letters=()):
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     @classmethod
     def _of(cls, letters):
@@ -21,9 +24,14 @@ class Word(Record):
         return word
 
     def __post_init__(self):
-        if not isinstance(self.letters, tuple):
-            raise ValueError("word letters must be a tuple, not %s" % type(self.letters).__name__)
-        for letter in self.letters:
+        # a list word, or a list letter, compares unequal to its tuple twin and
+        # cannot be hashed
+        letters = self.letters
+        if not isinstance(letters, tuple):
+            raise ValueError("word letters must be a tuple, not %s" % type(letters).__name__)
+        for letter in letters:
+            if not isinstance(letter, tuple):
+                raise ValueError("each word letter must be a tuple, not %s" % type(letter).__name__)
             name, exp = letter
             if not isinstance(name, str) or not name:
                 raise ValueError("letter names must be nonempty strings")

@@ -15,7 +15,6 @@ from linkgroup import (CorpusEntry, Crossing, FourGraph, GroupPresentation, HomC
                        Witness, Word,
                        corpus, diagrams, gems, homology, permgroups, profile, quotients,
                        words)
-from linkgroup import _record
 from linkgroup._record import Record
 from linkgroup.diagrams import Violation
 
@@ -83,26 +82,6 @@ def test_import_loads_no_dataclass_machinery():
     # what it imports is loaded
     assert not added & {"dataclasses", "inspect", "ast", "dis", "importlib.resources",
                         "pathlib", "tempfile", "typing", "zipfile"}
-
-
-RECORD_INITS_SCRIPT = """
-import sys
-sys.path.insert(0, sys.argv[1])
-import linkgroup
-from linkgroup._record import Record
-print(*[cls.__name__ for cls in Record.__subclasses__() if "__init__" in cls.__dict__])
-"""
-
-
-def test_import_compiles_no_record_init():
-    # a class writes its __init__ on its first construction; the first compile
-    # in a process costs about 1.2 ms (CPython 3.11, 2-CPU Xeon), which import
-    # and so every command would otherwise pay
-    src = str(Path(linkgroup.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-S", "-I", "-c", RECORD_INITS_SCRIPT, src],
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == []
 
 
 CORPUS_REPORT_SCRIPT = """
@@ -182,53 +161,23 @@ DEFAULTS = {
 }
 
 
-def test_value_class_constructors_take_their_fields_once(monkeypatch):
-    values = value_instances()
-    write_init = _record._write_init
-    written = []
-    monkeypatch.setattr(_record, "_write_init",
-                        lambda cls: written.append(cls) or write_init(cls))
-    for value in values:
+def test_value_class_constructors_take_exactly_their_fields():
+    for value in value_instances():
         cls = type(value)
         fields = value._values()
         names = cls.__slots__
-        # back to the base's generic entry, as before the class is first built
-        monkeypatch.delattr(cls, "__init__")
-        assert "__init__" not in cls.__dict__
-        calls = [((*fields, None), {}), (fields, {"extra": None})]
-        required = [name for name in names if name not in DEFAULTS.get(cls, {})]
-        if required:
-            calls.append(((), {}))
-        for args, kwargs in calls:
-            with pytest.raises(TypeError, match=re.escape(cls.__qualname__ + ".__init__()")):
-                cls(*args, **kwargs)
-        init = cls.__dict__["__init__"]
-        assert init.__qualname__ == cls.__qualname__ + ".__init__"
-        assert cls(*fields) == cls(**value._asdict()) == value
-        assert cls.__dict__["__init__"] is init
-        assert written.count(cls) == 1
         params = inspect.signature(cls).parameters
         assert tuple(params) == names
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
         assert {name: p.default for name, p in params.items()
                 if p.default is not p.empty} == DEFAULTS.get(cls, {})
-    assert len(written) == 14
-
-
-@pytest.mark.parametrize("cls, build", [
-    (HomCount, lambda: HomCount(1, 2)),
-    (Word, lambda: Word((("a", 2),))),
-    (ProfileConfig, lambda: ProfileConfig(max_index=-1)),
-    (GroupPresentation, lambda: GroupPresentation(("1a",), ())),
-])
-def test_value_class_checks_run_on_every_construction(monkeypatch, cls, build):
-    if "__init__" in cls.__dict__:
-        monkeypatch.delattr(cls, "__init__")
-    # the first construction runs through the base's generic entry, the second
-    # through the class's own __init__
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            build()
+        assert cls(*fields) == cls(**value._asdict()) == value
+        calls = [((*fields, None), {}), (fields, {"extra": None})]
+        if any(name not in DEFAULTS.get(cls, {}) for name in names):
+            calls.append(((), {}))
+        for args, kwargs in calls:
+            with pytest.raises(TypeError, match=re.escape(cls.__qualname__ + ".__init__()")):
+                cls(*args, **kwargs)
 
 
 def test_witness_and_verdict_documents_are_fresh_copies():

@@ -22,6 +22,8 @@ def test_letters_must_be_a_tuple():
     # a list would compare unequal to the tuple word and could not be hashed
     with pytest.raises(ValueError, match="letters must be a tuple, not list"):
         Word([("a", 1)])
+    with pytest.raises(ValueError, match="each word letter must be a tuple, not list"):
+        Word((["a", 1],))
     assert Word((("a", 1),)).letters == (("a", 1),)
 
 
