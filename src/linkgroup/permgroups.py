@@ -26,7 +26,9 @@ def identity_perm(degree):
 
 
 def mult(p, q):
-    return tuple(q[x] for x in p)
+    # one C-level gather; itemgetter of one index returns the bare image, not
+    # a 1-tuple, and of none raises
+    return operator.itemgetter(*p)(q) if len(p) > 1 else tuple(q[x] for x in p)
 
 
 def _orbit_tree(start, generators, act, limit=None):
@@ -94,11 +96,13 @@ class FiniteGroup:
     def tables(self):
         """(multiplication table, inverse table, identity index).
 
-        The identity is element 0.  The table is a list of rows: mul[i][j]
-        is i * j, so a product costs two subscripts and no index arithmetic,
-        and builds no int.  Element i is its spanning-tree parent times one
-        generator g, so i * j = parent * (g * j): row i is the parent's row
-        gathered through g's left action, one C-level gather per row.
+        The identity is element 0.  The table is a list of tuple rows:
+        mul[i][j] is i * j, so a product costs two subscripts and no index
+        arithmetic, and builds no int.  Element i is its spanning-tree
+        parent times one generator g, so i * j = parent * (g * j): row i is
+        the parent's row gathered through g's left action, one C-level
+        gather per row, and i^-1 = g^-1 * parent^-1 is one cell of g^-1's
+        row.
         """
         if self._tables is None:
             self.elements()
@@ -107,12 +111,14 @@ class FiniteGroup:
             left = [operator.itemgetter(*[index[mult(g, p)] for p in elems])
                     for g in self.generators]
             n = len(elems)
-            mul = []
-            for i in range(n):
-                row = [0] * n   # exact size: list() rounds an odd length up
-                row[:] = left[via[i]](mul[parent[i]]) if i else range(n)
-                mul.append(row)
-            self._tables = (mul, [row.index(0) for row in mul], 0)
+            mul = [tuple(range(n))]
+            for i in range(1, n):
+                mul.append(left[via[i]](mul[parent[i]]))
+            g_inv = [mul[index[g]].index(0) for g in self.generators]
+            inv = [0] * n
+            for i in range(1, n):
+                inv[i] = mul[g_inv[via[i]]][inv[parent[i]]]
+            self._tables = (mul, inv, 0)
         return self._tables
 
     def _orbit_table(self, r):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,22 @@ def test_perm_primitives():
     assert mult(q, p) == (2, 1, 0)
     assert inverse_perm(p) == (2, 0, 1)
     assert mult(p, inverse_perm(p)) == identity_perm(3)
+
+
+def test_mult_against_its_definition():
+    # itemgetter of one index returns a bare value, so the short degrees are
+    # checked on their own: the one permutation of 0 or 1 points, both of 2
+    assert mult((), ()) == ()
+    assert mult((0,), (0,)) == (0,)
+    assert mult((1, 0), (1, 0)) == (0, 1)
+    assert mult((0, 1), (1, 0)) == mult((1, 0), (0, 1)) == (1, 0)
+    rng = random.Random(38)
+    for degree in range(1, 9):
+        for _ in range(50):
+            p = tuple(rng.sample(range(degree), degree))
+            q = tuple(rng.sample(range(degree), degree))
+            assert mult(p, q) == tuple(q[p[i]] for i in range(degree)), (p, q)
+            assert type(mult(p, q)) is tuple
 
 
 def test_closure_s3():
@@ -82,10 +99,9 @@ def test_tables_match_permutation_products(catalog):
         index = {p: i for i, p in enumerate(elems)}
         mul, inv, e = g.tables()
         n = g.order
-        assert len(mul) == n and all(len(row) == n for row in mul), g.name
-        # rows are allocated to their exact length, odd orders included
-        assert all(sys.getsizeof(row) == sys.getsizeof([0] * n) for row in mul), g.name
-        assert mul == [[index[mult(p, q)] for q in elems] for p in elems], g.name
+        # each row is the tuple its gather returns, so it has its exact length
+        assert all(type(row) is tuple for row in mul), g.name
+        assert mul == [tuple(index[mult(p, q)] for q in elems) for p in elems], g.name
         assert inv == [index[inverse_perm(p)] for p in elems], g.name
         assert e == index[identity_perm(g.degree)]
 

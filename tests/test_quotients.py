@@ -1,3 +1,4 @@
+import builtins
 import functools
 import gc
 import hashlib
@@ -691,6 +692,21 @@ def test_profile_compiles_the_search_once(monkeypatch):
     monkeypatch.setattr(quotients, "compile_hom_search", counting)
     profile(load_corpus()["u1466"].presentation())
     assert len(calls) == 1
+
+
+def test_profile_calls_no_builtin_compile(monkeypatch):
+    # the search's source text goes to exec as it is: the builtin compile()
+    # sets up the ast node types on its first call in a process
+    expected = [profile(pres(text)).to_json() for text in (TREFOIL, Z3)]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("builtin compile() called")
+
+    # undone before pytest reports a failure, which compiles its assertion
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "compile", refused)
+        found = [profile(pres(text)).to_json() for text in (TREFOIL, Z3)]
+    assert found == expected
 
 
 def test_profile_and_recheck_compile_before_the_first_search(monkeypatch, catalog):
