@@ -166,18 +166,21 @@ def _smith(n, rows, cols):
 def first_homology(presentation):
     """Invariant factors of H1: torsion factors > 1, then one 0 per free rank.
 
-    Each relator's exponent sums go straight to a sparse row, its columns
-    in ascending order, the order in which _smith's pivot search breaks
-    ties; no dense row or matrix is built.
+    Each relator's exponent sums, its lhs exponents less its rhs ones, go
+    straight to a sparse row, its columns in ascending order, the order in
+    which _smith's pivot search breaks ties; no dense row or matrix is built.
     """
     index = {g: i for i, g in enumerate(presentation.generators)}
     n = len(index)
     rows, cols = [], [set() for _ in range(n)]
     for r, relator in enumerate(presentation.relators):
         sums = {}
-        for name, exp in relator.word.letters:
+        for name, exp in relator.lhs.letters:
             j = index[name]
             sums[j] = sums.get(j, 0) + exp
+        for name, exp in relator.rhs.letters:
+            j = index[name]
+            sums[j] = sums.get(j, 0) - exp
         row = {j: sums[j] for j in sorted(sums) if sums[j]}
         for j in row:
             cols[j].add(r)

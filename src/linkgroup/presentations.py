@@ -55,6 +55,15 @@ class GroupPresentation(Record):
         object.__setattr__(self, "relators", relators)
         self.__post_init__()
 
+    @classmethod
+    def _of(cls, generators, relators):
+        """A presentation from parts known to be valid, built without checking them:
+        generators from a checked presentation, relators over those generators."""
+        presentation = object.__new__(cls)
+        object.__setattr__(presentation, "generators", generators)
+        object.__setattr__(presentation, "relators", relators)
+        return presentation
+
     def __post_init__(self):
         seen = set()
         for g in self.generators:
@@ -63,10 +72,12 @@ class GroupPresentation(Record):
             if g in seen:
                 raise ValueError("duplicate generator %r" % g)
             seen.add(g)
-        for r in self.relators:
-            for name in r.generators():
-                if name not in seen:
-                    raise ValueError("relator uses unknown generator %r" % name)
+        used = {name for r in self.relators for name, _ in r.lhs.letters + r.rhs.letters}
+        if not used <= seen:
+            # the first unknown name in the relators' letter order
+            name = next(name for r in self.relators for name, _ in r.lhs.letters + r.rhs.letters
+                        if name not in seen)
+            raise ValueError("relator uses unknown generator %r" % name)
 
 
 def transition_name(under_in, under_out):
@@ -75,19 +86,30 @@ def transition_name(under_in, under_out):
     return "t_%s_%s" % (under_in, under_out)
 
 
+def _conjugations(crossings):
+    """One Wirtinger relator per crossing: under_in * over = over * under_out at
+    sign +1, under_out * over = over * under_in at sign -1.  A sign other than
+    +1 or -1, or an arc that is not a nonempty string, raises ValueError."""
+    relators = []
+    for c in crossings:
+        over, sign = c.over, c.sign
+        if sign == 1:
+            a, b = c.under_in, c.under_out
+        elif sign == -1:
+            a, b = c.under_out, c.under_in
+        else:
+            raise ValueError("crossing sign must be +1 or -1, got %r" % (sign,))
+        for name in (a, over, b):
+            if not isinstance(name, str) or not name:
+                raise ValueError("letter names must be nonempty strings")
+        relators.append(Relator(Word._of(((a, 1), (over, 1))), Word._of(((over, 1), (b, 1)))))
+    return relators
+
+
 def wirtinger(diagram):
     """The Wirtinger presentation: arc generators, one conjugation per crossing."""
     generators = tuple(arc for comp in diagram.components for arc in comp)
-    relators = []
-    for c in diagram.crossings:
-        if c.sign == 1:
-            lhs = Word(((c.under_in, 1), (c.over, 1)))
-            rhs = Word(((c.over, 1), (c.under_out, 1)))
-        else:
-            lhs = Word(((c.under_out, 1), (c.over, 1)))
-            rhs = Word(((c.over, 1), (c.under_in, 1)))
-        relators.append(Relator(lhs, rhs))
-    return GroupPresentation(generators, tuple(relators))
+    return GroupPresentation(generators, tuple(_conjugations(diagram.crossings)))
 
 
 def fundamental_group(diagram):
@@ -100,19 +122,25 @@ def fundamental_group(diagram):
     the transition generator is o for sign +1 and o^-1 for sign -1, and
     conjugation by it carries the incoming understrand arc to the outgoing one.
     The filling relator is their product; a component that never passes under
-    a crossing contributes none.
+    a crossing contributes none.  The words are built unchecked: a transition
+    letter is a formatted name with exponent 1, each letter o^sign is checked
+    as Word checks it, _conjugations checks the rest, and the presentation's
+    own check runs once.
     """
     names, definitions, fillings = [], [], []
     for crossings in under_walks(diagram):
         walk = [(transition_name(c.under_in, c.under_out), c) for c in crossings]
         for t, c in walk:
+            letter = (c.over, c.sign)
+            if c.sign not in (1, -1) or not isinstance(c.over, str) or not c.over:
+                Word((letter,))   # the checked constructor raises for this letter
             names.append(t)
-            definitions.append(Relator(Word(((t, 1),)), Word(((c.over, c.sign),))))
+            definitions.append(Relator(Word._of(((t, 1),)), Word._of((letter,))))
         if walk:
-            fillings.append(Relator(Word(tuple((t, 1) for t, _ in walk))))
-    w = wirtinger(diagram)
-    return GroupPresentation(tuple(names) + w.generators,
-                             tuple(definitions) + tuple(fillings) + w.relators)
+            fillings.append(Relator(Word._of(tuple([(t, 1) for t, _ in walk]))))
+    arcs = tuple(arc for comp in diagram.components for arc in comp)
+    return GroupPresentation(tuple(names) + arcs, tuple(definitions) + tuple(fillings)
+                             + tuple(_conjugations(diagram.crossings)))
 
 
 # --- Tietze rewriting on encoded words ----------------------------------------
@@ -125,10 +153,10 @@ def fundamental_group(diagram):
 
 def _encoder(generators):
     """(encode, decode, table) for words over generators; table inverts letters."""
-    index = {g: 2 * i for i, g in enumerate(generators)}
     letters = [(g, e) for g in generators for e in (1, -1)]
-    return (lambda word: "".join([chr(index[g] + (e < 0)) for g, e in word.letters]),
-            lambda s: Word._of(tuple([letters[ord(c)] for c in s])),
+    code = {letter: chr(i) for i, letter in enumerate(letters)}
+    return (lambda word: "".join(map(code.__getitem__, word.letters)),
+            lambda s: Word._of(tuple(map(letters.__getitem__, map(ord, s)))),
             "".join(chr(c ^ 1) for c in range(len(letters))))
 
 
@@ -287,8 +315,8 @@ def tietze_simplify(presentation, budget=10000):
         if shortening is None:
             break
         rels[shortening[0]] = (shortening[1], "")
-    return GroupPresentation(tuple(gens), tuple(Relator(decode(lhs), decode(rhs))
-                                                for lhs, rhs in rels))
+    return GroupPresentation._of(tuple(gens), tuple(Relator(decode(lhs), decode(rhs))
+                                                    for lhs, rhs in rels))
 
 
 def _reduce_generators(presentation):
@@ -311,7 +339,8 @@ def _reduce_generators(presentation):
     def single(w):
         return [c for c, k in Counter(w.translate(fold)).items() if k == 1]
     gens = list(names)
-    rels = [_reduce(encode(r.word), True) for r in presentation.relators]
+    rels = [_reduce(encode(r.lhs) + encode(r.rhs)[::-1].translate(table), True)
+            for r in presentation.relators]
     rels = [w for w in rels if w]
     singles = [single(w) for w in rels]
     original = max(sum(map(len, rels)), 50)
@@ -336,7 +365,7 @@ def _reduce_generators(presentation):
                 singles[i] = single(rels[i])
         singles = [x for v, x in zip(rels, singles) if v]
         rels = [v for v in rels if v]
-    return GroupPresentation(tuple(gens), tuple(Relator(decode(w)) for w in rels))
+    return GroupPresentation._of(tuple(gens), tuple(Relator(decode(w)) for w in rels))
 
 
 # --- text grammar -----------------------------------------------------------
@@ -367,13 +396,14 @@ def _tokenize(line, lineno):
 def _relator(tokens, known, letters):
     """The relator spelled by one ;-separated token group, lhs [= rhs] with
     each side 1 or name[^int]*name[^int]..., and letters plus the number of
-    letters its powers expand to."""
+    letters its powers expand to.  Every name is checked against known and
+    every exponent is a nonzero int, so the sides are built unchecked."""
     def peek(i):
         return tokens[i][0] if i < len(tokens) else None
 
-    sides, syllables, i = [], [], 0
+    sides, side, i = [], [], 0
     while True:
-        if not syllables and peek(i) == "1":
+        if not side and peek(i) == "1":
             i += 1
         else:
             name = peek(i)
@@ -395,12 +425,12 @@ def _relator(tokens, known, letters):
             if letters > MAX_LETTERS:
                 raise _error(tokens, at, "the relators expand to more than %d letters"
                              % MAX_LETTERS)
-            syllables.append((name, exp))
+            side += [(name, 1)] * exp if exp > 0 else [(name, -1)] * -exp
             if peek(i) == "*":
                 i += 1
                 continue
-        sides.append(Word.from_syllables(syllables))
-        syllables = []
+        sides.append(Word._of(tuple(side)))
+        side = []
         if len(sides) == 2 or peek(i) != "=":
             break
         i += 1

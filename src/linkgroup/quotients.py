@@ -85,12 +85,23 @@ def json_text(doc):
 # --- homomorphism counting ---------------------------------------------------
 
 def _relator_sequences(presentation):
-    index = {g: i for i, g in enumerate(presentation.generators)}
+    """Each relator lhs * rhs^-1 as (generator index, exponent) letters, freely
+    reduced; a relator that reduces to the empty word is left out."""
+    code = {}
+    for i, g in enumerate(presentation.generators):
+        code[g, 1], code[g, -1] = (i, 1), (i, -1)
     seqs = []
     for r in presentation.relators:
-        w = r.word.free_reduce()
-        if w.letters:
-            seqs.append(tuple((index[name], exp) for name, exp in w.letters))
+        lhs = map(code.__getitem__, r.lhs.letters)
+        rhs = [(i, -e) for i, e in map(code.__getitem__, reversed(r.rhs.letters))]
+        seq = []
+        for i, e in itertools.chain(lhs, rhs):
+            if seq and seq[-1][0] == i and seq[-1][1] == -e:
+                seq.pop()
+            else:
+                seq.append((i, e))
+        if seq:
+            seqs.append(tuple(seq))
     return seqs
 
 

@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -40,6 +43,36 @@ def test_wirtinger_conventions():
     r = wirtinger(d).relators[0]
     assert r.lhs.letters == (("b", 1), ("c", 1))
     assert r.rhs.letters == (("c", 1), ("a", 1))
+
+
+def test_crossing_signs_and_arcs_are_checked():
+    # wirtinger checks each sign itself, not only fundamental_group's letters
+    d = LinkDiagram(components=(("a", "b"), ("c",)),
+                    crossings=(Crossing(over="c", under_in="a", under_out="b", sign=2),
+                               Crossing(over="c", under_in="b", under_out="a", sign=1)))
+    with pytest.raises(ValueError, match="crossing sign must be"):
+        wirtinger(d)
+    with pytest.raises(ValueError, match=re.escape("letter exponent must be +1 or -1, got c^2")):
+        fundamental_group(d)
+    # a non-string arc: an overstrand, or an understrand with a len(), fails the
+    # letter check (ValueError); one without a len() fails naming its transition
+    # generator, and one that is only listed fails the name pattern (TypeError)
+    over = LinkDiagram(components=((5,), ("b",)),
+                       crossings=(Crossing(over=5, under_in="b", under_out="b", sign=1),))
+    sized = LinkDiagram(components=((("x",), "b"), ("c",)),
+                        crossings=(Crossing(over="c", under_in=("x",), under_out="b", sign=1),
+                                   Crossing(over="c", under_in="b", under_out=("x",), sign=1)))
+    unsized = LinkDiagram(components=((5, "b"), ("c",)),
+                          crossings=(Crossing(over="c", under_in=5, under_out="b", sign=1),
+                                     Crossing(over="c", under_in="b", under_out=5, sign=1)))
+    listed = LinkDiagram(components=((5,), ("b",)), crossings=())
+    for diagram, wirtinger_error, fundamental_group_error in (
+            (over, ValueError, ValueError), (sized, ValueError, ValueError),
+            (unsized, ValueError, TypeError), (listed, TypeError, TypeError)):
+        with pytest.raises(wirtinger_error):
+            wirtinger(diagram)
+        with pytest.raises(fundamental_group_error):
+            fundamental_group(diagram)
 
 
 def test_fundamental_group_layout():
@@ -122,6 +155,31 @@ def test_presentation_validation():
         GroupPresentation(("a",), (Relator(Word((("b", 1),))),))
     with pytest.raises(ValueError):
         GroupPresentation(("9bad",), ())
+
+
+UNKNOWN_NAME_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from linkgroup.presentations import GroupPresentation, Relator
+from linkgroup.words import Word
+try:
+    GroupPresentation(("a",), (Relator(Word((("b", 1), ("c", 1), ("d", -1)))),))
+except ValueError as e:
+    print(e)
+"""
+
+
+def test_unknown_generator_error_names_the_first_in_letter_order():
+    # a set of unknown names iterates in hash order, which varies with the seed
+    # (not -I: it implies -E, which ignores PYTHONHASHSEED)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(presentations.__file__)))
+    for seed in range(1, 7):
+        run = subprocess.run([sys.executable, "-S", "-c", UNKNOWN_NAME_SCRIPT, src],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        assert run.stdout == "relator uses unknown generator 'b'\n", (seed, run.stderr)
+    with pytest.raises(ValueError, match="unknown generator 'q'"):
+        GroupPresentation(("a",), (Relator(Word((("a", 1),)), Word((("q", 1), ("p", 1)))),))
 
 
 def test_serialize_dialects():
@@ -551,3 +609,32 @@ def test_diagram_layers_are_linear_in_components():
     assert time.perf_counter() - start < 3
     assert len(framed.crossings) == 8000
     assert len(p.generators) == 8000 + 8000 and len(p.relators) == 8000 + 4000 + 8000
+
+
+def test_pipeline_checks_each_presentation_once(monkeypatch):
+    # the derived presentation is checked; the rewrites build theirs unchecked
+    checks = []
+    check = GroupPresentation.__post_init__
+    monkeypatch.setattr(GroupPresentation, "__post_init__",
+                        lambda self: checks.append(self) or check(self))
+    p = fundamental_group(parse_diagram(data_text("u1466.pd.json")))
+    assert len(checks) == 1 and checks[0] is p
+    _reduce_generators(tietze_simplify(p))
+    assert len(checks) == 1
+
+
+def test_unchecked_presentations_pass_the_check():
+    rng = random.Random(41)
+    inputs = ([parse_presentation(data_text(key + ".pres")) for key in CORPUS_KEYS]
+              + [fundamental_group(d) for d in framed_diagrams()]
+              + [random_tietze_input(rng) for _ in range(150)])
+    built = 0
+    for p in inputs:
+        for q in (tietze_simplify(p), _reduce_generators(p),
+                  _reduce_generators(tietze_simplify(p))):
+            assert type(q.generators) is tuple and type(q.relators) is tuple
+            assert all(type(r) is Relator and type(r.lhs) is Word and type(r.rhs) is Word
+                       for r in q.relators)
+            assert GroupPresentation(q.generators, q.relators) == q
+            built += 1
+    assert built == 3 * (4 + 70 + 150)
