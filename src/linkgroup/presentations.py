@@ -145,19 +145,31 @@ def fundamental_group(diagram):
 
 # --- Tietze rewriting on encoded words ----------------------------------------
 #
-# Rewriting runs on one str per word, one character per letter: generator i
-# of the input is chr(2 * i) and its inverse chr(2 * i + 1), so two letters
-# cancel when their code points differ in the lowest bit only.  A word's
-# inverse is s[::-1].translate(table), matching is str.find and substitution
-# is str.replace; words are decoded into Words once, at the return.
+# An encoded presentation is (names, gens, rels): the input's generators, the
+# ones kept, and each relator's (lhs, rhs), one str per side and one character
+# per letter: names[i] is chr(2 * i), its inverse chr(2 * i + 1), so letters
+# cancel when their code points differ in the lowest bit only.  A word's inverse
+# is s[::-1].translate(table), matching is str.find, substitution str.replace.
 
-def _encoder(generators):
-    """(encode, decode, table) for words over generators; table inverts letters."""
-    letters = [(g, e) for g in generators for e in (1, -1)]
-    code = {letter: chr(i) for i, letter in enumerate(letters)}
-    return (lambda word: "".join(map(code.__getitem__, word.letters)),
-            lambda s: Word._of(tuple(map(letters.__getitem__, map(ord, s)))),
-            "".join(chr(c ^ 1) for c in range(len(letters))))
+def _table(names):
+    """The str.translate table that inverts each letter of words over names."""
+    return "".join(chr(c ^ 1) for c in range(2 * len(names)))
+
+
+def _encoded(presentation):
+    """The presentation in encoded form, every generator kept."""
+    names = presentation.generators
+    code = {(g, e): chr(2 * i + (e < 0)) for i, g in enumerate(names) for e in (1, -1)}.__getitem__
+    rels = [("".join(map(code, r.lhs.letters)), "".join(map(code, r.rhs.letters)))
+            for r in presentation.relators]
+    return names, list(names), rels
+
+
+def _decoded(names, gens, rels):
+    """The presentation an encoded one stands for, built unchecked."""
+    letter = [(g, e) for g in names for e in (1, -1)].__getitem__
+    return GroupPresentation._of(tuple(gens), tuple([
+        Relator(*[Word._of(tuple(map(letter, map(ord, s)))) for s in r]) for r in rels]))
 
 
 def _reduce(s, cyclic=False):
@@ -234,7 +246,7 @@ def _shortening(rels, cyclic, matches, table):
     shares a cyclic two-letter subword, in itself or its inverse, with the
     target: a pair that shares none cannot match and is skipped.  matches
     maps each other (target, source) pair of words to its _cyclic_match
-    result, so each is computed once per tietze_simplify call.
+    result, so each is computed once per _tietze call.
     """
     entries = []
     for r in rels:
@@ -272,19 +284,22 @@ def tietze_simplify(presentation, budget=10000):
     one unit of budget; the result is returned as-is when the budget runs out
     or no phase changes anything.
 
-    Each side of a relator is an encoded word, and the work is incremental:
+    The rewriting (_tietze) runs on the encoded form and is incremental:
     an elimination rewrites only the relators that contain the eliminated
     generator, phase 2 reduces only relators it has not yet found fixed, and
     phase 3 matches each (target, source) pair at most once per call, and
     never a pair that shares no cyclic two-letter subword (see _shortening).
     A budget that is not a non-negative integer raises ValueError.
     """
+    return _decoded(*_tietze(presentation, budget))
+
+
+def _tietze(presentation, budget):
+    """tietze_simplify's result in encoded form."""
     if type(budget) is not int or budget < 0:
         raise ValueError("simplify budget must be a non-negative integer, not %r" % (budget,))
-    names = presentation.generators
-    encode, decode, table = _encoder(names)
-    gens = list(names)
-    rels = [(encode(r.lhs), encode(r.rhs)) for r in presentation.relators]
+    names, gens, rels = _encoded(presentation)
+    table = _table(names)
     # The first elimination freely reduces every relator (parsed ones may be
     # unreduced); every later rewrite leaves them reduced, so from then on a
     # relator without the eliminated generator is kept as it is.
@@ -315,8 +330,7 @@ def tietze_simplify(presentation, budget=10000):
         if shortening is None:
             break
         rels[shortening[0]] = (shortening[1], "")
-    return GroupPresentation._of(tuple(gens), tuple(Relator(decode(lhs), decode(rhs))
-                                                    for lhs, rhs in rels))
+    return names, tuple(gens), rels
 
 
 def _reduce_generators(presentation):
@@ -328,19 +342,22 @@ def _reduce_generators(presentation):
     growth is eliminated first (ties by relator length, then generator name).
     It stops after 1000 eliminations, or when the best one would take the
     total relator length past 4 times the original (counted as at least 50).
-    Used internally to compile presentations for search; the result has bare
-    cyclically reduced relators.  Relators are encoded words, each kept with
-    the generators it holds exactly once; an elimination rewrites and recounts
-    only the relators that contain the eliminated generator.
+    The result has bare cyclically reduced relators.  Its core, _eliminate,
+    which the search compiler runs on _tietze's output, keeps each relator as
+    an encoded word with the generators it holds exactly once, and rewrites
+    and recounts only the relators an elimination changes.
     """
-    names = presentation.generators
-    encode, decode, table = _encoder(names)
+    return _decoded(*_eliminate(*_encoded(presentation)))
+
+
+def _eliminate(names, gens, rels):
+    """_reduce_generators from and to the encoded form."""
+    table = _table(names)
     fold = "".join(chr(c & ~1) for c in range(len(table)))
     def single(w):
         return [c for c, k in Counter(w.translate(fold)).items() if k == 1]
-    gens = list(names)
-    rels = [_reduce(encode(r.lhs) + encode(r.rhs)[::-1].translate(table), True)
-            for r in presentation.relators]
+    gens = list(gens)
+    rels = [_reduce(lhs + rhs[::-1].translate(table), True) for lhs, rhs in rels]
     rels = [w for w in rels if w]
     singles = [single(w) for w in rels]
     original = max(sum(map(len, rels)), 50)
@@ -365,7 +382,7 @@ def _reduce_generators(presentation):
                 singles[i] = single(rels[i])
         singles = [x for v, x in zip(rels, singles) if v]
         rels = [v for v in rels if v]
-    return GroupPresentation._of(tuple(gens), tuple(Relator(decode(w)) for w in rels))
+    return names, tuple(gens), [(w, "") for w in rels]
 
 
 # --- text grammar -----------------------------------------------------------
@@ -484,39 +501,34 @@ def parse_presentation(text):
     return GroupPresentation(tuple(gens), tuple(relators))
 
 
-def _word_text(word):
-    return "*".join(name if exp == 1 else "%s^-1" % name for name, exp in word.letters) or "1"
-
-
-def _relator_text(r):
-    if r.rhs.letters:
-        return "%s = %s" % (_word_text(r.lhs), _word_text(r.rhs))
-    return _word_text(r.lhs)
-
-
 def serialize_presentation(presentation, dialect="native"):
     """Render a presentation in the native grammar, or for export as gap or plain.
 
     The gap snippet writes each relator over F.1, F.2, ..., so any generator
     name (F, E, end, ...) is safe; the names only label FreeGroup's generators.
     """
-    if dialect == "native":
-        lines = ["gens: " + ", ".join(presentation.generators)]
-        if presentation.relators:
-            lines.append("rels: " + "; ".join(_relator_text(r) for r in presentation.relators))
-        return "\n".join(lines) + "\n"
-    if dialect == "plain":
-        inner = "; ".join(_relator_text(r) for r in presentation.relators)
-        return "< %s | %s >\n" % (", ".join(presentation.generators), inner)
+    return _serialize(_encoded(presentation), dialect)
+
+
+def _serialize(encoded, dialect="native"):
+    """serialize_presentation's text of an encoded presentation: a relator is
+    lhs, or lhs = rhs, a side its letters joined by *, or 1 when empty."""
+    names, gens, rels = encoded
     if dialect == "gap":
-        gens = presentation.generators
         index = {g: "F.%d" % i for i, g in enumerate(gens, start=1)}
-        words = [Word(tuple((index[g], e) for g, e in r.word.letters))
-                 for r in presentation.relators]
+        rels = [(lhs + rhs[::-1].translate(_table(names)), "") for lhs, rhs in rels]
+        names = [index.get(g, g) for g in names]
+    tokens = ["*" + g + inverse for g in names for inverse in ("", "^-1")]
+    texts = [(lhs.translate(tokens)[1:] or "1") + (rhs and " = " + rhs.translate(tokens)[1:])
+             for lhs, rhs in rels]
+    if dialect == "native":
+        return "gens: %s\n" % ", ".join(gens) + ("rels: %s\n" % "; ".join(texts) if texts else "")
+    if dialect == "plain":
+        return "< %s | %s >\n" % (", ".join(gens), "; ".join(texts))
+    if dialect == "gap":
         return "\n".join([
             "F := FreeGroup( %s );;" % (", ".join('"%s"' % g for g in gens) or "0"),
-            "rels := [ %s ];;" % ", ".join(_word_text(w) if w.letters else "One( F )"
-                                           for w in words),
+            "rels := [ %s ];;" % ", ".join("One( F )" if t == "1" else t for t in texts),
             "G := F / rels;;",
             'Print( AbelianInvariants( G ), "\\n" );']) + "\n"
     raise ValueError("unknown dialect %r" % dialect)

@@ -36,7 +36,8 @@ except ImportError:
 from ._record import Record
 from .homology import first_homology
 from .permgroups import MAX_ORDER, _orbit_tree, load_catalog, symmetric_group
-from .presentations import _reduce_generators, serialize_presentation, tietze_simplify
+from .presentations import (_decoded, _eliminate, _encoded, _serialize, _tietze,
+                            serialize_presentation, tietze_simplify)  # tietze_simplify: kept for tracing
 
 
 class BudgetExceeded(Exception):
@@ -513,14 +514,20 @@ def search_program(presentation):
     compiles once and passes the program to every search on the presentation.
     search is the compiled search (_lower, then _emit and compile once per
     call, never cached) of the presentation with the generators eliminated
-    that occur once in some relator, which presents the same group; it
+    that occur once in some relator (_eliminate, on the encoded presentation,
+    whose result alone is decoded), which presents the same group; it
     assigns images to a seed set of those generators and deduces the rest.
     tallies, empty at first, holds the searches run so far (see _tally).
     homology is the group's first homology, the invariant factors read from
     that reduced presentation, which decides the derived-series term each
     search runs in.
     """
-    reduced = _reduce_generators(presentation)
+    return _search_program(_encoded(presentation))
+
+
+def _search_program(encoded):
+    """search_program of an encoded presentation: only its reduction is decoded."""
+    reduced = _decoded(*_eliminate(*encoded))
     return (_compile_search(_lower(compile_hom_search(reduced))), {},
             tuple(first_homology(reduced)))
 
@@ -793,13 +800,14 @@ def presentation_hash(presentation):
 def profile(presentation, config=None, catalog=None, workers=1):
     """Simplify, then compute homology, hom counts, and low-index counts.
 
-    ``workers`` is accepted for existing callers and ignored: the searches run
-    serially.
+    Tietze's encoded output (_tietze) gives the hash and the generator and
+    relator counts, and goes to _search_program undecoded.  ``workers`` is
+    accepted for existing callers and ignored: the searches run serially.
     """
     config = config or ProfileConfig()
     catalog = catalog or load_catalog()
-    simplified = tietze_simplify(presentation, budget=config.simplify_budget)
-    program = search_program(simplified)
+    _, gens, rels = simplified = _tietze(presentation, config.simplify_budget)
+    program = _search_program(simplified)
     counts = {field: tuple((key, count(program, key, config, catalog))
                            for key in keys(config, catalog)[0])
               for field, _, _, keys, count in _FAMILIES}
@@ -809,9 +817,9 @@ def profile(presentation, config=None, catalog=None, workers=1):
         catalog_version=catalog.version,
         catalog_names=tuple(catalog.names),
         config=config,
-        presentation_hash=presentation_hash(simplified),
-        generator_count=len(simplified.generators),
-        relator_count=len(simplified.relators),
+        presentation_hash=sha256(_serialize(simplified).encode()).hexdigest(),
+        generator_count=len(gens),
+        relator_count=len(rels),
     )
 
 
@@ -908,8 +916,8 @@ def _recheck(recheck, config, catalog):
                 raise ValueError("recheck %s %r is not %s" % (key_name, key, phrase))
 
             def recompute(presentation):
-                simplified = tietze_simplify(presentation, budget=config.simplify_budget)
-                found = count(search_program(simplified), key, config, catalog)
+                program = _search_program(_tietze(presentation, config.simplify_budget))
+                found = count(program, key, config, catalog)
                 if found.budget_exceeded:
                     raise BudgetExceeded
                 return found.value()

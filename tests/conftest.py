@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from linkgroup.corpus import load_corpus
 from linkgroup.homology import _smith
 
 CORPUS_KEYS = ("u1466", "u1563", "u2125", "u2165")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def data_path(name):
@@ -23,6 +26,14 @@ def data_text(name):
 
 def pres(text):
     return parse_presentation(text)
+
+
+def perfbench_module(name):
+    """A module of the benchmark, perfbench/<name>.py, imported from its directory
+    as the benchmark imports it."""
+    if PERFBENCH not in sys.path:
+        sys.path.append(PERFBENCH)
+    return importlib.import_module(name)
 
 
 def sparse_rows(matrix, cols):

@@ -17,6 +17,7 @@ from linkgroup import (CorpusEntry, Crossing, FourGraph, GroupPresentation, HomC
                        words)
 from linkgroup._record import Record
 from linkgroup.diagrams import Violation
+from conftest import perfbench_module
 
 
 def test_every_exported_name_resolves_once():
@@ -24,6 +25,15 @@ def test_every_exported_name_resolves_once():
     for name in linkgroup.__all__:
         assert hasattr(linkgroup, name), name
     assert linkgroup.self_writhes is diagrams.self_writhes
+
+
+def test_benchmark_entry_points_resolve():
+    # the traced benchmark run rebinds each of these module attributes, and
+    # fails on one the package no longer has
+    entry_points = perfbench_module("spans").ENTRY_POINTS
+    assert ("quotients", "tietze_simplify", "presentations.tietze_simplify") in entry_points
+    for module, attr, _ in entry_points:
+        assert callable(getattr(getattr(linkgroup, module), attr)), (module, attr)
 
 
 def test_removed_wrappers_stay_removed():

@@ -122,6 +122,7 @@ def test_profile_rejects_a_large_index_before_any_work(tmp_path, capsys, monkeyp
         raise AssertionError("simplification ran before the index was checked")
 
     monkeypatch.setattr(quotients, "tietze_simplify", fail)
+    monkeypatch.setattr(quotients, "_tietze", fail)
     path = write(tmp_path, "z2.pres", Z2)
     code, out, err = run(capsys, ["profile", path, "--K", "8"])
     assert code == 1 and out == ""

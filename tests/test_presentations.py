@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -17,6 +18,7 @@ from linkgroup.presentations import (GroupPresentation, PresentationSyntaxError,
                                      serialize_presentation, tietze_simplify,
                                      transition_name, wirtinger)
 from linkgroup.homology import first_homology
+from linkgroup.quotients import ProfileConfig, presentation_hash, profile
 from linkgroup.words import Word
 from conftest import CORPUS_KEYS, data_text
 from oracles import (_ref_cyclic_match, cyclic_reduce, reference_fundamental_group,
@@ -191,6 +193,30 @@ def test_serialize_dialects():
     assert gap.endswith('Print( AbelianInvariants( G ), "\\n" );\n')
     with pytest.raises(ValueError):
         serialize_presentation(p, dialect="latex")
+
+
+def test_profile_hash_text_is_the_native_serialization():
+    # profile hashes Tietze's encoded output as _serialize writes it; at
+    # simplify budget 0 that output is the input, whose text serialize_presentation
+    # writes through the same writer from the decoded words
+    cases = (
+        ("gens: a\nrels: 1\n", "gens: a\nrels: 1\n"),
+        ("gens: x\nrels: 1 = x\n", "gens: x\nrels: 1 = x\n"),
+        ("gens: a, b\nrels: a^-1*b^-2 = b; b^-1\n", "gens: a, b\nrels: a^-1*b^-1*b^-1 = b; b^-1\n"),
+        ("gens: x_1, t_ab2, Y9_\nrels: x_1*t_ab2^-1*Y9_ = Y9_^-1; t_ab2^2\n",
+         "gens: x_1, t_ab2, Y9_\nrels: x_1*t_ab2^-1*Y9_ = Y9_^-1; t_ab2*t_ab2\n"),
+        ("gens: a, b\n", "gens: a, b\n"),
+        ("gens: a, b\nrels:\n", "gens: a, b\n"),
+        ("gens:\n", "gens: \n"),
+        ("gens:\nrels: 1; 1 = 1\n", "gens: \nrels: 1; 1\n"),
+    )
+    for text, want in cases:
+        p = parse_presentation(text)
+        assert serialize_presentation(p) == want, text
+        assert presentations._serialize(presentations._tietze(p, 0)) == want, text
+        digest = hashlib.sha256(want.encode()).hexdigest()
+        config = ProfileConfig(max_index=2, simplify_budget=0)
+        assert profile(p, config).presentation_hash == presentation_hash(p) == digest, text
 
 
 def test_gap_export_writes_relators_over_generator_indices():
@@ -493,7 +519,14 @@ def test_cyclic_match_matches_reference_on_random_pairs():
     over few generators, where equally long overlaps are common: in both
     directions, and at several starts of one rotation."""
     names = ("a", "b", "c")
-    encode, decode, table = presentations._encoder(names)
+    table = presentations._table(names)
+
+    def encode(word):
+        return presentations._encoded(GroupPresentation._of(names, (Relator(word),)))[2][0][0]
+
+    def decode(s):
+        return presentations._decoded(names, names, [(s, "")]).relators[0].lhs
+
     rng = random.Random(29)
     both_directions = several_starts = matched = skipped = 0
     for _ in range(4000):

@@ -17,13 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from linkgroup import quotients
+from linkgroup import presentations, quotients
 from linkgroup.corpus import load_corpus
+from linkgroup.diagrams import blackboardize, parse_diagram
 from linkgroup.homology import first_homology
 from linkgroup.permgroups import (FiniteGroup, parse_catalog,
                                   symmetric_group)
 from linkgroup.presentations import (GroupPresentation, Relator, _reduce_generators,
-                                     parse_presentation,
+                                     fundamental_group, parse_presentation,
                                      serialize_presentation, tietze_simplify)
 from linkgroup.quotients import (MAX_INDEX, HomCount, ProfileConfig, SubgroupCount,
                                  compare_profiles, count_homs, distinguish,
@@ -31,7 +32,7 @@ from linkgroup.quotients import (MAX_INDEX, HomCount, ProfileConfig, SubgroupCou
                                  presentation_hash, profile, search_program,
                                  verify_witness)
 from linkgroup.words import Word
-from conftest import CountingList, data_text, pres
+from conftest import CountingList, data_text, perfbench_module, pres
 from oracles import (comparable_json, coset_table_low_index, derived_series,
                      naive_hom_counts, recompute_entry, reference_compile_hom_search,
                      reference_orbit_search, reference_search, reference_subgroup_order)
@@ -709,6 +710,67 @@ def test_profile_calls_no_builtin_compile(monkeypatch):
     assert found == expected
 
 
+def test_profile_and_count_replay_call_no_tietze_simplify(monkeypatch, catalog):
+    # both run Tietze's encoded core and decode only the reduced presentation
+    doc = distinguish(pres(TREFOIL), pres(Z), catalog=catalog).to_dict()
+    assert doc["witness"]["invariant"] == "hom_count:S3"
+
+    def run():
+        return ([profile(pres(text), catalog=catalog).to_json() for text in (TREFOIL, Z3)],
+                verify_witness(doc, pres(TREFOIL), pres(Z), catalog))
+    expected = run()
+    assert expected[1] == (True, "witness hom_count:S3 verified")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("tietze_simplify called")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(presentations, "tietze_simplify", refused)
+        patched.setattr(quotients, "tietze_simplify", refused)
+        found = run()
+    assert found == expected
+
+
+def surgery_sides():
+    """The fundamental groups of both sides of the benchmark's surgery pairs,
+    seeds 1-3."""
+    gen = perfbench_module("gen")
+    return [fundamental_group(blackboardize(parse_diagram(side["text"]), side["framings"]))
+            for seed in (1, 2, 3) for pair in gen.surgery_pairs(seed)
+            for side in (pair["left"], pair["right"])]
+
+
+def test_profile_presentation_block_matches_the_public_path():
+    # profile reads its presentation block from Tietze's encoded output and
+    # compiles that output undecoded: every block and count must be what the
+    # public calls give on tietze_simplify's decoded presentation.  S3 and the
+    # perfect A5 keep the searches short; the compiles are most of the time
+    from test_presentations import random_tietze_input
+    raw = json.loads(data_text("catalog.json"))
+    raw["groups"] = [g for g in raw["groups"] if g["name"] in ("S3", "A5")]
+    catalog = parse_catalog(json.dumps(raw))
+    rng = random.Random(43)
+    inputs = ([entry.presentation() for entry in load_corpus().values()] + [pres(TREFOIL)]
+              + surgery_sides() + [random_tietze_input(rng) for _ in range(50)])
+    assert len(inputs) == 4 + 1 + 144 + 50
+    for budget in (0, 1, 5, ProfileConfig().simplify_budget):
+        config = ProfileConfig(max_index=3, node_budget=10 ** 5, simplify_budget=budget)
+        for p in inputs:
+            got = profile(p, config, catalog)
+            simplified = tietze_simplify(p, budget)
+            assert got.to_dict()["presentation"] == {
+                "hash": presentation_hash(simplified),
+                "generators": len(simplified.generators),
+                "relators": len(simplified.relators)}, serialize_presentation(p)
+            program = search_program(simplified)
+            assert got.homology == program[2]
+            assert got.hom_counts == tuple(
+                (name, count_homs(program, catalog.by_name(name), config.node_budget))
+                for name in catalog.names)
+            assert got.low_index == tuple(
+                (k, low_index_single(program, k, config.node_budget)) for k in (2, 3))
+
+
 def test_profile_and_recheck_compile_before_the_first_search(monkeypatch, catalog):
     # the compile is not charged to whichever search comes first
     events = []
@@ -1287,6 +1349,7 @@ def test_homology_recheck_reads_the_presentation_as_given(monkeypatch, catalog):
         raise AssertionError("a homology recheck simplified its input")
 
     monkeypatch.setattr(quotients, "tietze_simplify", fail)
+    monkeypatch.setattr(quotients, "_tietze", fail)
     config = ProfileConfig()
     p = pres("gens: a, b\nrels: a^6; b = a^2\n")
     assert recompute_entry(p, {"kind": "homology"}, config, catalog) == [6]
