@@ -39,13 +39,6 @@ class Relator(Record):
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
 
-    @property
-    def word(self):
-        return self.lhs * self.rhs.inverse()
-
-    def generators(self):
-        return self.lhs.generators() | self.rhs.generators()
-
 
 class GroupPresentation(Record):
     __slots__ = ("generators", "relators")

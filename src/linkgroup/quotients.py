@@ -579,17 +579,18 @@ def _tally(program, group, node_budget):
     the images use; every numbering of one set visits as many nodes, so
     flags agree.
     """
-    h1_order = math.prod(program[2])    # 0 when H1 is infinite
+    search, tallies, homology = program
+    h1_order = math.prod(homology)    # 0 when H1 is infinite
     while (h1_order and (lower := group.derived_subgroup) is not group
            and math.gcd(h1_order, group.order // lower.order) == 1):
         group = lower
     key = (group._element_set, node_budget)
-    if key not in program[1]:
+    if key not in tallies:
         try:
-            program[1][key] = group, _search(program[0], group, node_budget)
+            tallies[key] = group, _search(search, group, node_budget)
         except BudgetExceeded:
-            program[1][key] = None
-    return program[1][key]
+            tallies[key] = None
+    return tallies[key]
 
 
 def count_homs(program, group, node_budget=10 ** 8):
@@ -807,12 +808,12 @@ def profile(presentation, config=None, catalog=None, workers=1):
     config = config or ProfileConfig()
     catalog = catalog or load_catalog()
     _, gens, rels = simplified = _tietze(presentation, config.simplify_budget)
-    program = _search_program(simplified)
+    _, _, homology = program = _search_program(simplified)
     counts = {field: tuple((key, count(program, key, config, catalog))
                            for key in keys(config, catalog)[0])
               for field, _, _, keys, count in _FAMILIES}
     return InvariantProfile(
-        homology=program[2],
+        homology=homology,
         **counts,
         catalog_version=catalog.version,
         catalog_names=tuple(catalog.names),

@@ -1,14 +1,13 @@
-"""Words over named free-group generators."""
+"""Words over named free-group generators: a `Word` is its letters and their
+check.  The package's word operations run on the encoded form in
+presentations.py; the reference's word helpers live in tests/oracles.py.
+"""
 
 from ._record import Record
 
 
 class Word(Record):
-    """A word in a free group, stored as a tuple of (generator, exponent) letters.
-
-    Letter exponents are restricted to +1 and -1; powers are expanded on
-    construction via from_syllables.
-    """
+    """A word in a free group: a tuple of (generator, +1 or -1) letters."""
 
     __slots__ = ("letters",)
 
@@ -38,38 +37,5 @@ class Word(Record):
             if exp not in (1, -1):
                 raise ValueError("letter exponent must be +1 or -1, got %s^%r" % (name, exp))
 
-    @classmethod
-    def from_syllables(cls, syllables):
-        """Build a word from (name, exponent) pairs; exponents may be any nonzero int."""
-        letters = []
-        for name, exp in syllables:
-            if exp == 0:
-                raise ValueError("zero exponent on generator %r" % name)
-            sign = 1 if exp > 0 else -1
-            letters.extend((name, sign) for _ in range(abs(exp)))
-        return cls(tuple(letters))
-
-    def __len__(self):
+    def __len__(self):  # the traced benchmark run counts relator letters with len(r.lhs)
         return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __mul__(self, other):
-        return Word._of(self.letters + other.letters)
-
-    def inverse(self):
-        return Word._of(tuple((name, -exp) for name, exp in reversed(self.letters)))
-
-    def free_reduce(self):
-        """Cancel adjacent inverse pairs until none remain."""
-        out = []
-        for name, exp in self.letters:
-            if out and out[-1][0] == name and out[-1][1] == -exp:
-                out.pop()
-            else:
-                out.append((name, exp))
-        return Word._of(tuple(out))
-
-    def generators(self):
-        return {name for name, _ in self.letters}

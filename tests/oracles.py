@@ -14,9 +14,11 @@ closure, the Smith normal form with its certificate, the surgery
 presentation of a diagram, the gem report and the presentation text parser
 are checked against verbatim copies of their earlier implementations, at the
 end of this file.  The search compiler's oracle reads relators with its own
-reducer, not the package's.  Cyclic reduction of a word, substitution into
-a word, a profile's JSON without its presentation and the recomputation of
-one profile entry, which only tests use, open the file.
+reducer, not the package's.  The word helpers the references use (syllable
+expansion, inverse, a relator's word lhs * rhs^-1, the generator set, free and
+cyclic reduction, substitution), a profile's JSON without its presentation and
+the recomputation of one profile entry open the file: `Word` itself is only
+its letters, so the references borrow no word operation from the package.
 """
 
 import functools
@@ -34,9 +36,44 @@ from linkgroup.quotients import BudgetExceeded, _recheck, json_text
 from linkgroup.words import Word
 
 
+def from_syllables(syllables):
+    """The word of (name, exponent) pairs, each power expanded; exponents may be
+    any nonzero int."""
+    letters = []
+    for name, exp in syllables:
+        if exp == 0:
+            raise ValueError("zero exponent on generator %r" % name)
+        letters.extend([(name, 1 if exp > 0 else -1)] * abs(exp))
+    return Word(tuple(letters))
+
+
+def inverse(word):
+    return Word._of(tuple((name, -exp) for name, exp in reversed(word.letters)))
+
+
+def relator_word(relator):
+    """The group-theoretic content of lhs = rhs: the word lhs * rhs^-1."""
+    return Word._of(relator.lhs.letters + inverse(relator.rhs).letters)
+
+
+def generator_set(word):
+    return {name for name, _ in word.letters}
+
+
+def free_reduce(word):
+    """Cancel adjacent inverse pairs until none remain."""
+    out = []
+    for name, exp in word.letters:
+        if out and out[-1] == (name, -exp):
+            out.pop()
+        else:
+            out.append((name, exp))
+    return Word._of(tuple(out))
+
+
 def cyclic_reduce(word):
     """Freely reduce, then strip matching inverse letters from the two ends."""
-    letters = list(word.free_reduce().letters)
+    letters = list(free_reduce(word).letters)
     while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
         letters = letters[1:-1]
     return Word(tuple(letters))
@@ -51,7 +88,7 @@ def substitute(word, name, replacement):
         elif exp == 1:
             letters.extend(replacement.letters)
         else:
-            letters.extend(replacement.inverse().letters)
+            letters.extend(inverse(replacement).letters)
     return Word._of(tuple(letters))
 
 
@@ -202,7 +239,7 @@ def naive_hom_counts(presentation, group):
     ok = np.ones(size, dtype=bool)
     for r in presentation.relators:
         x = np.full(size, e, dtype=np.int64)
-        for name, exp in r.word.letters:
+        for name, exp in relator_word(r).letters:
             y = vals[index[name]]
             if exp < 0:
                 y = INV[y]
@@ -249,7 +286,7 @@ def coset_table_low_index(presentation, kmax):
     index = {g: i for i, g in enumerate(presentation.generators)}
     relators = []
     for r in presentation.relators:
-        w = cyclic_reduce(r.word)
+        w = cyclic_reduce(relator_word(r))
         if w.letters:
             relators.append(tuple(2 * index[n] + (e < 0) for n, e in w.letters))
     ncols = 2 * len(index)
@@ -365,20 +402,20 @@ def _ref_definition_candidates(generators, relators):
     for idx, r in enumerate(relators):
         if len(r.lhs) == 1 and r.lhs.letters[0][1] == 1:
             g = r.lhs.letters[0][0]
-            if g not in r.rhs.generators():
+            if g not in generator_set(r.rhs):
                 out.append((len(r.lhs) + len(r.rhs), g, idx))
     return out
 
 
 def _ref_substitute_relator(r, name, replacement):
-    return Relator(substitute(r.lhs, name, replacement).free_reduce(),
-                   substitute(r.rhs, name, replacement).free_reduce())
+    return Relator(free_reduce(substitute(r.lhs, name, replacement)),
+                   free_reduce(substitute(r.rhs, name, replacement)))
 
 
 def _ref_reduce_relator(r):
     if not r.rhs.letters:
         return Relator(cyclic_reduce(r.lhs))
-    return Relator(r.lhs.free_reduce(), r.rhs.free_reduce())
+    return Relator(free_reduce(r.lhs), free_reduce(r.rhs))
 
 
 def _ref_cyclic_match(target, source):
@@ -392,7 +429,7 @@ def _ref_cyclic_match(target, source):
         return None
     doubled = t + t
     best = None
-    for s in (source.letters, source.inverse().letters):
+    for s in (source.letters, inverse(source).letters):
         m = len(s)
         top = min(m, len(t))
         for rot in range(m):
@@ -404,8 +441,8 @@ def _ref_cyclic_match(target, source):
                 for start in range(len(t)):
                     if doubled[start:start + length] == pattern:
                         remainder = Word(srot[length:])
-                        rest = Word(doubled[start + length:start + len(t)])
-                        candidate = cyclic_reduce(remainder.inverse() * rest)
+                        rest = doubled[start + length:start + len(t)]
+                        candidate = cyclic_reduce(Word(inverse(remainder).letters + rest))
                         if len(candidate) < len(t):
                             best = (length, candidate)
                         break
@@ -451,7 +488,7 @@ def reference_tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
 
         if 2 in phases:
             reduced = [_ref_reduce_relator(r) for r in rels]
-            kept = [r for r in reduced if r.word.free_reduce().letters]
+            kept = [r for r in reduced if free_reduce(relator_word(r)).letters]
             if kept != rels:
                 if spend():
                     rels = kept
@@ -459,16 +496,16 @@ def reference_tietze_simplify(presentation, budget=10000, phases=(1, 2, 3)):
                 continue
 
         if 3 in phases:
-            order = sorted(range(len(rels)), key=lambda i: (len(rels[i].word), i))
+            order = sorted(range(len(rels)), key=lambda i: (len(relator_word(rels[i])), i))
             done = False
             for si in order:
-                source = cyclic_reduce(rels[si].word)
+                source = cyclic_reduce(relator_word(rels[si]))
                 if not source.letters:
                     continue
                 for ti in order:
                     if ti == si:
                         continue
-                    target = cyclic_reduce(rels[ti].word)
+                    target = cyclic_reduce(relator_word(rels[ti]))
                     if len(target) < len(source):
                         continue
                     replacement = _ref_cyclic_match(target, source)
@@ -494,7 +531,7 @@ def reference_reduce_generators(presentation, length_cap=4, budget=1000):
     cyclically reduced relators.
     """
     gens = list(presentation.generators)
-    rels = [cyclic_reduce(r.word) for r in presentation.relators]
+    rels = [cyclic_reduce(relator_word(r)) for r in presentation.relators]
     rels = [w for w in rels if w.letters]
     original = max(sum(len(w) for w in rels), 50)
     for _ in range(budget):
@@ -525,7 +562,7 @@ def reference_reduce_generators(presentation, length_cap=4, budget=1000):
         pos = next(i for i, (name, _) in enumerate(w.letters) if name == g)
         exp = w.letters[pos][1]
         rest = Word(w.letters[pos + 1:] + w.letters[:pos])
-        replacement = rest.inverse() if exp == 1 else rest
+        replacement = inverse(rest) if exp == 1 else rest
         del rels[ri]
         gens.remove(g)
         rels = [cyclic_reduce(substitute(v, g, replacement)) for v in rels]
@@ -1256,7 +1293,7 @@ class _RefWordParser:
         while self.peek() == "*":
             self.take()
             syllables.append(self.term())
-        return Word.from_syllables(syllables)
+        return from_syllables(syllables)
 
     def term(self):
         tok = self.peek()

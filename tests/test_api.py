@@ -13,8 +13,8 @@ import linkgroup
 from linkgroup import (CorpusEntry, Crossing, FourGraph, GroupPresentation, HomCount,
                        LinkDiagram, ProfileConfig, Relator, SubgroupCount, Verdict,
                        Witness, Word,
-                       corpus, diagrams, gems, homology, permgroups, profile, quotients,
-                       words)
+                       corpus, diagrams, gems, homology, parse_presentation, permgroups,
+                       profile, quotients, tietze_simplify, words)
 from linkgroup._record import Record
 from linkgroup.diagrams import Violation
 from conftest import perfbench_module
@@ -34,6 +34,21 @@ def test_benchmark_entry_points_resolve():
     assert ("quotients", "tietze_simplify", "presentations.tietze_simplify") in entry_points
     for module, attr, _ in entry_points:
         assert callable(getattr(getattr(linkgroup, module), attr)), (module, attr)
+
+
+def test_benchmark_counts_a_simplified_presentation():
+    # the traced run counts Tietze's output letters with len() of each relator
+    # side, the one read of a Word the benchmark makes
+    tracer = perfbench_module("spans").Tracer()
+    p = parse_presentation("gens: a, b, c\nrels: c = a*b; c^2*a = b^-1\n")
+    q = tietze_simplify(p)
+    tracer._count_presentations_tietze_simplify(None, (p,), {}, q)
+    letters = sum(len(r.lhs.letters) + len(r.rhs.letters) for r in q.relators)
+    assert letters > 0
+    assert tracer.counts == {"presentations.tietze_simplify_calls": 1,
+                             "presentations.gens_in": 3,
+                             "presentations.gens_out": len(q.generators),
+                             "presentations.relator_letters_out": letters}
 
 
 def test_removed_wrappers_stay_removed():
@@ -58,10 +73,22 @@ def test_removed_wrappers_stay_removed():
         (words.Word, "substitute"),                   # oracles.substitute
         (corpus, "load_pins"),                        # json.loads(data_text("pins.json"))
         (quotients, "recompute_entry"),               # oracles.recompute_entry
+        (words.Word, "from_syllables"),               # oracles.from_syllables
+        (words.Word, "__iter__"),                     # iterate over word.letters
+        (words.Word, "__mul__"),                      # concatenate .letters
+        (words.Word, "inverse"),                      # oracles.inverse
+        (words.Word, "free_reduce"),                  # oracles.free_reduce
+        (words.Word, "generators"),                   # oracles.generator_set
+        (Relator, "word"),                            # oracles.relator_word
+        (Relator, "generators"),                      # generator_set(relator_word(r))
     ]
     for owner, name in removed:
         assert not hasattr(owner, name), name
         assert name not in linkgroup.__all__
+    # a Word is its letters and their check; the package's word operations run
+    # on the encoded form in presentations.py
+    assert {name for name, value in vars(Word).items() if callable(value)
+            or isinstance(value, classmethod)} == {"__init__", "_of", "__post_init__", "__len__"}
     # H1 is read one way: first_homology is the Smith form's only public entry
     assert [name for name in vars(homology) if not name.startswith("_")] == ["first_homology"]
 

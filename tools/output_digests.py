@@ -11,6 +11,9 @@ changes it:
 - diagrams: `serialize_diagram` of every blackboardized side;
 - homology: `first_homology` of every side's unsimplified `fundamental_group`,
   as JSON, so the Smith form of each raw Wirtinger matrix is covered;
+- presentations: `serialize_presentation` in the native, plain and gap
+  dialects of every side's and every corpus entry's `fundamental_group`, and
+  of its `tietze_simplify` output;
 - profiles: the corpus entries at max_index 6 and the trefoil at 7, as JSON.
 
 Run from the repository root:  python3 tools/output_digests.py
@@ -28,17 +31,26 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import gen
 from linkgroup import (ProfileConfig, blackboardize, distinguish, first_homology,
                        fundamental_group, load_catalog, load_corpus, parse_diagram,
-                       parse_presentation, profile, serialize_diagram, verify_witness)
+                       parse_presentation, profile, serialize_diagram,
+                       serialize_presentation, tietze_simplify, verify_witness)
 
 SEEDS = (1, 2, 3)
 PAIR_MAX_INDEX = 4
 BUDGETS = (60, 400, 10 ** 8)
+DIALECTS = ("native", "plain", "gap")
+
+
+def presentation_texts(presentation):
+    """The presentation and its Tietze simplification, in every dialect."""
+    return [serialize_presentation(p, dialect)
+            for p in (presentation, tietze_simplify(presentation)) for dialect in DIALECTS]
 
 
 def outputs():
     """{family: [text, ...]} in a fixed order."""
     catalog = load_catalog()
-    out = {"verdicts": [], "replays": [], "diagrams": [], "homology": [], "profiles": []}
+    out = {"verdicts": [], "replays": [], "diagrams": [], "homology": [], "presentations": [],
+           "profiles": []}
     for seed in SEEDS:
         for pair in gen.surgery_pairs(seed):
             sides = []
@@ -47,6 +59,7 @@ def outputs():
                 out["diagrams"].append(serialize_diagram(diagram))
                 sides.append(fundamental_group(diagram))
                 out["homology"].append(json.dumps(first_homology(sides[-1])))
+                out["presentations"].extend(presentation_texts(sides[-1]))
             for budget in BUDGETS:
                 config = ProfileConfig(max_index=PAIR_MAX_INDEX, node_budget=budget)
                 verdict = distinguish(*sides, config, catalog)
@@ -55,6 +68,7 @@ def outputs():
                     replay = verify_witness(verdict.to_dict(), *sides, catalog)
                     out["replays"].append(json.dumps(list(replay)))
     for entry in load_corpus().values():
+        out["presentations"].extend(presentation_texts(fundamental_group(entry.diagram())))
         out["profiles"].append(profile(entry.presentation(), ProfileConfig(), catalog).to_json())
     with open(os.path.join(ROOT, "src", "linkgroup", "data", "trefoil.pres"),
               encoding="utf-8") as f:
